@@ -38,7 +38,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -49,9 +48,7 @@ import (
 	"halotis/internal/cellib"
 	"halotis/internal/netfmt"
 	"halotis/internal/netlist"
-	"halotis/internal/obs"
-	"halotis/internal/obs/flight"
-	"halotis/internal/obs/tsdb"
+	"halotis/internal/node"
 )
 
 // Cluster routes requests across halotisd replicas by rendezvous hashing
@@ -73,22 +70,16 @@ type Cluster struct {
 	texts   *textStore
 	results *resultCache
 	met     routerMetrics
-	mux     *http.ServeMux
-	start   time.Time
-	traces  *obs.Recorder
 	log     *slog.Logger
+	// node is the HTTP shell shared with the replicas: middleware,
+	// per-endpoint accounting, SLO windows, series sampler, flight
+	// recorder, traces, and the wire writers.
+	node *node.Node
 
-	// Fleet-health surface (see status.go): SLO accounting, the series
-	// ring, the flight recorder, and the latest replica rollup.
-	slo          SLOPolicy
-	db           *tsdb.DB
-	flight       *flight.Ring
-	slowNs       [routeCount]atomic.Int64
-	sloTotal     atomic.Uint64
-	sloBad       atomic.Uint64
-	sampledTotal atomic.Uint64
-	sampledBad   atomic.Uint64
-	rollup       atomic.Pointer[fleetRollup]
+	// The fleet rollup (see status.go): the latest merged pull of every
+	// replica's /v1/status, refreshed every rollupEvery.
+	rollupEvery time.Duration
+	rollup      atomic.Pointer[fleetRollup]
 
 	rot atomic.Uint64 // read-spread rotation over a placement set
 
@@ -220,9 +211,6 @@ func New(replicas []string, opts ...Option) (*Cluster, error) {
 	if cfg.logger == nil {
 		cfg.logger = slog.New(slog.DiscardHandler)
 	}
-	if cfg.traceCap <= 0 {
-		cfg.traceCap = obs.DefaultTraceCapacity
-	}
 
 	c := &Cluster{
 		rf:           cfg.replication,
@@ -234,22 +222,28 @@ func New(replicas []string, opts ...Option) (*Cluster, error) {
 		hbudget:      newHedgeBudget(cfg.hedge.MaxRatio),
 		texts:        newTextStore(cfg.textCap),
 		results:      newResultCache(resultCacheCap),
-		start:        time.Now(),
-		traces:       obs.NewRecorder("router", cfg.traceCap),
 		log:          cfg.logger,
-		slo:          cfg.slo.withDefaults(),
+		rollupEvery:  cfg.slo.RollupInterval,
 		stop:         make(chan struct{}),
 	}
-	c.met.init()
-	if c.slo.SeriesWindows > 0 {
-		c.db = tsdb.New(c.slo.SeriesResolution, c.slo.SeriesWindows)
+	if c.rollupEvery <= 0 {
+		c.rollupEvery = 5 * time.Second
 	}
-	if c.slo.FlightCapacity > 0 {
-		c.flight = flight.NewRing(c.slo.FlightCapacity)
-	}
-	for r := range c.slowNs {
-		c.slowNs[r].Store(c.slo.TargetP99.Nanoseconds())
-	}
+	c.node = node.New(node.Role{
+		Name:         "router",
+		RootSpan:     "router.request",
+		MetricPrefix: "halotisd_router_",
+		Sample:       c.sample,
+		Status:       c.status,
+	}, node.Config{
+		Logger:                cfg.logger,
+		TraceCapacity:         cfg.traceCap,
+		SLOTargetP99:          cfg.slo.TargetP99,
+		SLOTargetAvailability: cfg.slo.TargetAvailability,
+		SeriesResolution:      cfg.slo.SeriesResolution,
+		SeriesWindows:         cfg.slo.SeriesWindows,
+		FlightCapacity:        cfg.slo.FlightCapacity,
+	})
 	seen := make(map[string]bool, len(replicas))
 	for i, addr := range replicas {
 		id := strings.TrimRight(addr, "/")
@@ -299,9 +293,9 @@ func New(replicas []string, opts ...Option) (*Cluster, error) {
 		c.wg.Add(1)
 		go c.probeLoop()
 	}
-	if c.db != nil {
+	if cfg.slo.SeriesWindows >= 0 { // the rollup feeds /v1/status, which sampling enables
 		c.wg.Add(1)
-		go c.statusLoop()
+		go c.rollupLoop()
 	}
 	return c, nil
 }
@@ -312,6 +306,7 @@ func New(replicas []string, opts ...Option) (*Cluster, error) {
 func (c *Cluster) Close() error {
 	c.stopOnce.Do(func() { close(c.stop) })
 	c.wg.Wait()
+	c.node.Close()
 	return nil
 }
 

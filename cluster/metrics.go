@@ -2,52 +2,16 @@ package cluster
 
 import (
 	"fmt"
-	"io"
 	"sync/atomic"
-	"time"
 
 	"halotis/internal/buildinfo"
-	"halotis/internal/obs"
+	"halotis/internal/node"
 )
-
-// routeID indexes the router's per-endpoint request counters.
-type routeID int
-
-const (
-	routeUpload routeID = iota
-	routeCircuits
-	routeSimulate
-	routeBatch
-	routeHealth
-	routeTopology
-	routeMetrics
-	routeTraces
-	routeStatus
-	routeSeries
-	routeFlight
-	routeCount
-)
-
-var routeNames = [routeCount]string{
-	routeUpload:   "upload",
-	routeCircuits: "circuits",
-	routeSimulate: "simulate",
-	routeBatch:    "batch",
-	routeHealth:   "healthz",
-	routeTopology: "topology",
-	routeMetrics:  "metrics",
-	routeTraces:   "traces",
-	routeStatus:   "status",
-	routeSeries:   "series",
-	routeFlight:   "flightrecorder",
-}
 
 // routerMetrics aggregates the routing layer's counters. Per-replica state
 // (health, served requests, failures) lives on the replicas themselves and
 // is read live at exposition time; these are the cluster-wide ones.
 type routerMetrics struct {
-	requests   [routeCount]atomic.Uint64
-	httpErrors atomic.Uint64
 	// failovers counts advances to a lower-ranked candidate after an
 	// availability failure — the cluster-smoke assertion that failover
 	// actually happened reads this.
@@ -68,114 +32,68 @@ type routerMetrics struct {
 	// degradedServes counts simulate responses served stale from the
 	// router's result cache because every holder was unreachable.
 	degradedServes atomic.Uint64
-	// deadlineShed counts requests refused at admission because their
-	// propagated deadline budget had already expired.
-	deadlineShed atomic.Uint64
-
-	// latency distributes end-to-end routed request time per endpoint
-	// (seconds) — including failover, hedging and replica round trips.
-	latency [routeCount]*obs.Histogram
 }
 
-// init builds the histogram storage; routerMetrics is embedded by value in
-// Cluster, so the pointers cannot be set at literal-construction time.
-func (m *routerMetrics) init() {
-	for r := range m.latency {
-		m.latency[r] = obs.NewHistogram(obs.LatencyBuckets()...)
-	}
-}
-
-// write renders the Prometheus text exposition of the router and fleet
-// state. The replica label on per-replica series matches the halotisd
-// -id each node exports in its own halotisd_build_info, so a sweep can
-// join router-side and node-side views.
-func (m *routerMetrics) write(w io.Writer, c *Cluster) {
-	gauge := func(name string, v float64, help string) {
-		fmt.Fprintf(w, "# HELP halotisd_router_%s %s\n# TYPE halotisd_router_%s gauge\nhalotisd_router_%s %g\n",
-			name, help, name, name, v)
-	}
-	counter := func(name string, v uint64, help string) {
-		fmt.Fprintf(w, "# HELP halotisd_router_%s %s\n# TYPE halotisd_router_%s counter\nhalotisd_router_%s %d\n",
-			name, help, name, name, v)
-	}
-
+// writeMetrics renders the router's own /metrics families — routing
+// counters and per-replica state; the node shell adds the per-endpoint,
+// trace, flight-recorder and runtime ones. The replica label on
+// per-replica series matches the halotisd -id each node exports in its
+// own halotisd_build_info, so a sweep can join router-side and node-side
+// views.
+func (c *Cluster) writeMetrics(m node.Metrics) {
 	version, rev, goVersion := buildinfo.Info()
-	fmt.Fprintf(w, "# HELP halotisd_router_build_info Build of this cluster router.\n"+
+	fmt.Fprintf(m, "# HELP halotisd_router_build_info Build of this cluster router.\n"+
 		"# TYPE halotisd_router_build_info gauge\n"+
 		"halotisd_router_build_info{version=%q,revision=%q,go=%q} 1\n",
 		version, rev, goVersion)
 
-	gauge("uptime_seconds", time.Since(c.start).Seconds(), "Seconds since the router started.")
-	gauge("replication", float64(c.rf), "Replication factor: circuits are placed on the top-R ranked replicas.")
+	m.Gauge("replication", float64(c.rf), "Replication factor: circuits are placed on the top-R ranked replicas.")
+	met := &c.met
+	m.Counter("failovers_total", met.failovers.Load(), "Requests moved to a lower-ranked replica after an availability failure.")
+	m.Counter("reuploads_total", met.reuploads.Load(), "Upload-on-miss repairs of circuits onto failover targets.")
+	m.Counter("hedges_total", met.hedges.Load(), "Hedged reads fired after the primary exceeded its tail-latency estimate.")
+	m.Counter("hedge_wins_total", met.hedgeWins.Load(), "Hedged reads whose second attempt answered first.")
+	m.Counter("breaker_skips_total", met.breakerSkips.Load(), "Candidate replicas skipped because their breaker refused admission.")
+	m.Counter("breaker_opens_total", met.breakerOpens.Load(), "Breaker transitions into the open state.")
+	m.Counter("breaker_closes_total", met.breakerCloses.Load(), "Breaker transitions into the closed state.")
+	m.Counter("degraded_serves_total", met.degradedServes.Load(), "Simulate responses served stale from the result cache with every holder unreachable.")
 
-	fmt.Fprintf(w, "# HELP halotisd_router_requests_total Requests served, by endpoint.\n# TYPE halotisd_router_requests_total counter\n")
-	for r := routeID(0); r < routeCount; r++ {
-		fmt.Fprintf(w, "halotisd_router_requests_total{endpoint=%q} %d\n", routeNames[r], m.requests[r].Load())
+	m.Gauge("replicas", float64(len(c.replicas)), "Configured replicas.")
+	m.Gauge("replicas_healthy", float64(c.healthyReplicas()), "Replicas currently considered healthy.")
+
+	fmt.Fprintf(m, "# HELP halotisd_router_replica_healthy Health of each replica (1 healthy, 0 down).\n# TYPE halotisd_router_replica_healthy gauge\n")
+	for _, r := range c.replicas {
+		v := 0
+		if r.healthy() {
+			v = 1
+		}
+		fmt.Fprintf(m, "halotisd_router_replica_healthy{replica=%q} %d\n", r.id, v)
 	}
-	counter("http_errors_total", m.httpErrors.Load(), "Responses with status >= 400.")
-	counter("failovers_total", m.failovers.Load(), "Requests moved to a lower-ranked replica after an availability failure.")
-	counter("reuploads_total", m.reuploads.Load(), "Upload-on-miss repairs of circuits onto failover targets.")
-	counter("hedges_total", m.hedges.Load(), "Hedged reads fired after the primary exceeded its tail-latency estimate.")
-	counter("hedge_wins_total", m.hedgeWins.Load(), "Hedged reads whose second attempt answered first.")
-	counter("breaker_skips_total", m.breakerSkips.Load(), "Candidate replicas skipped because their breaker refused admission.")
-	counter("breaker_opens_total", m.breakerOpens.Load(), "Breaker transitions into the open state.")
-	counter("breaker_closes_total", m.breakerCloses.Load(), "Breaker transitions into the closed state.")
-	counter("degraded_serves_total", m.degradedServes.Load(), "Simulate responses served stale from the result cache with every holder unreachable.")
-	counter("deadline_shed_total", m.deadlineShed.Load(), "Requests shed at admission because their deadline budget had expired.")
-
-	obs.WriteHistogramHeader(w, "halotisd_router_request_duration_seconds", "End-to-end routed request latency by endpoint, seconds.")
-	for r := routeID(0); r < routeCount; r++ {
-		m.latency[r].WriteSeries(w, "halotisd_router_request_duration_seconds", fmt.Sprintf("endpoint=%q", routeNames[r]))
+	fmt.Fprintf(m, "# HELP halotisd_router_replica_breaker_state Circuit-breaker state per replica (0 closed, 1 half-open, 2 open).\n# TYPE halotisd_router_replica_breaker_state gauge\n")
+	for _, r := range c.replicas {
+		fmt.Fprintf(m, "halotisd_router_replica_breaker_state{replica=%q} %d\n", r.id, int(r.br.state()))
 	}
-
-	if c.traces != nil {
-		started, spans, dropped, retained := c.traces.Stats()
-		counter("traces_started_total", started, "Traces recorded (one per traced request arriving at the router).")
-		counter("trace_spans_total", spans, "Spans recorded across all router traces.")
-		counter("trace_spans_dropped_total", dropped, "Spans dropped by the per-trace span bound.")
-		gauge("traces_retained", float64(retained), "Traces currently held in the router's in-memory ring.")
-		gauge("traces_pinned", float64(len(c.traces.Pinned())), "Anomaly exemplar traces currently pinned against eviction.")
+	fmt.Fprintf(m, "# HELP halotisd_router_replica_state_changes_total Breaker state transitions per replica.\n# TYPE halotisd_router_replica_state_changes_total counter\n")
+	for _, r := range c.replicas {
+		fmt.Fprintf(m, "halotisd_router_replica_state_changes_total{replica=%q} %d\n", r.id, r.stateChanges.Load())
 	}
-
-	if c.flight != nil {
-		recorded, promoted := c.flight.Stats()
-		counter("flight_records_total", recorded, "Routed requests filed in the flight-recorder ring.")
-		counter("flight_promoted_total", promoted, "Flight records promoted to pinned exemplars (slow, failed, shed, degraded, hedged, or partial).")
+	fmt.Fprintf(m, "# HELP halotisd_router_replica_requests_total Requests each replica answered successfully.\n# TYPE halotisd_router_replica_requests_total counter\n")
+	for _, r := range c.replicas {
+		fmt.Fprintf(m, "halotisd_router_replica_requests_total{replica=%q} %d\n", r.id, r.served.Load())
 	}
+	fmt.Fprintf(m, "# HELP halotisd_router_replica_failures_total Transport-level failures observed per replica.\n# TYPE halotisd_router_replica_failures_total counter\n")
+	for _, r := range c.replicas {
+		fmt.Fprintf(m, "halotisd_router_replica_failures_total{replica=%q} %d\n", r.id, r.failures.Load())
+	}
+}
 
+// healthyReplicas counts the replicas whose breaker is closed.
+func (c *Cluster) healthyReplicas() int {
 	healthy := 0
 	for _, r := range c.replicas {
 		if r.healthy() {
 			healthy++
 		}
 	}
-	gauge("replicas", float64(len(c.replicas)), "Configured replicas.")
-	gauge("replicas_healthy", float64(healthy), "Replicas currently considered healthy.")
-
-	fmt.Fprintf(w, "# HELP halotisd_router_replica_healthy Health of each replica (1 healthy, 0 down).\n# TYPE halotisd_router_replica_healthy gauge\n")
-	for _, r := range c.replicas {
-		v := 0
-		if r.healthy() {
-			v = 1
-		}
-		fmt.Fprintf(w, "halotisd_router_replica_healthy{replica=%q} %d\n", r.id, v)
-	}
-	fmt.Fprintf(w, "# HELP halotisd_router_replica_breaker_state Circuit-breaker state per replica (0 closed, 1 half-open, 2 open).\n# TYPE halotisd_router_replica_breaker_state gauge\n")
-	for _, r := range c.replicas {
-		fmt.Fprintf(w, "halotisd_router_replica_breaker_state{replica=%q} %d\n", r.id, int(r.br.state()))
-	}
-	fmt.Fprintf(w, "# HELP halotisd_router_replica_state_changes_total Breaker state transitions per replica.\n# TYPE halotisd_router_replica_state_changes_total counter\n")
-	for _, r := range c.replicas {
-		fmt.Fprintf(w, "halotisd_router_replica_state_changes_total{replica=%q} %d\n", r.id, r.stateChanges.Load())
-	}
-	fmt.Fprintf(w, "# HELP halotisd_router_replica_requests_total Requests each replica answered successfully.\n# TYPE halotisd_router_replica_requests_total counter\n")
-	for _, r := range c.replicas {
-		fmt.Fprintf(w, "halotisd_router_replica_requests_total{replica=%q} %d\n", r.id, r.served.Load())
-	}
-	fmt.Fprintf(w, "# HELP halotisd_router_replica_failures_total Transport-level failures observed per replica.\n# TYPE halotisd_router_replica_failures_total counter\n")
-	for _, r := range c.replicas {
-		fmt.Fprintf(w, "halotisd_router_replica_failures_total{replica=%q} %d\n", r.id, r.failures.Load())
-	}
-
-	obs.WriteRuntimeMetrics(w, "halotisd_router")
+	return healthy
 }

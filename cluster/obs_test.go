@@ -3,7 +3,11 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"flag"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -252,5 +256,46 @@ func TestRouterMetricsLintClean(t *testing.T) {
 		if !strings.Contains(m, series) {
 			t.Errorf("router metrics missing %q", series)
 		}
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
+
+// TestRouterMetricFamiliesGolden pins the router's /metrics family names
+// and kinds (the sorted "# TYPE" lines) to testdata: dashboards and the
+// benchmark harness scrape families such as halotisd_router_hedges_total
+// by name, so a rename must be deliberate. Exposition order is not part of
+// the contract. Regenerate with go test ./cluster -run MetricFamilies -update.
+func TestRouterMetricFamiliesGolden(t *testing.T) {
+	c := newTestCluster(t, startReplicas(t, 1, service.Config{}))
+	rts := httptest.NewServer(c.Handler())
+	t.Cleanup(rts.Close)
+	m, err := client.New(rts.URL).Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var types []string
+	for _, line := range strings.Split(m, "\n") {
+		if strings.HasPrefix(line, "# TYPE ") {
+			types = append(types, line)
+		}
+	}
+	sort.Strings(types)
+	got := strings.Join(types, "\n") + "\n"
+	golden := filepath.Join("testdata", "metrics_families.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("/metrics families drifted from %s:\ngot:\n%swant:\n%s", golden, got, want)
 	}
 }

@@ -1,8 +1,8 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -166,10 +166,10 @@ func TestBreakerEventsAndRecovery(t *testing.T) {
 		t.Fatalf("state after recovery = %q, want closed", got)
 	}
 
-	var buf bytes.Buffer
-	c.met.write(&buf, c)
+	rec := httptest.NewRecorder()
+	c.node.WriteMetrics(rec, c.writeMetrics)
 	want := fmt.Sprintf("halotisd_router_replica_state_changes_total{replica=%q} 2", primary)
-	if !strings.Contains(buf.String(), want) {
+	if !strings.Contains(rec.Body.String(), want) {
 		t.Fatalf("metrics missing %q", want)
 	}
 }
@@ -452,8 +452,8 @@ func TestRouterShedsExpiredBudget(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504", resp.StatusCode)
 	}
-	if c.met.deadlineShed.Load() != 1 {
-		t.Fatalf("deadline_shed = %d, want 1", c.met.deadlineShed.Load())
+	if c.node.DeadlineShed.Load() != 1 {
+		t.Fatalf("deadline_shed = %d, want 1", c.node.DeadlineShed.Load())
 	}
 	served := uint64(0)
 	for _, r := range c.replicas {
@@ -461,5 +461,93 @@ func TestRouterShedsExpiredBudget(t *testing.T) {
 	}
 	if served != 0 {
 		t.Fatalf("shed request reached a replica (served=%d)", served)
+	}
+}
+
+// TestRouterBudgetShedCountsAgainstSLO: a request the router sheds at
+// admission counts as SLO-bad in both windows and is filed in the flight
+// recorder flagged shed and pinned, with the caller's trace ID on the 504.
+func TestRouterBudgetShedCountsAgainstSLO(t *testing.T) {
+	c := newTestCluster(t, startReplicas(t, 1, service.Config{}))
+	rts := httptest.NewServer(c.Handler())
+	t.Cleanup(rts.Close)
+
+	hreq, _ := http.NewRequest(http.MethodPost, rts.URL+"/v1/simulate", strings.NewReader(`{"circuit":"deadbeef","t_end":10}`))
+	hreq.Header.Set("Content-Type", "application/json")
+	hreq.Header.Set(api.BudgetHeader, "0")
+	api.StampTrace(hreq.Header, "00000000000005ed", "")
+	resp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eresp api.ErrorResponse
+	err = json.NewDecoder(resp.Body).Decode(&eresp)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusGatewayTimeout || eresp.TraceID != "00000000000005ed" {
+		t.Fatalf("shed = %d trace %q, want 504 carrying the caller's trace ID", resp.StatusCode, eresp.TraceID)
+	}
+
+	ctx := context.Background()
+	cl := client.New(rts.URL)
+	st, err := cl.Status(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range st.Windows {
+		if w.Requests != 1 || w.BadRequests != 1 {
+			t.Errorf("window %q = %g requests, %g bad; want the shed counted 1/1", w.Name, w.Requests, w.BadRequests)
+		}
+	}
+	fr, err := cl.FlightRecords(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr.Recorded != 1 || len(fr.Records) != 1 {
+		t.Fatalf("recorded = %d, want the shed request filed", fr.Recorded)
+	}
+	if rec := fr.Records[0]; !rec.Shed || !rec.Pinned || rec.TraceID != "00000000000005ed" ||
+		rec.Code != api.CodeDeadlineExceeded {
+		t.Errorf("shed record = %+v, want shed+pinned with the trace ID and deadline code", rec)
+	}
+}
+
+// TestRouterRetryAfterRoundsUp: a replica's overload hint reaches the
+// router's caller under the same Retry-After rule the replica applies —
+// whole seconds rounded up, so 1400ms is "2", never an early "1".
+func TestRouterRetryAfterRoundsUp(t *testing.T) {
+	busy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Retry-After", "2")
+		w.WriteHeader(http.StatusServiceUnavailable)
+		fmt.Fprint(w, `{"error":"overloaded","code":"overloaded","retry_after_ms":1400,"replica":"r1"}`)
+	}))
+	t.Cleanup(busy.Close)
+	c, err := New([]string{busy.URL}, WithReplicaIDs("r1"), WithProbeInterval(0),
+		WithRetry(client.RetryPolicy{MaxAttempts: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	rts := httptest.NewServer(c.Handler())
+	t.Cleanup(rts.Close)
+
+	resp, err := http.Post(rts.URL+"/v1/simulate", "application/json", strings.NewReader(`{"circuit":"deadbeef","t_end":10}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eresp api.ErrorResponse
+	err = json.NewDecoder(resp.Body).Decode(&eresp)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || eresp.RetryAfterMs != 1400 || eresp.Replica != "r1" {
+		t.Fatalf("router relayed %d %+v, want 503 with the replica's 1400ms hint", resp.StatusCode, eresp)
+	}
+	if got := resp.Header.Get("Retry-After"); got != "2" {
+		t.Errorf("Retry-After = %q, want \"2\" (1400ms rounded up)", got)
 	}
 }

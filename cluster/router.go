@@ -2,17 +2,14 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"log/slog"
 	"net/http"
-	"strconv"
 	"sync"
-	"time"
 
 	"halotis/api"
 	"halotis/client"
 	"halotis/internal/circ"
+	"halotis/internal/node"
 	"halotis/internal/obs"
 	"halotis/internal/obs/flight"
 	"halotis/internal/service"
@@ -33,162 +30,19 @@ import (
 // re-stamps the header toward the replicas so each replica's spans join
 // the same trace. Trace before budget, so even budget-shed 504s carry a
 // trace ID.
-func (c *Cluster) Handler() http.Handler { return c.withTrace(c.withBudget(c.mux)) }
-
-// statusWriter captures the response status for the request log and the
-// root span.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// withTrace is the router's half of trace propagation: adopt an upstream
-// Halotis-Trace header, open the router.request root span, and stamp the
-// request log with the trace ID. Untraced API requests headed for the
-// flight recorder get a self-assigned internal trace — invisible in the
-// /v1/traces listing but fetchable by ID — so a promoted anomaly has a
-// span tree to pin even when nobody enabled tracing. Everything else
-// skips the machinery unless debug logging wants a request line.
-func (c *Cluster) withTrace(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		traceID, parent, traced := api.TraceFrom(r.Header)
-		recorded := c.flight != nil && flightPath(r.URL.Path)
-		lvl := slog.LevelDebug
-		if traced {
-			lvl = slog.LevelInfo
-		}
-		if !traced && !recorded && !c.log.Enabled(r.Context(), lvl) {
-			next.ServeHTTP(w, r)
-			return
-		}
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		begin := time.Now()
-		ctx := r.Context()
-		var sp *obs.Span
-		switch {
-		case traced:
-			ctx = obs.WithTrace(ctx, c.traces, traceID, parent)
-		case recorded:
-			ctx = obs.WithInternalTrace(ctx, c.traces, api.NewTraceID())
-		}
-		if traced || recorded {
-			ctx, sp = obs.Start(ctx, "router.request")
-			sp.SetAttr("method", r.Method)
-			sp.SetAttr("path", r.URL.Path)
-		}
-		if recorded {
-			ctx, _ = flight.WithNote(ctx)
-		}
-		next.ServeHTTP(sw, r.WithContext(ctx))
-		if sp != nil {
-			sp.SetAttr("status", strconv.Itoa(sw.status))
-			sp.End()
-		}
-		if sw.status >= 500 {
-			lvl = slog.LevelWarn
-		}
-		attrs := []slog.Attr{
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.Int("status", sw.status),
-			slog.Duration("duration", time.Since(begin)),
-		}
-		if traced {
-			attrs = append(attrs, slog.String("trace_id", traceID))
-		}
-		c.log.LogAttrs(r.Context(), lvl, "request", attrs...)
-	})
-}
-
-// withBudget is the router's half of deadline propagation: honor an
-// upstream Halotis-Budget-Ms before routing work anywhere.
-func (c *Cluster) withBudget(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		budget, ok := api.BudgetFrom(r.Header)
-		if !ok {
-			next.ServeHTTP(w, r)
-			return
-		}
-		if budget <= 0 {
-			c.met.deadlineShed.Add(1)
-			c.met.httpErrors.Add(1)
-			resp := api.ErrorResponse{
-				Error: api.DeadlineExceededf("deadline budget expired before routing").Error(),
-				Code:  api.CodeDeadlineExceeded,
-			}
-			resp.TraceID, _, _ = obs.ContextTrace(r.Context())
-			c.writeJSON(w, http.StatusGatewayTimeout, resp)
-			return
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), budget)
-		defer cancel()
-		next.ServeHTTP(w, r.WithContext(ctx))
-	})
-}
+func (c *Cluster) Handler() http.Handler { return c.node.Handler() }
 
 func (c *Cluster) routes() {
-	c.mux = http.NewServeMux()
-	c.mux.HandleFunc("POST /v1/circuits", c.route(routeUpload, c.handleUpload))
-	c.mux.HandleFunc("GET /v1/circuits", c.route(routeCircuits, c.handleList))
-	c.mux.HandleFunc("GET /v1/circuits/{id}", c.route(routeCircuits, c.handleGet))
-	c.mux.HandleFunc("DELETE /v1/circuits/{id}", c.route(routeCircuits, c.handleEvict))
-	c.mux.HandleFunc("POST /v1/simulate", c.route(routeSimulate, c.handleSimulate))
-	c.mux.HandleFunc("POST /v1/simulate/batch", c.route(routeBatch, c.handleBatch))
-	c.mux.HandleFunc("GET /healthz", c.route(routeHealth, c.handleHealth))
-	c.mux.HandleFunc("GET /v1/topology", c.route(routeTopology, c.handleTopology))
-	c.mux.HandleFunc("GET /metrics", c.route(routeMetrics, c.handleMetrics))
-	c.mux.HandleFunc("GET /v1/traces", c.route(routeTraces, c.handleTraces))
-	c.mux.HandleFunc("GET /v1/traces/{id}", c.route(routeTraces, c.handleTrace))
-	c.mux.HandleFunc("GET /v1/status", c.route(routeStatus, c.handleStatus))
-	c.mux.HandleFunc("GET /v1/series", c.route(routeSeries, c.handleSeries))
-	c.mux.HandleFunc("GET /v1/flightrecorder", c.route(routeFlight, c.handleFlight))
-}
-
-// route counts and times one endpoint. The latency histogram is observed
-// here — inside the mux — because only the matched pattern knows which
-// endpoint a request was; the same boundary files the flight record and
-// the SLO outcome once the handler returns.
-func (c *Cluster) route(id routeID, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		c.met.requests[id].Add(1)
-		begin := time.Now()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r)
-		d := time.Since(begin)
-		c.met.latency[id].Observe(d.Seconds())
-		c.observe(id, r, sw.status, d)
-	}
-}
-
-// handleTraces lists the router's recorded traces, newest first. Each
-// trace holds only the router's own spans; the replicas serve theirs
-// under the same trace ID from their own /v1/traces.
-//
-//halotis:noctx serves the router's in-memory trace ring; no downstream work
-func (c *Cluster) handleTraces(w http.ResponseWriter, r *http.Request) {
-	c.writeJSON(w, http.StatusOK, c.traces.Traces())
-}
-
-func (c *Cluster) handleTrace(w http.ResponseWriter, r *http.Request) {
-	tr, ok := c.traces.Trace(r.PathValue("id"))
-	if !ok {
-		c.writeError(w, r, api.NotFoundf("unknown trace %q", r.PathValue("id")))
-		return
-	}
-	c.writeJSON(w, http.StatusOK, tr)
-}
-
-func (c *Cluster) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	// An encode failure here is a connection-level problem; there is
-	// nothing useful left to write.
-	_ = json.NewEncoder(w).Encode(v)
+	c.node.Handle("POST /v1/circuits", "upload", c.handleUpload)
+	c.node.Handle("GET /v1/circuits", "circuits", c.handleList)
+	c.node.Handle("GET /v1/circuits/{id}", "circuits", c.handleGet)
+	c.node.Handle("DELETE /v1/circuits/{id}", "circuits", c.handleEvict)
+	c.node.Handle("POST /v1/simulate", "simulate", c.handleSimulate)
+	c.node.Handle("POST /v1/simulate/batch", "batch", c.handleBatch)
+	c.node.Handle("GET /healthz", "healthz", c.handleHealth)
+	c.node.Handle("GET /v1/topology", "topology", c.handleTopology)
+	c.node.Handle("GET /metrics", "metrics", c.handleMetrics)
+	c.node.Start()
 }
 
 // writeError maps a routing failure onto the wire error contract. Errors
@@ -198,11 +52,9 @@ func (c *Cluster) writeJSON(w http.ResponseWriter, status int, v any) {
 // requests get their trace ID echoed so the caller can look up what the
 // router tried.
 func (c *Cluster) writeError(w http.ResponseWriter, r *http.Request, err error) {
-	c.met.httpErrors.Add(1)
 	status := http.StatusBadGateway
-	resp := api.ErrorResponse{Error: err.Error(), Code: api.CodeOf(err)}
-	resp.TraceID, _, _ = obs.ContextTrace(r.Context())
-
+	resp := api.ErrorResponseOf(err)
+	resp.Code = api.CodeOf(err) // the router's own unclassified failures stay code-less
 	var ae *client.APIError
 	if errors.As(err, &ae) {
 		status = ae.StatusCode
@@ -222,18 +74,7 @@ func (c *Cluster) writeError(w http.ResponseWriter, r *http.Request, err error) 
 			status = http.StatusGatewayTimeout
 		}
 	}
-	if ra, ok := api.RetryAfter(err); ok && ra > 0 {
-		resp.RetryAfterMs = ra.Milliseconds()
-		secs := int(ra.Round(time.Second).Seconds())
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-	}
-	if n := flight.NoteFrom(r.Context()); n != nil {
-		n.Code = resp.Code
-	}
-	c.writeJSON(w, status, resp)
+	c.node.WriteError(w, r, status, resp)
 }
 
 // resolveTarget turns a wire target (cached ID or inline netlist) into a
@@ -269,12 +110,9 @@ func (c *Cluster) resolveTarget(ctx context.Context, circuit, netlistText, forma
 	return ir.Hash, t, nil
 }
 
-// badRequest writes a decode/parse failure with the trace ID echoed.
+// badRequest writes a decode/parse failure.
 func (c *Cluster) badRequest(w http.ResponseWriter, r *http.Request, status int, msg string) {
-	c.met.httpErrors.Add(1)
-	resp := api.ErrorResponse{Error: msg, Code: api.CodeInvalidRequest}
-	resp.TraceID, _, _ = obs.ContextTrace(r.Context())
-	c.writeJSON(w, status, resp)
+	c.node.WriteError(w, r, status, &api.ErrorResponse{Error: msg, Code: api.CodeInvalidRequest})
 }
 
 func (c *Cluster) handleUpload(w http.ResponseWriter, r *http.Request) {
@@ -296,7 +134,7 @@ func (c *Cluster) handleUpload(w http.ResponseWriter, r *http.Request) {
 		c.writeError(w, r, err)
 		return
 	}
-	c.writeJSON(w, http.StatusOK, resp)
+	node.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (c *Cluster) handleSimulate(w http.ResponseWriter, r *http.Request) {
@@ -337,7 +175,7 @@ func (c *Cluster) handleSimulate(w http.ResponseWriter, r *http.Request) {
 					n.Degraded = true
 					n.Cached = true
 				}
-				c.writeJSON(w, http.StatusOK, &cached)
+				node.WriteJSON(w, http.StatusOK, &cached)
 				return
 			}
 		}
@@ -347,7 +185,7 @@ func (c *Cluster) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if kerr == nil {
 		c.results.put(key, *rep)
 	}
-	c.writeJSON(w, http.StatusOK, rep)
+	node.WriteJSON(w, http.StatusOK, rep)
 }
 
 func (c *Cluster) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -383,7 +221,7 @@ func (c *Cluster) handleBatch(w http.ResponseWriter, r *http.Request) {
 				n.Partial = true
 			}
 		}
-		c.writeJSON(w, http.StatusOK, resp)
+		node.WriteJSON(w, http.StatusOK, resp)
 		return
 	}
 	reports, err := c.scatterBatch(r.Context(), id, t, req.Requests)
@@ -395,7 +233,7 @@ func (c *Cluster) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, rep := range reports {
 		resp.Reports[i] = *rep
 	}
-	c.writeJSON(w, http.StatusOK, resp)
+	node.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleList merges the circuit lists of every healthy replica,
@@ -420,7 +258,7 @@ func (c *Cluster) handleList(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	c.writeJSON(w, http.StatusOK, out)
+	node.WriteJSON(w, http.StatusOK, out)
 }
 
 func (c *Cluster) handleGet(w http.ResponseWriter, r *http.Request) {
@@ -441,7 +279,7 @@ func (c *Cluster) handleGet(w http.ResponseWriter, r *http.Request) {
 		c.writeError(w, r, err)
 		return
 	}
-	c.writeJSON(w, http.StatusOK, info)
+	node.WriteJSON(w, http.StatusOK, info)
 }
 
 // handleEvict removes the circuit from every replica (attempting even the
@@ -476,7 +314,7 @@ func (c *Cluster) handleEvict(w http.ResponseWriter, r *http.Request) {
 //
 //halotis:noctx aggregates cached probe state; no downstream calls to bound
 func (c *Cluster) handleHealth(w http.ResponseWriter, r *http.Request) {
-	resp := api.HealthResponse{UptimeSeconds: time.Since(c.start).Seconds()}
+	resp := api.HealthResponse{UptimeSeconds: c.node.Uptime().Seconds()}
 	healthy := 0
 	for _, rep := range c.replicas {
 		if !rep.healthy() {
@@ -500,16 +338,15 @@ func (c *Cluster) handleHealth(w http.ResponseWriter, r *http.Request) {
 	default:
 		resp.Status = "unavailable"
 	}
-	c.writeJSON(w, http.StatusOK, resp)
+	node.WriteJSON(w, http.StatusOK, resp)
 }
 
 //halotis:noctx renders in-memory placement state; no downstream work
 func (c *Cluster) handleTopology(w http.ResponseWriter, r *http.Request) {
-	c.writeJSON(w, http.StatusOK, c.Topology())
+	node.WriteJSON(w, http.StatusOK, c.Topology())
 }
 
 //halotis:noctx renders in-memory counters; no downstream work
 func (c *Cluster) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	c.met.write(w, c)
+	c.node.WriteMetrics(w, c.writeMetrics)
 }

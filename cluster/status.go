@@ -1,27 +1,22 @@
 package cluster
 
-// The router's fleet-health surface, mirroring the replica's: a sampler
-// snapshots the routing counters into an in-process time-series ring, the
-// route wrapper files every routed API request into a flight recorder
-// (promoting anomalies to pinned trace exemplars), and a rollup loop
-// pulls every replica's /v1/status to merge the cluster view — replica
-// availability, queue pressure, drain estimates, per-replica served
-// share — behind one GET /v1/status. The router measures the SLO where
-// the user experiences it: routed latency includes failover, hedging and
-// replica round trips.
+// The router's part of the fleet-health surface. The node shell
+// (internal/node) gives the router the same sampler, SLO windows, flight
+// recorder and /v1/status, /v1/series, /v1/flightrecorder endpoints as a
+// replica; the router adds its routing rates — hedges, failovers,
+// degraded serves — and a rollup loop that pulls every replica's
+// /v1/status to merge the cluster view: replica availability, queue
+// pressure, drain estimates, per-replica served share. The router
+// measures the SLO where the user experiences it: routed latency includes
+// failover, hedging and replica round trips.
 
 import (
 	"context"
-	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"halotis/api"
-	"halotis/internal/obs"
-	"halotis/internal/obs/flight"
-	"halotis/internal/obs/tsdb"
+	"halotis/internal/node"
 )
 
 // SLOPolicy tunes the router's service-level objective and the
@@ -46,238 +41,39 @@ type SLOPolicy struct {
 	FlightCapacity int
 }
 
-func (p SLOPolicy) withDefaults() SLOPolicy {
-	if p.TargetP99 <= 0 {
-		p.TargetP99 = 500 * time.Millisecond
-	}
-	if p.TargetAvailability <= 0 || p.TargetAvailability >= 1 {
-		p.TargetAvailability = 0.999
-	}
-	if p.RollupInterval <= 0 {
-		p.RollupInterval = 5 * time.Second
-	}
-	if p.SeriesResolution <= 0 {
-		p.SeriesResolution = tsdb.DefaultResolution
-	}
-	if p.SeriesWindows == 0 {
-		p.SeriesWindows = tsdb.DefaultWindows
-	}
-	if p.FlightCapacity == 0 {
-		p.FlightCapacity = flight.DefaultCapacity
-	}
-	return p
-}
-
 // WithSLO sets the router's SLO targets and observability store sizes.
 // The zero policy gets defaults (p99 500ms, availability 99.9%).
 func WithSLO(p SLOPolicy) Option { return func(c *config) { c.slo = p } }
 
-// Router time-series names. Same conventions as the replica's: _per_second
-// rates from tick deltas, gauges as last-writes, slo_* as window sums.
+// Router-only series, written by sample and read back by status.
 const (
-	seriesRequestsPerSec  = "requests_per_second"
-	seriesErrorsPerSec    = "errors_per_second"
-	seriesShedPerSec      = "deadline_shed_per_second"
 	seriesHedgesPerSec    = "hedges_per_second"
 	seriesFailoversPerSec = "failovers_per_second"
 	seriesDegradedPerSec  = "degraded_per_second"
-	seriesSimP50Ms        = "simulate_p50_ms"
-	seriesSimP99Ms        = "simulate_p99_ms"
-	seriesTracesPinned    = "traces_pinned"
-	seriesReplicasHealthy = "replicas_healthy"
-	seriesSLORequests     = "slo_requests"
-	seriesSLOBad          = "slo_bad"
 )
 
-// apiRoute reports whether the endpoint counts against the SLO and is
-// flight-recorded: the routed request API, not the introspection surface.
-func apiRoute(r routeID) bool {
-	switch r {
-	case routeUpload, routeCircuits, routeSimulate, routeBatch:
-		return true
-	}
-	return false
+// sample writes the router's own series on every sampler tick.
+func (c *Cluster) sample(smp *node.Sampler) {
+	smp.Rate(seriesHedgesPerSec, c.met.hedges.Load())
+	smp.Rate(seriesFailoversPerSec, c.met.failovers.Load())
+	smp.Rate(seriesDegradedPerSec, c.met.degradedServes.Load())
+	smp.Set("replicas_healthy", float64(c.healthyReplicas()))
 }
 
-// flightPath mirrors apiRoute for the tracing middleware, which sees the
-// URL before the mux resolves a route.
-func flightPath(p string) bool {
-	return strings.HasPrefix(p, "/v1/simulate") || strings.HasPrefix(p, "/v1/circuits")
-}
-
-// minSlowThreshold floors the p99-derived promotion threshold so a
-// fast-path-dominated window cannot promote every routed kernel run.
-const minSlowThreshold = time.Millisecond
-
-// observe files one finished routed request: SLO accounting, the flight
-// record, and anomaly promotion. Runs in the route wrapper after the
-// handler returns, so the request's Note is complete.
-func (c *Cluster) observe(rid routeID, req *http.Request, status int, d time.Duration) {
-	if !apiRoute(rid) {
-		return
-	}
-	bad := status >= 500 || d > c.slo.TargetP99
-	c.sloTotal.Add(1)
-	if bad {
-		c.sloBad.Add(1)
-	}
-	if c.flight == nil {
-		return
-	}
-
-	var flags flight.Flags
-	rec := flight.Record{
-		//halotis:wallclock flight records are stamped with arrival wall time for the operator timeline
-		UnixNano:  time.Now().Add(-d).UnixNano(),
-		Route:     routeNames[rid],
-		Status:    status,
-		LatencyNs: d.Nanoseconds(),
-	}
-	if n := flight.NoteFrom(req.Context()); n != nil {
-		if n.Cached {
-			flags |= flight.FlagCached
-		}
-		if n.Hedged {
-			flags |= flight.FlagHedged
-		}
-		if n.Degraded {
-			flags |= flight.FlagDegraded
-		}
-		if n.Partial {
-			flags |= flight.FlagPartial
-		}
-		rec.Code = n.Code
-	}
-	if status == http.StatusServiceUnavailable || status == http.StatusGatewayTimeout {
-		flags |= flight.FlagShed
-	}
-	if status >= 500 {
-		flags |= flight.FlagFailed
-	}
-	if thr := c.slowNs[rid].Load(); thr > 0 && d.Nanoseconds() > thr {
-		flags |= flight.FlagSlow
-	}
-	rec.TraceID, _ = obs.ContextTraceAny(req.Context())
-	const anomalous = flight.FlagHedged | flight.FlagDegraded | flight.FlagPartial |
-		flight.FlagShed | flight.FlagFailed | flight.FlagSlow
-	if flags&anomalous != 0 {
-		flags |= flight.FlagPinned
-		c.traces.Pin(rec.TraceID)
-	}
-	rec.Flags = flags
-	c.flight.Put(rec)
-}
-
-// samplerState carries the previous tick's counter values so each tick
-// writes exact deltas.
-type samplerState struct {
-	requests  uint64
-	errors    uint64
-	shed      uint64
-	hedges    uint64
-	failovers uint64
-	degraded  uint64
-	sloTotal  uint64
-	sloBad    uint64
-	latency   [routeCount]obs.HistogramSnapshot
-}
-
-func (c *Cluster) samplerInit() (st samplerState) {
-	for r := routeID(0); r < routeCount; r++ {
-		st.requests += c.met.requests[r].Load()
-		st.latency[r] = c.met.latency[r].Snapshot()
-	}
-	st.errors = c.met.httpErrors.Load()
-	st.shed = c.met.deadlineShed.Load()
-	st.hedges = c.met.hedges.Load()
-	st.failovers = c.met.failovers.Load()
-	st.degraded = c.met.degradedServes.Load()
-	st.sloTotal = c.sloTotal.Load()
-	st.sloBad = c.sloBad.Load()
-	return st
-}
-
-// statusLoop is the router's background observer: samples the counters
-// into the series ring every SeriesResolution and refreshes the fleet
-// rollup every RollupInterval. Stopped by Close via c.stop.
-func (c *Cluster) statusLoop() {
+// rollupLoop refreshes the fleet rollup every RollupInterval until Close.
+func (c *Cluster) rollupLoop() {
 	defer c.wg.Done()
-	sample := time.NewTicker(c.slo.SeriesResolution)
-	defer sample.Stop()
-	roll := time.NewTicker(c.slo.RollupInterval)
+	roll := time.NewTicker(c.rollupEvery)
 	defer roll.Stop()
 	c.RollupNow()
-	prev := c.samplerInit()
-	// Seed the ring immediately so /v1/series lists every metric from the
-	// first request on, instead of 404-shaped emptiness until the first tick.
-	prev = c.sampleOnce(prev)
 	for {
 		select {
 		case <-c.stop:
 			return
-		case <-sample.C:
-			prev = c.sampleOnce(prev)
 		case <-roll.C:
 			c.RollupNow()
 		}
 	}
-}
-
-// sampleOnce takes one snapshot tick: per-second rates from counter
-// deltas, gauges, latency quantiles of the delta distribution, SLO window
-// sums, and the per-endpoint slow-promotion threshold refresh.
-func (c *Cluster) sampleOnce(prev samplerState) samplerState {
-	now := time.Now()
-	secs := c.slo.SeriesResolution.Seconds()
-	cur := c.samplerInit()
-
-	c.db.Set(now, seriesRequestsPerSec, float64(cur.requests-prev.requests)/secs)
-	c.db.Set(now, seriesErrorsPerSec, float64(cur.errors-prev.errors)/secs)
-	c.db.Set(now, seriesShedPerSec, float64(cur.shed-prev.shed)/secs)
-	c.db.Set(now, seriesHedgesPerSec, float64(cur.hedges-prev.hedges)/secs)
-	c.db.Set(now, seriesFailoversPerSec, float64(cur.failovers-prev.failovers)/secs)
-	c.db.Set(now, seriesDegradedPerSec, float64(cur.degraded-prev.degraded)/secs)
-	c.db.Set(now, seriesTracesPinned, float64(len(c.traces.Pinned())))
-	healthy := 0
-	for _, r := range c.replicas {
-		if r.healthy() {
-			healthy++
-		}
-	}
-	c.db.Set(now, seriesReplicasHealthy, float64(healthy))
-	c.db.Add(now, seriesSLORequests, float64(cur.sloTotal-prev.sloTotal))
-	c.db.Add(now, seriesSLOBad, float64(cur.sloBad-prev.sloBad))
-	c.sampledTotal.Store(cur.sloTotal)
-	c.sampledBad.Store(cur.sloBad)
-
-	simDelta := cur.latency[routeSimulate].Sub(prev.latency[routeSimulate])
-	if simDelta.Count() > 0 {
-		c.db.Set(now, seriesSimP50Ms, simDelta.Quantile(0.50)*1e3)
-		c.db.Set(now, seriesSimP99Ms, simDelta.Quantile(0.99)*1e3)
-	}
-
-	// Refresh the per-endpoint promotion threshold: twice the recent p99,
-	// floored, never above the SLO target. Thin windows keep the previous
-	// threshold — quantiles of a handful of requests are noise.
-	const minSamples = 16
-	for r := routeID(0); r < routeCount; r++ {
-		if !apiRoute(r) {
-			continue
-		}
-		delta := cur.latency[r].Sub(prev.latency[r])
-		if delta.Count() < minSamples {
-			continue
-		}
-		thr := time.Duration(2 * delta.Quantile(0.99) * float64(time.Second))
-		if thr < minSlowThreshold {
-			thr = minSlowThreshold
-		}
-		if thr > c.slo.TargetP99 {
-			thr = c.slo.TargetP99
-		}
-		c.slowNs[r].Store(thr.Nanoseconds())
-	}
-	return cur
 }
 
 // fleetRollup is one pull of the replicas' /v1/status, merged.
@@ -295,10 +91,7 @@ type fleetRollup struct {
 // calls it on RollupInterval; tests and operators call it for an
 // immediate refresh.
 func (c *Cluster) RollupNow() {
-	timeout := c.slo.RollupInterval
-	if timeout > 2*time.Second {
-		timeout = 2 * time.Second
-	}
+	timeout := min(c.rollupEvery, 2*time.Second)
 	summaries := make([]api.ReplicaStatusSummary, len(c.replicas))
 	var wg sync.WaitGroup
 	for i, r := range c.replicas {
@@ -353,72 +146,11 @@ func (c *Cluster) RollupNow() {
 	c.rollup.Store(&roll)
 }
 
-// sloWindows evaluates the burn rate over the fast (30 windows) and slow
-// (full ring) horizons, folding in the requests observed since the last
-// sampler tick so a breach surfaces on the next status read, not the
-// next tick.
-func (c *Cluster) sloWindows() []api.SLOWindow {
-	fast := 30 * c.slo.SeriesResolution
-	if span := c.db.Span(); fast > span {
-		fast = span
-	}
-	liveTotal := float64(c.sloTotal.Load() - c.sampledTotal.Load())
-	liveBad := float64(c.sloBad.Load() - c.sampledBad.Load())
-	budget := 1 - c.slo.TargetAvailability
-	mk := func(name string, w time.Duration) api.SLOWindow {
-		req := c.db.Sum(seriesSLORequests, w) + liveTotal
-		bad := c.db.Sum(seriesSLOBad, w) + liveBad
-		win := api.SLOWindow{Name: name, WindowMs: w.Milliseconds(), Requests: req, BadRequests: bad, Availability: 1}
-		if req > 0 {
-			win.Availability = 1 - bad/req
-			win.BurnRate = (1 - win.Availability) / budget
-			win.Firing = win.BurnRate >= 1
-		}
-		return win
-	}
-	return []api.SLOWindow{mk("fast", fast), mk("slow", c.db.Span())}
-}
-
-func statusOf(windows []api.SLOWindow) string {
-	firing := 0
-	for _, w := range windows {
-		if w.Firing {
-			firing++
-		}
-	}
-	switch {
-	case firing == len(windows) && firing > 0:
-		return "firing"
-	case firing > 0:
-		return "warn"
-	}
-	return "ok"
-}
-
-// --- handlers ---
-
-// handleStatus merges the router's own SLO view (measured where the user
-// experiences it) with the latest fleet rollup. A replica-local breach
-// that the router's windows do not confirm escalates "ok" to "warn".
-//
-//halotis:noctx renders in-memory rings and the cached rollup; no downstream work
-func (c *Cluster) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if c.db == nil {
-		c.writeError(w, r, api.NotFoundf("time-series sampling disabled on this router"))
-		return
-	}
-	windows := c.sloWindows()
-	resp := api.StatusResponse{
-		Status:        statusOf(windows),
-		Node:          "router",
-		UptimeSeconds: time.Since(c.start).Seconds(),
-		SLO: api.SLOConfig{
-			TargetP99Ms:        float64(c.slo.TargetP99) / float64(time.Millisecond),
-			TargetAvailability: c.slo.TargetAvailability,
-		},
-		Windows:       windows,
-		ReplicasTotal: len(c.replicas),
-	}
+// status adds the fleet view to the router's /v1/status: breaker counts,
+// routing rates, and the latest replica rollup. A replica-local breach
+// that the router's own windows do not confirm escalates "ok" to "warn".
+func (c *Cluster) status(resp *api.StatusResponse) {
+	resp.ReplicasTotal = len(c.replicas)
 	for _, rep := range c.replicas {
 		switch rep.br.state() {
 		case BreakerClosed:
@@ -427,27 +159,9 @@ func (c *Cluster) handleStatus(w http.ResponseWriter, r *http.Request) {
 			resp.BreakersOpen++
 		}
 	}
-	if p, ok := c.db.Latest(seriesRequestsPerSec); ok {
-		resp.RequestsPerSecond = p.Value
-	}
-	if p, ok := c.db.Latest(seriesErrorsPerSec); ok {
-		resp.ErrorsPerSecond = p.Value
-	}
-	if p, ok := c.db.Latest(seriesSimP50Ms); ok {
-		resp.P50Ms = p.Value
-	}
-	if p, ok := c.db.Latest(seriesSimP99Ms); ok {
-		resp.P99Ms = p.Value
-	}
-	if p, ok := c.db.Latest(seriesHedgesPerSec); ok {
-		resp.HedgesPerSecond = p.Value
-	}
-	if p, ok := c.db.Latest(seriesFailoversPerSec); ok {
-		resp.FailoversPerSecond = p.Value
-	}
-	if p, ok := c.db.Latest(seriesDegradedPerSec); ok {
-		resp.DegradedPerSecond = p.Value
-	}
+	resp.HedgesPerSecond = c.node.Latest(seriesHedgesPerSec)
+	resp.FailoversPerSecond = c.node.Latest(seriesFailoversPerSec)
+	resp.DegradedPerSecond = c.node.Latest(seriesDegradedPerSec)
 	if roll := c.rollup.Load(); roll != nil {
 		resp.Replicas = roll.replicas
 		resp.QueueDepth = roll.queueDepth
@@ -456,97 +170,4 @@ func (c *Cluster) handleStatus(w http.ResponseWriter, r *http.Request) {
 			resp.Status = "warn"
 		}
 	}
-	pinned := c.traces.Pinned()
-	resp.TracesPinned = len(pinned)
-	if len(pinned) > 8 {
-		pinned = pinned[:8]
-	}
-	resp.Exemplars = pinned
-	c.writeJSON(w, http.StatusOK, resp)
-}
-
-// parseWindow accepts a Go duration string ("5m") or integer seconds.
-func parseWindow(q string) time.Duration {
-	if q == "" {
-		return 0
-	}
-	if d, err := time.ParseDuration(q); err == nil && d > 0 {
-		return d
-	}
-	if secs, err := strconv.Atoi(q); err == nil && secs > 0 {
-		return time.Duration(secs) * time.Second
-	}
-	return 0
-}
-
-//halotis:noctx renders the in-memory series ring; no downstream work
-func (c *Cluster) handleSeries(w http.ResponseWriter, r *http.Request) {
-	if c.db == nil {
-		c.writeError(w, r, api.NotFoundf("time-series sampling disabled on this router"))
-		return
-	}
-	resp := api.SeriesResponse{Node: "router", ResolutionMs: c.db.Resolution().Milliseconds()}
-	metric := r.URL.Query().Get("metric")
-	if metric == "" {
-		resp.Metrics = c.db.Names()
-		c.writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	resp.Metric = metric
-	pts := c.db.Query(metric, parseWindow(r.URL.Query().Get("window")))
-	resp.Points = make([]api.SeriesPoint, len(pts))
-	for i, p := range pts {
-		resp.Points[i] = api.SeriesPoint{UnixMs: p.UnixMs, Value: p.Value}
-	}
-	c.writeJSON(w, http.StatusOK, resp)
-}
-
-// flightWire converts an in-memory flight record to its JSON shape.
-func flightWire(rec flight.Record) api.FlightRecord {
-	return api.FlightRecord{
-		UnixMs:       rec.UnixNano / int64(time.Millisecond),
-		TraceID:      rec.TraceID,
-		Route:        rec.Route,
-		Replica:      rec.Replica,
-		StatusCode:   rec.Status,
-		Code:         rec.Code,
-		LatencyMs:    float64(rec.LatencyNs) / float64(time.Millisecond),
-		QueueWaitMs:  float64(rec.QueueWaitNs) / float64(time.Millisecond),
-		KernelEvents: rec.KernelEvents,
-		Cached:       rec.Flags.Has(flight.FlagCached),
-		Hedged:       rec.Flags.Has(flight.FlagHedged),
-		Degraded:     rec.Flags.Has(flight.FlagDegraded),
-		Partial:      rec.Flags.Has(flight.FlagPartial),
-		Shed:         rec.Flags.Has(flight.FlagShed),
-		Failed:       rec.Flags.Has(flight.FlagFailed),
-		Slow:         rec.Flags.Has(flight.FlagSlow),
-		Pinned:       rec.Flags.Has(flight.FlagPinned),
-	}
-}
-
-//halotis:noctx renders the in-memory flight ring; no downstream work
-func (c *Cluster) handleFlight(w http.ResponseWriter, r *http.Request) {
-	if c.flight == nil {
-		c.writeError(w, r, api.NotFoundf("flight recorder disabled on this router"))
-		return
-	}
-	limit := 128
-	if q := r.URL.Query().Get("n"); q != "" {
-		if n, err := strconv.Atoi(q); err == nil && n > 0 {
-			limit = n
-		}
-	}
-	recorded, promoted := c.flight.Stats()
-	recs := c.flight.Recent(limit)
-	resp := api.FlightResponse{
-		Node:           "router",
-		Recorded:       recorded,
-		Promoted:       promoted,
-		Records:        make([]api.FlightRecord, len(recs)),
-		PinnedTraceIDs: c.traces.Pinned(),
-	}
-	for i, rec := range recs {
-		resp.Records[i] = flightWire(rec)
-	}
-	c.writeJSON(w, http.StatusOK, resp)
 }

@@ -36,9 +36,11 @@ var KernelPackages = []string{
 }
 
 // RequestPathPackages are the packages bound by the deadline-propagation
-// contract from PR 6: every hop between a caller and a kernel run.
+// contract from PR 6: every hop between a caller and a kernel run,
+// including the node shell both daemon roles serve through.
 var RequestPathPackages = []string{
 	"halotis/internal/service",
+	"halotis/internal/node",
 	"halotis/cluster",
 	"halotis/client",
 }

@@ -1,14 +1,15 @@
 package eventq
 
-// ArenaQueue is the allocation-free variant of Queue: events live in a flat
-// slot arena addressed by index rather than in per-event heap allocations,
-// and popped or removed slots are recycled through a freelist. In steady
-// state — once the arena and heap have grown to the high-water mark of a
-// run — Push, Pop and Remove perform zero heap allocations, which removes
-// the dominant GC pressure of the simulation kernel's hot loop.
+// ArenaQueue is the allocation-free event queue: events live in a flat slot
+// arena addressed by index rather than in per-event heap allocations, and
+// popped or removed slots are recycled through a freelist. In steady state
+// — once the arena and heap have grown to the high-water mark of a run —
+// Push, Pop and Remove perform zero heap allocations, which removes the
+// dominant GC pressure of the simulation kernel's hot loop.
 //
-// Ordering is identical to Queue: (time, insertion order), so runs driven by
-// an ArenaQueue are deterministic and bit-compatible with the pointer heap.
+// Push orders events by (time, insertion order), so runs driven by an
+// ArenaQueue are deterministic; SliceQueue, the O(n) reference, orders
+// identically.
 //
 // Events are identified by Handle, an index plus a generation stamp. A slot's
 // generation is bumped every time the slot is released, so a stale Handle

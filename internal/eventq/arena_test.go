@@ -1,28 +1,28 @@
 package eventq
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+	"testing/quick"
 )
 
-// trackedEvent mirrors one logical event across the three queue
-// implementations so the differential test can remove "the same" event from
-// each.
+// trackedEvent mirrors one logical event across the arena queue and the
+// reference slice queue so the differential test can remove "the same"
+// event from each.
 type trackedEvent struct {
-	heapItem  *Item[int]
-	sliceItem *Item[int]
+	sliceItem *SliceItem[int]
 	handle    Handle
-	live      bool
 }
 
-// TestArenaDifferential drives the arena queue, the pointer heap and the
-// O(n) reference slice queue through identical randomized interleavings of
-// Push, Remove and Pop (with heavy time ties to stress the seq tie-breaker)
-// and asserts they agree on every pop and on their lifetime counters.
+// TestArenaDifferential drives the arena queue and the O(n) reference slice
+// queue through identical randomized interleavings of Push, Remove and Pop
+// (with heavy time ties to stress the seq tie-breaker) and asserts they
+// agree on every pop and on their lifetime counters.
 func TestArenaDifferential(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
-		heapQ := New[int]()
 		sliceQ := NewSlice[int]()
 		arenaQ := NewArena[int]()
 		var tracked []*trackedEvent
@@ -34,41 +34,27 @@ func TestArenaDifferential(t *testing.T) {
 				// Coarse times force frequent ties.
 				tm := float64(rng.Intn(8))
 				payload++
-				ev := &trackedEvent{
-					heapItem:  heapQ.Push(tm, payload),
+				tracked = append(tracked, &trackedEvent{
 					sliceItem: sliceQ.Push(tm, payload),
 					handle:    arenaQ.Push(tm, payload),
-					live:      true,
-				}
-				tracked = append(tracked, ev)
+				})
 			case op < 7: // remove a random tracked event (possibly stale)
 				if len(tracked) == 0 {
 					return
 				}
 				ev := tracked[rng.Intn(len(tracked))]
-				a := heapQ.Remove(ev.heapItem)
-				b := sliceQ.Remove(ev.sliceItem)
-				c := arenaQ.Remove(ev.handle)
-				if a != b || a != c {
-					t.Fatalf("trial %d: Remove disagreement: heap=%v slice=%v arena=%v", trial, a, b, c)
-				}
-				if a {
-					ev.live = false
+				if b, c := sliceQ.Remove(ev.sliceItem), arenaQ.Remove(ev.handle); b != c {
+					t.Fatalf("trial %d: Remove disagreement: slice=%v arena=%v", trial, b, c)
 				}
 			default: // pop
-				hi := heapQ.Pop()
 				si := sliceQ.Pop()
 				_, at, ap, ok := arenaQ.Pop()
-				if (hi == nil) != !ok || (si == nil) != !ok {
+				if (si == nil) != !ok {
 					t.Fatalf("trial %d: Pop emptiness disagreement", trial)
 				}
-				if hi == nil {
-					return
-				}
-				if hi.Time != si.Time || hi.Time != at ||
-					hi.Payload != si.Payload || hi.Payload != ap {
-					t.Fatalf("trial %d: Pop disagreement: heap=(%g,%d) slice=(%g,%d) arena=(%g,%d)",
-						trial, hi.Time, hi.Payload, si.Time, si.Payload, at, ap)
+				if si != nil && (si.Time != at || si.Payload != ap) {
+					t.Fatalf("trial %d: Pop disagreement: slice=(%g,%d) arena=(%g,%d)",
+						trial, si.Time, si.Payload, at, ap)
 				}
 			}
 		}
@@ -78,25 +64,23 @@ func TestArenaDifferential(t *testing.T) {
 		}
 		// Drain: the remaining pop order must match exactly.
 		for {
-			hi := heapQ.Pop()
-			_, at, ap, ok := arenaQ.Pop()
 			si := sliceQ.Pop()
-			if hi == nil {
-				if ok || si != nil {
+			_, at, ap, ok := arenaQ.Pop()
+			if si == nil {
+				if ok {
 					t.Fatalf("trial %d: drain emptiness disagreement", trial)
 				}
 				break
 			}
-			if !ok || hi.Time != at || hi.Payload != ap || hi.Payload != si.Payload {
-				t.Fatalf("trial %d: drain disagreement heap=(%g,%d) arena=(%g,%d)", trial, hi.Time, hi.Payload, at, ap)
+			if !ok || si.Time != at || si.Payload != ap {
+				t.Fatalf("trial %d: drain disagreement slice=(%g,%d) arena=(%g,%d)", trial, si.Time, si.Payload, at, ap)
 			}
 		}
-		hp, ho, hr := heapQ.Stats()
 		ap2, ao, ar := arenaQ.Stats()
 		sp, so, sr := sliceQ.Stats()
-		if hp != ap2 || ho != ao || hr != ar || hp != sp || ho != so || hr != sr {
-			t.Fatalf("trial %d: stats disagree: heap=(%d,%d,%d) arena=(%d,%d,%d) slice=(%d,%d,%d)",
-				trial, hp, ho, hr, ap2, ao, ar, sp, so, sr)
+		if ap2 != sp || ao != so || ar != sr {
+			t.Fatalf("trial %d: stats disagree: arena=(%d,%d,%d) slice=(%d,%d,%d)",
+				trial, ap2, ao, ar, sp, so, sr)
 		}
 	}
 }
@@ -286,5 +270,192 @@ func TestArenaPushKeyedHandles(t *testing.T) {
 	pushed, popped, removed := q.Stats()
 	if pushed != 2 || popped != 1 || removed != 0 {
 		t.Fatalf("stats after reset = (%d,%d,%d), want (2,1,0)", pushed, popped, removed)
+	}
+}
+
+// validate checks the arena heap's invariants: every entry's slot points
+// back at its heap position, and no child orders before its parent.
+func (q *ArenaQueue[T]) validate() error {
+	for i, e := range q.heap {
+		if pos := q.slots[e.idx].pos; pos != int32(i) {
+			return fmt.Errorf("eventq: entry at %d has slot pos %d", i, pos)
+		}
+		for _, c := range []int{2*i + 1, 2*i + 2} {
+			if c < len(q.heap) && q.less(c, i) {
+				return fmt.Errorf("eventq: heap violation at %d/%d", i, c)
+			}
+		}
+	}
+	return nil
+}
+
+// popAll drains q, returning the payloads in pop order.
+func popAll[T any](q *ArenaQueue[T]) []T {
+	var out []T
+	for {
+		_, _, p, ok := q.Pop()
+		if !ok {
+			return out
+		}
+		out = append(out, p)
+	}
+}
+
+func TestEmptyQueue(t *testing.T) {
+	q := NewArena[int]()
+	if q.Len() != 0 {
+		t.Errorf("Len = %d, want 0", q.Len())
+	}
+	if _, _, _, ok := q.Pop(); ok {
+		t.Error("Pop on empty queue should report !ok")
+	}
+	if _, ok := q.PeekTime(); ok {
+		t.Error("PeekTime on empty queue should report !ok")
+	}
+	if q.Remove(NoHandle) {
+		t.Error("Remove(NoHandle) should return false")
+	}
+}
+
+func TestPushPopOrder(t *testing.T) {
+	q := NewArena[string]()
+	q.Push(3, "c")
+	q.Push(1, "a")
+	q.Push(2, "b")
+	if got := popAll(q); !slices.Equal(got, []string{"a", "b", "c"}) {
+		t.Fatalf("pop order = %v, want [a b c]", got)
+	}
+}
+
+func TestTieBreakByInsertionOrder(t *testing.T) {
+	q := NewArena[int]()
+	for i := 0; i < 10; i++ {
+		q.Push(5.0, i)
+	}
+	for i, got := range popAll(q) {
+		if got != i {
+			t.Fatalf("tie-break violated: got %d at position %d", got, i)
+		}
+	}
+}
+
+func TestPeekDoesNotRemove(t *testing.T) {
+	q := NewArena[int]()
+	q.Push(1, 42)
+	if tm, ok := q.PeekTime(); !ok || tm != 1 || q.Len() != 1 {
+		t.Error("PeekTime should not remove")
+	}
+}
+
+func TestRemoveMiddle(t *testing.T) {
+	q := NewArena[int]()
+	var hs []Handle
+	for i := 0; i < 20; i++ {
+		hs = append(hs, q.Push(float64(i), i))
+	}
+	if !q.Remove(hs[7]) {
+		t.Fatal("Remove failed")
+	}
+	if q.Pending(hs[7]) {
+		t.Error("removed event still pending")
+	}
+	if err := q.validate(); err != nil {
+		t.Fatal(err)
+	}
+	got := popAll(q)
+	if len(got) != 19 || slices.Contains(got, 7) || !slices.IsSorted(got) {
+		t.Errorf("pops after removing 7 = %v, want 0..19 without 7, sorted", got)
+	}
+}
+
+func TestRemoveTwiceFails(t *testing.T) {
+	q := NewArena[int]()
+	h := q.Push(1, 1)
+	if !q.Remove(h) {
+		t.Fatal("first Remove failed")
+	}
+	if q.Remove(h) {
+		t.Error("second Remove should fail")
+	}
+}
+
+func TestRemovePoppedFails(t *testing.T) {
+	q := NewArena[int]()
+	h := q.Push(1, 1)
+	q.Pop()
+	if q.Remove(h) {
+		t.Error("Remove after Pop should fail")
+	}
+}
+
+func TestStats(t *testing.T) {
+	q := NewArena[int]()
+	a := q.Push(1, 1)
+	q.Push(2, 2)
+	q.Pop()
+	q.Remove(a) // already popped -> no-op
+	b := q.Push(3, 3)
+	q.Remove(b)
+	pushed, popped, removed := q.Stats()
+	if pushed != 3 || popped != 1 || removed != 1 {
+		t.Errorf("stats = %d,%d,%d want 3,1,1", pushed, popped, removed)
+	}
+}
+
+func TestPendingLifecycle(t *testing.T) {
+	q := NewArena[int]()
+	h := q.Push(1, 1)
+	if !q.Pending(h) {
+		t.Error("pushed event not pending")
+	}
+	if popped, _, _, _ := q.Pop(); popped != h || q.Pending(h) {
+		t.Error("Pop should return the pushed handle, no longer pending")
+	}
+}
+
+// Property: for any interleaving of pushes and removals, pops come out in
+// nondecreasing time order and equal the set of non-removed pushes.
+func TestQueueSequenceProperty(t *testing.T) {
+	f := func(seed int64, nQ uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := int(nQ)%60 + 1
+		q := NewArena[int]()
+		var live []Handle
+		var livePayloads []int
+		for i := 0; i < n; i++ {
+			if len(live) > 0 && rng.Intn(3) == 0 {
+				k := rng.Intn(len(live))
+				if !q.Remove(live[k]) {
+					return false
+				}
+				live = slices.Delete(live, k, k+1)
+				livePayloads = slices.Delete(livePayloads, k, k+1)
+			} else {
+				live = append(live, q.Push(rng.Float64()*100, i))
+				livePayloads = append(livePayloads, i)
+			}
+			if err := q.validate(); err != nil {
+				t.Logf("heap invariant: %v", err)
+				return false
+			}
+		}
+		prev := -1.0
+		var popped []int
+		for {
+			_, tm, p, ok := q.Pop()
+			if !ok {
+				break
+			}
+			if tm < prev {
+				return false
+			}
+			prev = tm
+			popped = append(popped, p)
+		}
+		slices.Sort(popped)
+		return slices.Equal(popped, livePayloads)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Error(err)
 	}
 }

@@ -1,6 +1,6 @@
 // Package eventq provides the time-ordered event queue of the HALOTIS
 // simulation kernel: a binary min-heap with handles that support O(log n)
-// deletion of arbitrary pending events.
+// deletion of arbitrary pending events (ArenaQueue).
 //
 // Arbitrary deletion is the primitive behind the paper's inertial treatment
 // (Fig. 4): when a new transition pre-empts a pending threshold crossing at
@@ -10,167 +10,3 @@
 // Ties in time are broken by insertion order, which makes simulation runs
 // fully deterministic.
 package eventq
-
-import "fmt"
-
-// Item is one scheduled event. Items are created by Queue.Push and remain
-// valid handles until popped or removed.
-type Item[T any] struct {
-	// Time is the scheduled firing time in ns.
-	Time float64
-	// Payload carries the simulator-specific event data.
-	Payload T
-
-	seq   uint64 // insertion order, tie-breaker
-	index int    // heap position; -1 once popped or removed
-}
-
-// Pending reports whether the item is still in the queue.
-func (it *Item[T]) Pending() bool { return it.index >= 0 }
-
-// Queue is a deterministic min-heap of events ordered by (Time, insertion
-// order). The zero value is not usable; call New.
-type Queue[T any] struct {
-	heap []*Item[T]
-	seq  uint64
-
-	// Counters for simulator statistics.
-	pushed  uint64
-	popped  uint64
-	removed uint64
-}
-
-// New returns an empty queue.
-func New[T any]() *Queue[T] {
-	return &Queue[T]{}
-}
-
-// Len returns the number of pending events.
-func (q *Queue[T]) Len() int { return len(q.heap) }
-
-// Stats returns lifetime counters: events pushed, popped and removed
-// (deleted while pending).
-func (q *Queue[T]) Stats() (pushed, popped, removed uint64) {
-	return q.pushed, q.popped, q.removed
-}
-
-// Push schedules an event at time t and returns its handle.
-func (q *Queue[T]) Push(t float64, payload T) *Item[T] {
-	q.seq++
-	q.pushed++
-	it := &Item[T]{Time: t, Payload: payload, seq: q.seq, index: len(q.heap)}
-	q.heap = append(q.heap, it)
-	q.up(it.index)
-	return it
-}
-
-// Peek returns the earliest pending event without removing it, or nil if
-// the queue is empty.
-func (q *Queue[T]) Peek() *Item[T] {
-	if len(q.heap) == 0 {
-		return nil
-	}
-	return q.heap[0]
-}
-
-// Pop removes and returns the earliest pending event, or nil if the queue
-// is empty.
-func (q *Queue[T]) Pop() *Item[T] {
-	if len(q.heap) == 0 {
-		return nil
-	}
-	it := q.heap[0]
-	q.swap(0, len(q.heap)-1)
-	q.heap = q.heap[:len(q.heap)-1]
-	if len(q.heap) > 0 {
-		q.down(0)
-	}
-	it.index = -1
-	q.popped++
-	return it
-}
-
-// Remove deletes a pending event from the queue. It returns false (and does
-// nothing) if the event already fired or was removed.
-func (q *Queue[T]) Remove(it *Item[T]) bool {
-	if it == nil || it.index < 0 || it.index >= len(q.heap) || q.heap[it.index] != it {
-		return false
-	}
-	i := it.index
-	last := len(q.heap) - 1
-	q.swap(i, last)
-	q.heap = q.heap[:last]
-	if i < last {
-		if !q.down(i) {
-			q.up(i)
-		}
-	}
-	it.index = -1
-	q.removed++
-	return true
-}
-
-// less orders items by time, then insertion order.
-func (q *Queue[T]) less(i, j int) bool {
-	a, b := q.heap[i], q.heap[j]
-	if a.Time != b.Time {
-		return a.Time < b.Time
-	}
-	return a.seq < b.seq
-}
-
-func (q *Queue[T]) swap(i, j int) {
-	q.heap[i], q.heap[j] = q.heap[j], q.heap[i]
-	q.heap[i].index = i
-	q.heap[j].index = j
-}
-
-func (q *Queue[T]) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q.swap(i, parent)
-		i = parent
-	}
-}
-
-// down sifts the item at i toward the leaves; it reports whether the item
-// moved.
-func (q *Queue[T]) down(i int) bool {
-	start := i
-	n := len(q.heap)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		child := l
-		if r := l + 1; r < n && q.less(r, l) {
-			child = r
-		}
-		if !q.less(child, i) {
-			break
-		}
-		q.swap(i, child)
-		i = child
-	}
-	return i != start
-}
-
-// validate checks the heap invariant; used by tests.
-func (q *Queue[T]) validate() error {
-	for i := range q.heap {
-		if q.heap[i].index != i {
-			return fmt.Errorf("eventq: item at %d has index %d", i, q.heap[i].index)
-		}
-		if l := 2*i + 1; l < len(q.heap) && q.less(l, i) {
-			return fmt.Errorf("eventq: heap violation at %d/%d", i, l)
-		}
-		if r := 2*i + 2; r < len(q.heap) && q.less(r, i) {
-			return fmt.Errorf("eventq: heap violation at %d/%d", i, r)
-		}
-	}
-	return nil
-}

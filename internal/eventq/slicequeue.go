@@ -1,21 +1,33 @@
 package eventq
 
 // SliceQueue is a reference implementation of the event queue with O(n)
-// operations: a flat slice scanned for the minimum. It exists for
-// differential testing of the binary heap and as the baseline of the
-// queue-structure ablation benchmark (DESIGN.md): the paper's algorithm
-// needs both pop-min and arbitrary deletion, and the indexed heap provides
-// both in O(log n).
+// operations: a flat slice scanned for the minimum. It exists as the oracle
+// of the arena heap's differential tests and as the baseline of the
+// queue-structure ablation benchmarks (BenchmarkAblation* in
+// slicequeue_test.go): the paper's algorithm needs both pop-min and
+// arbitrary deletion, and the indexed heap provides both in O(log n).
 //
-// SliceQueue intentionally mirrors Queue's semantics, including tie-breaking
-// by insertion order.
+// SliceQueue intentionally mirrors ArenaQueue's semantics, including
+// tie-breaking by insertion order.
 type SliceQueue[T any] struct {
-	items []*Item[T]
+	items []*SliceItem[T]
 	seq   uint64
 
 	pushed  uint64
 	popped  uint64
 	removed uint64
+}
+
+// SliceItem is one event scheduled in a SliceQueue. It is created by Push
+// and remains a valid handle until popped or removed.
+type SliceItem[T any] struct {
+	// Time is the scheduled firing time in ns.
+	Time float64
+	// Payload carries the simulator-specific event data.
+	Payload T
+
+	seq     uint64 // insertion order, tie-breaker
+	pending bool   // still in the queue
 }
 
 // NewSlice returns an empty reference queue.
@@ -26,17 +38,16 @@ func NewSlice[T any]() *SliceQueue[T] {
 // Len returns the number of pending events.
 func (q *SliceQueue[T]) Len() int { return len(q.items) }
 
-// Stats mirrors Queue.Stats.
+// Stats mirrors ArenaQueue.Stats.
 func (q *SliceQueue[T]) Stats() (pushed, popped, removed uint64) {
 	return q.pushed, q.popped, q.removed
 }
 
-// Push schedules an event. The returned item's Pending method reports
-// membership, like the heap's.
-func (q *SliceQueue[T]) Push(t float64, payload T) *Item[T] {
+// Push schedules an event and returns its handle.
+func (q *SliceQueue[T]) Push(t float64, payload T) *SliceItem[T] {
 	q.seq++
 	q.pushed++
-	it := &Item[T]{Time: t, Payload: payload, seq: q.seq, index: 0}
+	it := &SliceItem[T]{Time: t, Payload: payload, seq: q.seq, pending: true}
 	q.items = append(q.items, it)
 	return it
 }
@@ -54,7 +65,7 @@ func (q *SliceQueue[T]) minIndex() int {
 }
 
 // Peek returns the earliest pending event without removing it.
-func (q *SliceQueue[T]) Peek() *Item[T] {
+func (q *SliceQueue[T]) Peek() *SliceItem[T] {
 	i := q.minIndex()
 	if i < 0 {
 		return nil
@@ -63,27 +74,27 @@ func (q *SliceQueue[T]) Peek() *Item[T] {
 }
 
 // Pop removes and returns the earliest pending event.
-func (q *SliceQueue[T]) Pop() *Item[T] {
+func (q *SliceQueue[T]) Pop() *SliceItem[T] {
 	i := q.minIndex()
 	if i < 0 {
 		return nil
 	}
 	it := q.items[i]
 	q.items = append(q.items[:i], q.items[i+1:]...)
-	it.index = -1
+	it.pending = false
 	q.popped++
 	return it
 }
 
 // Remove deletes a pending event; false if it already left the queue.
-func (q *SliceQueue[T]) Remove(it *Item[T]) bool {
-	if it == nil || it.index < 0 {
+func (q *SliceQueue[T]) Remove(it *SliceItem[T]) bool {
+	if it == nil || !it.pending {
 		return false
 	}
 	for i, cand := range q.items {
 		if cand == it {
 			q.items = append(q.items[:i], q.items[i+1:]...)
-			it.index = -1
+			it.pending = false
 			q.removed++
 			return true
 		}

@@ -6,59 +6,56 @@ import (
 	"testing/quick"
 )
 
-// TestHeapMatchesSliceDifferential drives the heap and the reference slice
-// queue with identical operation sequences and requires identical pop
+// TestHeapMatchesSliceDifferential drives the arena heap and the reference
+// slice queue with identical operation sequences and requires identical pop
 // streams — the correctness argument for the O(log n) structure.
 func TestHeapMatchesSliceDifferential(t *testing.T) {
 	f := func(seed int64, nQ uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nQ)%80 + 5
-		h := New[int]()
+		h := NewArena[int]()
 		s := NewSlice[int]()
-		var hItems []*Item[int]
-		var sItems []*Item[int]
+		var hs []Handle
+		var sItems []*SliceItem[int]
 		for i := 0; i < n; i++ {
 			switch {
-			case len(hItems) > 0 && rng.Intn(4) == 0:
-				k := rng.Intn(len(hItems))
-				okH := h.Remove(hItems[k])
-				okS := s.Remove(sItems[k])
-				if okH != okS {
+			case len(hs) > 0 && rng.Intn(4) == 0:
+				k := rng.Intn(len(hs))
+				if h.Remove(hs[k]) != s.Remove(sItems[k]) {
 					return false
 				}
-				hItems = append(hItems[:k], hItems[k+1:]...)
+				hs = append(hs[:k], hs[k+1:]...)
 				sItems = append(sItems[:k], sItems[k+1:]...)
-			case len(hItems) > 0 && rng.Intn(5) == 0:
-				hp, sp := h.Pop(), s.Pop()
-				if (hp == nil) != (sp == nil) {
+			case len(hs) > 0 && rng.Intn(5) == 0:
+				hp, tm, p, ok := h.Pop()
+				sp := s.Pop()
+				if ok != (sp != nil) || (ok && (tm != sp.Time || p != sp.Payload)) {
 					return false
 				}
-				if hp != nil && (hp.Time != sp.Time || hp.Payload != sp.Payload) {
-					return false
-				}
-				// Drop popped items from the tracking slices.
-				for k, it := range hItems {
-					if it == hp {
-						hItems = append(hItems[:k], hItems[k+1:]...)
+				// Drop the popped event from the tracking slices.
+				for k := range hs {
+					if hs[k] == hp {
+						hs = append(hs[:k], hs[k+1:]...)
 						sItems = append(sItems[:k], sItems[k+1:]...)
 						break
 					}
 				}
 			default:
 				tm := float64(rng.Intn(50)) // coarse times force tie-breaking
-				hItems = append(hItems, h.Push(tm, i))
+				hs = append(hs, h.Push(tm, i))
 				sItems = append(sItems, s.Push(tm, i))
 			}
 		}
 		for {
-			hp, sp := h.Pop(), s.Pop()
-			if (hp == nil) != (sp == nil) {
+			_, tm, p, ok := h.Pop()
+			sp := s.Pop()
+			if ok != (sp != nil) {
 				return false
 			}
-			if hp == nil {
+			if !ok {
 				break
 			}
-			if hp.Time != sp.Time || hp.Payload != sp.Payload {
+			if tm != sp.Time || p != sp.Payload {
 				return false
 			}
 		}
@@ -91,15 +88,15 @@ func TestSliceQueueBasics(t *testing.T) {
 	}
 }
 
-// Ablation benchmark: the heap against the O(n) baseline on a mixed
+// Ablation benchmark: the arena heap against the O(n) baseline on a mixed
 // push/pop/remove workload of simulator-like size.
 func BenchmarkAblationHeapMixed(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	ops := makeOps(rng, 2048)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q := New[int]()
-		var live []*Item[int]
+		q := NewArena[int]()
+		var live []Handle
 		for _, op := range ops {
 			switch {
 			case op.remove && len(live) > 0:
@@ -124,7 +121,7 @@ func BenchmarkAblationSliceMixed(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := NewSlice[int]()
-		var live []*Item[int]
+		var live []*SliceItem[int]
 		for _, op := range ops {
 			switch {
 			case op.remove && len(live) > 0:

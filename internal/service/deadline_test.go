@@ -81,6 +81,54 @@ func TestBudgetShedAtAdmission(t *testing.T) {
 	}
 }
 
+// TestBudgetShedCountsAgainstSLO: a request shed at admission is a bad
+// request like any other failure — it lands in both SLO windows and in the
+// flight recorder flagged shed and pinned, and the 504 still carries the
+// caller's trace ID.
+func TestBudgetShedCountsAgainstSLO(t *testing.T) {
+	_, ts := newTracedService(t, service.Config{})
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/simulate", strings.NewReader(`{"circuit":"deadbeef","t_end":10}`))
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(api.BudgetHeader, "0")
+	api.StampTrace(req.Header, "00000000000005ed", "")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eresp api.ErrorResponse
+	err = json.NewDecoder(resp.Body).Decode(&eresp)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusGatewayTimeout || eresp.TraceID != "00000000000005ed" {
+		t.Fatalf("shed = %d trace %q, want 504 carrying the caller's trace ID", resp.StatusCode, eresp.TraceID)
+	}
+
+	ctx := context.Background()
+	c := client.New(ts.URL)
+	st, err := c.Status(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range st.Windows {
+		if w.Requests != 1 || w.BadRequests != 1 {
+			t.Errorf("window %q = %g requests, %g bad; want the shed counted 1/1", w.Name, w.Requests, w.BadRequests)
+		}
+	}
+	fr, err := c.FlightRecords(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr.Recorded != 1 || len(fr.Records) != 1 {
+		t.Fatalf("recorded = %d, want the shed request filed", fr.Recorded)
+	}
+	if rec := fr.Records[0]; !rec.Shed || !rec.Pinned || rec.TraceID != "00000000000005ed" ||
+		rec.Code != api.CodeDeadlineExceeded {
+		t.Errorf("shed record = %+v, want shed+pinned with the trace ID and deadline code", rec)
+	}
+}
+
 // TestBudgetHeaderRoundTrip pins the stamping math: the client writes a
 // positive remaining-ms value that the server-side parser accepts.
 func TestBudgetHeaderRoundTrip(t *testing.T) {

@@ -2,65 +2,25 @@ package service
 
 import (
 	"fmt"
-	"io"
 	"sync/atomic"
 	"time"
 
 	"halotis/internal/buildinfo"
+	"halotis/internal/node"
 	"halotis/internal/obs"
-	"halotis/internal/obs/flight"
 )
-
-// routeID indexes the per-endpoint request counters.
-type routeID int
-
-const (
-	routeUpload routeID = iota
-	routeCircuits
-	routeSimulate
-	routeBatch
-	routeHealth
-	routeMetrics
-	routeTraces
-	routeStatus
-	routeSeries
-	routeFlight
-	routeCount
-)
-
-var routeNames = [routeCount]string{
-	routeUpload:   "upload",
-	routeCircuits: "circuits",
-	routeSimulate: "simulate",
-	routeBatch:    "batch",
-	routeHealth:   "healthz",
-	routeMetrics:  "metrics",
-	routeTraces:   "traces",
-	routeStatus:   "status",
-	routeSeries:   "series",
-	routeFlight:   "flightrecorder",
-}
 
 // metrics aggregates the daemon's counters; everything is atomic so the
 // hot path never takes a lock for accounting.
 type metrics struct {
-	start      time.Time
-	replica    string
-	requests   [routeCount]atomic.Uint64
-	httpErrors atomic.Uint64
-	// deadlineShed counts requests refused because their propagated
-	// deadline budget was already spent (shed at admission or while
-	// waiting on the queue) — work the daemon declined rather than burned.
-	deadlineShed atomic.Uint64
-
 	simRuns   atomic.Uint64
 	simErrors atomic.Uint64
 	simEvents atomic.Uint64
 	simBusyNs atomic.Int64
 
-	// Latency distributions (seconds): end-to-end per endpoint, time spent
-	// queued before a job started, and wall time inside the kernel.
-	latency   [routeCount]*obs.Histogram
+	// Latency distributions (seconds): time spent queued before a job
+	// started, and wall time inside the kernel. Per-endpoint request
+	// latency is the node shell's.
 	queueWait *obs.Histogram
 	kernelRun *obs.Histogram
 }
@@ -68,9 +28,6 @@ type metrics struct {
 // init builds the histogram storage; the struct is embedded in Server, so
 // the pointers cannot be set at literal-construction time.
 func (m *metrics) init() {
-	for r := range m.latency {
-		m.latency[r] = obs.NewHistogram(obs.LatencyBuckets()...)
-	}
 	m.queueWait = obs.NewHistogram(obs.LatencyBuckets()...)
 	m.kernelRun = obs.NewHistogram(obs.LatencyBuckets()...)
 }
@@ -85,92 +42,54 @@ func (m *metrics) recordRun(events uint64, busy time.Duration, err error) {
 	}
 }
 
-// write renders the Prometheus text exposition of the daemon's state.
-func (m *metrics) write(w io.Writer, cache CacheStats, results ResultCacheStats, queue QueueStats, traces *obs.Recorder, fr *flight.Ring) {
-	gauge := func(name string, v float64, help string) {
-		fmt.Fprintf(w, "# HELP halotisd_%s %s\n# TYPE halotisd_%s gauge\nhalotisd_%s %g\n",
-			name, help, name, name, v)
-	}
-	counter := func(name string, v uint64, help string) {
-		fmt.Fprintf(w, "# HELP halotisd_%s %s\n# TYPE halotisd_%s counter\nhalotisd_%s %d\n",
-			name, help, name, name, v)
-	}
-	counterF := func(name string, v float64, help string) {
-		fmt.Fprintf(w, "# HELP halotisd_%s %s\n# TYPE halotisd_%s counter\nhalotisd_%s %g\n",
-			name, help, name, name, v)
-	}
-
+// writeMetrics renders the replica's own /metrics families; the node
+// shell adds the per-endpoint, trace, flight-recorder and runtime ones.
+func (s *Server) writeMetrics(m node.Metrics) {
 	version, rev, goVersion := buildinfo.Info()
-	fmt.Fprintf(w, "# HELP halotisd_build_info Build and identity of this daemon; the replica label attributes multi-node sweeps per node.\n"+
+	fmt.Fprintf(m, "# HELP halotisd_build_info Build and identity of this daemon; the replica label attributes multi-node sweeps per node.\n"+
 		"# TYPE halotisd_build_info gauge\n"+
 		"halotisd_build_info{version=%q,revision=%q,go=%q,replica=%q} 1\n",
-		version, rev, goVersion, m.replica)
+		version, rev, goVersion, s.cfg.ReplicaID)
 
-	gauge("uptime_seconds", time.Since(m.start).Seconds(), "Seconds since the server started.")
-
-	fmt.Fprintf(w, "# HELP halotisd_requests_total Requests served, by endpoint.\n# TYPE halotisd_requests_total counter\n")
-	for r := routeID(0); r < routeCount; r++ {
-		fmt.Fprintf(w, "halotisd_requests_total{endpoint=%q} %d\n", routeNames[r], m.requests[r].Load())
-	}
-	counter("http_errors_total", m.httpErrors.Load(), "Responses with status >= 400.")
-	counter("deadline_shed_total", m.deadlineShed.Load(), "Requests shed because their propagated deadline budget had expired.")
-
-	counter("sim_runs_total", m.simRuns.Load(), "Simulation kernel runs executed.")
-	counter("sim_errors_total", m.simErrors.Load(), "Simulation runs that ended in error.")
-	counter("sim_events_total", m.simEvents.Load(), "Kernel events processed across all runs.")
-	busyS := float64(m.simBusyNs.Load()) / 1e9
-	counterF("sim_busy_seconds_total", busyS, "Wall time spent inside the simulation kernel.")
+	met := &s.met
+	m.Counter("sim_runs_total", met.simRuns.Load(), "Simulation kernel runs executed.")
+	m.Counter("sim_errors_total", met.simErrors.Load(), "Simulation runs that ended in error.")
+	m.Counter("sim_events_total", met.simEvents.Load(), "Kernel events processed across all runs.")
+	busyS := float64(met.simBusyNs.Load()) / 1e9
+	m.CounterFloat("sim_busy_seconds_total", busyS, "Wall time spent inside the simulation kernel.")
 	rate := 0.0
 	if busyS > 0 {
-		rate = float64(m.simEvents.Load()) / busyS
+		rate = float64(met.simEvents.Load()) / busyS
 	}
-	gauge("sim_events_per_second", rate, "Kernel throughput: events processed per busy second.")
+	m.Gauge("sim_events_per_second", rate, "Kernel throughput: events processed per busy second.")
 
-	gauge("cache_entries", float64(cache.Entries), "Circuits in the compiled-circuit cache.")
-	counter("cache_hits_total", cache.Hits, "Cache lookups that found a compiled circuit.")
-	counter("cache_misses_total", cache.Misses, "Cache lookups that did not.")
-	counter("cache_not_found_total", cache.NotFound, "Lookups of unknown or evicted circuit IDs (excluded from the hit rate).")
-	counter("cache_compiles_total", cache.Compiles, "Parse+compile executions.")
-	counter("cache_evictions_total", cache.Evictions, "LRU evictions.")
-	gauge("cache_hit_rate", cache.HitRate(), "Hits / (hits + misses).")
-	counter("engines_created_total", cache.EnginesCreated, "Simulation engines constructed across all pools.")
+	cache := s.cache.Stats()
+	m.Gauge("cache_entries", float64(cache.Entries), "Circuits in the compiled-circuit cache.")
+	m.Counter("cache_hits_total", cache.Hits, "Cache lookups that found a compiled circuit.")
+	m.Counter("cache_misses_total", cache.Misses, "Cache lookups that did not.")
+	m.Counter("cache_not_found_total", cache.NotFound, "Lookups of unknown or evicted circuit IDs (excluded from the hit rate).")
+	m.Counter("cache_compiles_total", cache.Compiles, "Parse+compile executions.")
+	m.Counter("cache_evictions_total", cache.Evictions, "LRU evictions.")
+	m.Gauge("cache_hit_rate", cache.HitRate(), "Hits / (hits + misses).")
+	m.Counter("engines_created_total", cache.EnginesCreated, "Simulation engines constructed across all pools.")
 
-	gauge("result_cache_entries", float64(results.Entries), "Reports in the result cache.")
-	counter("result_cache_hits_total", results.Hits, "Requests answered from the result cache without a kernel run.")
-	counter("result_cache_misses_total", results.Misses, "Requests whose (circuit, stimulus, options) key was not cached.")
-	counter("result_cache_evictions_total", results.Evictions, "Result-cache LRU evictions.")
-	gauge("result_cache_hit_rate", results.HitRate(), "Result-cache hits / (hits + misses).")
+	results := s.results.Stats()
+	m.Gauge("result_cache_entries", float64(results.Entries), "Reports in the result cache.")
+	m.Counter("result_cache_hits_total", results.Hits, "Requests answered from the result cache without a kernel run.")
+	m.Counter("result_cache_misses_total", results.Misses, "Requests whose (circuit, stimulus, options) key was not cached.")
+	m.Counter("result_cache_evictions_total", results.Evictions, "Result-cache LRU evictions.")
+	m.Gauge("result_cache_hit_rate", results.HitRate(), "Result-cache hits / (hits + misses).")
 
-	gauge("queue_depth", float64(queue.Depth), "Jobs queued but not yet started.")
-	gauge("queue_capacity", float64(queue.Capacity), "Bound of the job queue.")
-	gauge("queue_workers", float64(queue.Workers), "Worker goroutines executing jobs.")
-	counter("queue_executed_total", queue.Executed, "Jobs executed to completion.")
-	counter("queue_rejected_total", queue.Rejected, "Jobs rejected because the queue was full.")
-	counter("queue_expired_total", queue.Expired, "Jobs dropped at dequeue because their deadline died while queued.")
-	gauge("queue_in_flight", float64(queue.InFlight), "Jobs currently executing on workers.")
-	gauge("queue_peak_in_flight", float64(queue.PeakInFlight), "High-water mark of concurrently executing jobs.")
+	queue := s.queue.Stats()
+	m.Gauge("queue_depth", float64(queue.Depth), "Jobs queued but not yet started.")
+	m.Gauge("queue_capacity", float64(queue.Capacity), "Bound of the job queue.")
+	m.Gauge("queue_workers", float64(queue.Workers), "Worker goroutines executing jobs.")
+	m.Counter("queue_executed_total", queue.Executed, "Jobs executed to completion.")
+	m.Counter("queue_rejected_total", queue.Rejected, "Jobs rejected because the queue was full.")
+	m.Counter("queue_expired_total", queue.Expired, "Jobs dropped at dequeue because their deadline died while queued.")
+	m.Gauge("queue_in_flight", float64(queue.InFlight), "Jobs currently executing on workers.")
+	m.Gauge("queue_peak_in_flight", float64(queue.PeakInFlight), "High-water mark of concurrently executing jobs.")
 
-	obs.WriteHistogramHeader(w, "halotisd_request_duration_seconds", "End-to-end request latency by endpoint, seconds.")
-	for r := routeID(0); r < routeCount; r++ {
-		m.latency[r].WriteSeries(w, "halotisd_request_duration_seconds", fmt.Sprintf("endpoint=%q", routeNames[r]))
-	}
-	m.queueWait.Write(w, "halotisd_queue_wait_seconds", "Time jobs spent queued before a worker started them, seconds.")
-	m.kernelRun.Write(w, "halotisd_kernel_run_seconds", "Wall time of individual kernel runs, seconds.")
-
-	if traces != nil {
-		started, spans, dropped, retained := traces.Stats()
-		counter("traces_started_total", started, "Traces recorded (one per traced request arriving at this node).")
-		counter("trace_spans_total", spans, "Spans recorded across all traces.")
-		counter("trace_spans_dropped_total", dropped, "Spans dropped by the per-trace span bound.")
-		gauge("traces_retained", float64(retained), "Traces currently held in the in-memory ring.")
-		gauge("traces_pinned", float64(len(traces.Pinned())), "Anomaly exemplar traces currently pinned against eviction.")
-	}
-
-	if fr != nil {
-		recorded, promoted := fr.Stats()
-		counter("flight_records_total", recorded, "Requests filed in the flight-recorder ring.")
-		counter("flight_promoted_total", promoted, "Flight records promoted to pinned exemplars (slow, failed, shed, degraded, hedged, or partial).")
-	}
-
-	obs.WriteRuntimeMetrics(w, "halotisd")
+	met.queueWait.Write(m, "halotisd_queue_wait_seconds", "Time jobs spent queued before a worker started them, seconds.")
+	met.kernelRun.Write(m, "halotisd_kernel_run_seconds", "Wall time of individual kernel runs, seconds.")
 }

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -249,5 +253,45 @@ func TestReplicaMetricsLintClean(t *testing.T) {
 		if !strings.Contains(m, series) {
 			t.Errorf("metrics missing %q", series)
 		}
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
+
+// TestReplicaMetricFamiliesGolden pins the replica's /metrics family names
+// and kinds (the sorted "# TYPE" lines) to testdata: dashboards and the
+// benchmark harness scrape families such as halotisd_queue_rejected_total
+// and halotisd_queue_wait_seconds by name, so a rename must be deliberate.
+// Exposition order is not part of the contract. Regenerate with
+// go test ./internal/service -run MetricFamilies -update.
+func TestReplicaMetricFamiliesGolden(t *testing.T) {
+	_, ts := newTracedService(t, service.Config{})
+	m, err := client.New(ts.URL).Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var types []string
+	for _, line := range strings.Split(m, "\n") {
+		if strings.HasPrefix(line, "# TYPE ") {
+			types = append(types, line)
+		}
+	}
+	sort.Strings(types)
+	got := strings.Join(types, "\n") + "\n"
+	golden := filepath.Join("testdata", "metrics_families.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("/metrics families drifted from %s:\ngot:\n%swant:\n%s", golden, got, want)
 	}
 }

@@ -2,21 +2,18 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"log/slog"
 	"math"
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"halotis/api"
+	"halotis/internal/node"
 	"halotis/internal/obs"
 	"halotis/internal/obs/flight"
-	"halotis/internal/obs/tsdb"
 )
 
 // Server is the simulation service: an http.Handler plus the cache, engine
@@ -28,23 +25,10 @@ type Server struct {
 	results *resultCache
 	queue   *workerPool
 	met     metrics
-	traces  *obs.Recorder
-	log     *slog.Logger
-	mux     *http.ServeMux
-
-	// Fleet-health surface (status.go): the series ring and its sampler,
-	// the flight recorder, SLO accounting, and the per-endpoint slow
-	// promotion thresholds (ns; derived from recent p99s by the sampler).
-	db           *tsdb.DB
-	flight       *flight.Ring
-	slowNs       [routeCount]atomic.Int64
-	sloTotal     atomic.Uint64
-	sloBad       atomic.Uint64
-	sampledTotal atomic.Uint64
-	sampledBad   atomic.Uint64
-	samplerStop  chan struct{}
-	samplerDone  chan struct{}
-	closeOnce    sync.Once
+	// node is the HTTP shell shared with the cluster router: middleware,
+	// per-endpoint accounting, SLO windows, series sampler, flight
+	// recorder, traces, and the wire writers.
+	node *node.Node
 }
 
 // New builds a Server from the config (zero value = defaults).
@@ -55,169 +39,49 @@ func New(cfg Config) *Server {
 		cache:   newCircuitCache(cfg.Lib, cfg.CacheSize, cfg.EnginePoolSize, cfg.ReplicaID),
 		results: newResultCache(cfg.ResultCacheSize),
 		queue:   newWorkerPool(cfg.Workers, cfg.QueueDepth),
-		traces:  obs.NewRecorder(cfg.ReplicaID, cfg.TraceCapacity),
-		log:     cfg.Logger,
-		mux:     http.NewServeMux(),
 	}
-	s.met.start = time.Now()
-	s.met.replica = cfg.ReplicaID
 	s.met.init()
-	if cfg.FlightCapacity > 0 {
-		s.flight = flight.NewRing(cfg.FlightCapacity)
-	}
-	// Until the sampler has a p99 to derive from, "slow" means "past the
-	// SLO target".
-	for r := range s.slowNs {
-		s.slowNs[r].Store(cfg.SLOTargetP99.Nanoseconds())
-	}
-	if cfg.SeriesWindows > 0 {
-		s.db = tsdb.New(cfg.SeriesResolution, cfg.SeriesWindows)
-		s.samplerStop = make(chan struct{})
-		s.samplerDone = make(chan struct{})
-		go s.runSampler()
-	}
-	s.mux.HandleFunc("POST /v1/circuits", s.route(routeUpload, s.handleUpload))
-	s.mux.HandleFunc("GET /v1/circuits", s.route(routeCircuits, s.handleList))
-	s.mux.HandleFunc("GET /v1/circuits/{id}", s.route(routeCircuits, s.handleGet))
-	s.mux.HandleFunc("DELETE /v1/circuits/{id}", s.route(routeCircuits, s.handleEvict))
-	s.mux.HandleFunc("POST /v1/simulate", s.route(routeSimulate, s.handleSimulate))
-	s.mux.HandleFunc("POST /v1/simulate/batch", s.route(routeBatch, s.handleBatch))
-	s.mux.HandleFunc("GET /healthz", s.route(routeHealth, s.handleHealth))
-	s.mux.HandleFunc("GET /metrics", s.route(routeMetrics, s.handleMetrics))
-	s.mux.HandleFunc("GET /v1/traces", s.route(routeTraces, s.handleTraces))
-	s.mux.HandleFunc("GET /v1/traces/{id}", s.route(routeTraces, s.handleTrace))
-	s.mux.HandleFunc("GET /v1/status", s.route(routeStatus, s.handleStatus))
-	s.mux.HandleFunc("GET /v1/series", s.route(routeSeries, s.handleSeries))
-	s.mux.HandleFunc("GET /v1/flightrecorder", s.route(routeFlight, s.handleFlight))
+	s.node = node.New(node.Role{
+		Name:         cfg.ReplicaID,
+		Replica:      cfg.ReplicaID,
+		RootSpan:     "replica.request",
+		MetricPrefix: "halotisd_",
+		Sample:       s.sample,
+		Status:       s.status,
+	}, node.Config{
+		Logger:                cfg.Logger,
+		TraceCapacity:         cfg.TraceCapacity,
+		SLOTargetP99:          cfg.SLOTargetP99,
+		SLOTargetAvailability: cfg.SLOTargetAvailability,
+		SeriesResolution:      cfg.SeriesResolution,
+		SeriesWindows:         cfg.SeriesWindows,
+		FlightCapacity:        cfg.FlightCapacity,
+	})
+	s.node.Handle("POST /v1/circuits", "upload", s.handleUpload)
+	s.node.Handle("GET /v1/circuits", "circuits", s.handleList)
+	s.node.Handle("GET /v1/circuits/{id}", "circuits", s.handleGet)
+	s.node.Handle("DELETE /v1/circuits/{id}", "circuits", s.handleEvict)
+	s.node.Handle("POST /v1/simulate", "simulate", s.handleSimulate)
+	s.node.Handle("POST /v1/simulate/batch", "batch", s.handleBatch)
+	s.node.Handle("GET /healthz", "healthz", s.handleHealth)
+	s.node.Handle("GET /metrics", "metrics", s.handleMetrics)
+	s.node.Start()
 	return s
 }
 
-// route counts and times one endpoint's requests: the per-endpoint counter
-// and latency histogram are observed here, inside the mux (middleware
-// cannot know which pattern matched). API routes additionally feed the SLO
-// accounting and the flight recorder (see observe).
-func (s *Server) route(r routeID, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		s.met.requests[r].Add(1)
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, req)
-		d := time.Since(start)
-		s.met.latency[r].Observe(d.Seconds())
-		s.observe(r, req, sw.status, d)
-	}
-}
-
-// Handler returns the HTTP handler serving the API: the route mux behind
-// the deadline-budget middleware, behind the tracing middleware — so even
-// requests shed at admission (budget already expired) carry a trace ID.
-func (s *Server) Handler() http.Handler { return s.withTrace(s.withBudget(s.mux)) }
-
-// statusWriter captures the response status for spans and request logs.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	sw.status = code
-	sw.ResponseWriter.WriteHeader(code)
-}
-
-// withTrace activates tracing for requests arriving with a Halotis-Trace
-// header: the request context carries the trace identity, a root
-// "replica.request" span brackets the whole request, and the completed
-// request is logged with its trace ID. Untraced requests pay one header
-// lookup and are logged at debug only.
-func (s *Server) withTrace(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		traceID, parent, traced := api.TraceFrom(r.Header)
-		// API requests get a flight-recorder Note, and — when untraced — a
-		// self-assigned internal trace, so an anomalous request's span tree
-		// can be pinned as an exemplar without pre-enabled tracing.
-		recorded := s.flight != nil && flightPath(r.URL.Path)
-		lvl := slog.LevelDebug
-		if traced {
-			lvl = slog.LevelInfo
-		}
-		if !traced && !recorded && !s.log.Enabled(r.Context(), lvl) {
-			next.ServeHTTP(w, r) // nothing to record: the untraced fast path
-			return
-		}
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		start := time.Now()
-		var sp *obs.Span
-		if traced || recorded {
-			ctx := r.Context()
-			if traced {
-				ctx = obs.WithTrace(ctx, s.traces, traceID, parent)
-			} else {
-				ctx = obs.WithInternalTrace(ctx, s.traces, api.NewTraceID())
-			}
-			ctx, sp = obs.Start(ctx, "replica.request")
-			sp.SetAttr("method", r.Method)
-			sp.SetAttr("path", r.URL.Path)
-			if recorded {
-				ctx, _ = flight.WithNote(ctx)
-			}
-			r = r.WithContext(ctx)
-		}
-		next.ServeHTTP(sw, r)
-		if sp != nil {
-			sp.SetAttr("status", strconv.Itoa(sw.status))
-			sp.End()
-		}
-		if sw.status >= 500 {
-			lvl = slog.LevelWarn
-		}
-		attrs := []slog.Attr{
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.Int("status", sw.status),
-			slog.Duration("duration", time.Since(start)),
-		}
-		if traced {
-			attrs = append(attrs, slog.String("trace_id", traceID))
-		}
-		s.log.LogAttrs(r.Context(), lvl, "request", attrs...)
-	})
-}
-
-// withBudget applies the propagated deadline budget (api.BudgetHeader):
-// requests arriving with an already-expired budget are shed at admission
-// with 504 deadline_exceeded — no parsing, no queueing, no simulation —
-// and live budgets narrow the request context so every downstream stage
-// (queue dequeue, kernel run) observes the caller's deadline.
-func (s *Server) withBudget(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		budget, ok := api.BudgetFrom(r.Header)
-		if !ok {
-			next.ServeHTTP(w, r)
-			return
-		}
-		if budget <= 0 {
-			s.met.deadlineShed.Add(1)
-			s.writeError(w, r, http.StatusGatewayTimeout,
-				api.DeadlineExceededf("budget expired before admission (%s %s)", r.Method, r.URL.Path))
-			return
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), budget)
-		defer cancel()
-		next.ServeHTTP(w, r.WithContext(ctx))
-	})
-}
+// Handler returns the HTTP handler serving the API: the node shell's
+// tracing middleware in front of its endpoint mux, whose per-endpoint
+// wrapper applies the deadline budget — so even requests shed at
+// admission (budget already expired) carry a trace ID and count against
+// the SLO.
+func (s *Server) Handler() http.Handler { return s.node.Handler() }
 
 // Close stops job admission and drains: queued and in-flight jobs run to
 // completion before Close returns, and the series sampler stops. Call
 // http.Server.Shutdown first so no new requests arrive while draining.
 func (s *Server) Close() {
-	s.closeOnce.Do(func() {
-		if s.samplerStop != nil {
-			close(s.samplerStop)
-			<-s.samplerDone
-		}
-		s.queue.Close()
-	})
+	s.node.Close()
+	s.queue.Close()
 }
 
 // CacheStats snapshots the compiled-circuit cache counters.
@@ -230,15 +94,6 @@ func (s *Server) ResultCacheStats() ResultCacheStats { return s.results.Stats() 
 func (s *Server) QueueStats() QueueStats { return s.queue.Stats() }
 
 // --- response plumbing ---
-
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Connection-level failure; nothing useful left to do.
-		return
-	}
-}
 
 // codeForStatus falls back from the error taxonomy to the HTTP status when
 // an error carries no sentinel (e.g. raw JSON decode failures).
@@ -259,19 +114,12 @@ func codeForStatus(status int, err error) string {
 	return api.CodeRunFailed
 }
 
+// writeError answers err with status under this replica's identity.
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
-	s.met.httpErrors.Add(1)
-	resp := ErrorResponse{Error: err.Error(), Code: codeForStatus(status, err), Replica: s.cfg.ReplicaID}
-	if ra, ok := api.RetryAfter(err); ok && ra > 0 {
-		resp.RetryAfterMs = ra.Milliseconds()
-	}
-	if tid, _, ok := obs.ContextTrace(r.Context()); ok {
-		resp.TraceID = tid
-	}
-	if n := flight.NoteFrom(r.Context()); n != nil {
-		n.Code = resp.Code
-	}
-	s.writeJSON(w, status, resp)
+	resp := api.ErrorResponseOf(err)
+	resp.Code = codeForStatus(status, err)
+	resp.Replica = s.cfg.ReplicaID
+	s.node.WriteError(w, r, status, resp)
 }
 
 // writeBusy maps queue admission failures to 503, typed as ErrOverloaded
@@ -279,9 +127,7 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, 
 // how long the backlog needs at the observed service rate — not a fixed
 // constant, so clients back off proportionally to the actual overload.
 func (s *Server) writeBusy(w http.ResponseWriter, r *http.Request, err error) {
-	est := s.drainEstimate()
-	w.Header().Set("Retry-After", retryAfterHeader(est))
-	s.writeError(w, r, http.StatusServiceUnavailable, &api.OverloadedError{RetryAfter: retryAfterHint(est), Cause: err})
+	s.writeError(w, r, http.StatusServiceUnavailable, &api.OverloadedError{RetryAfter: retryAfterHint(s.drainEstimate()), Cause: err})
 }
 
 // simStatus maps a run error to an HTTP status via the error taxonomy:
@@ -372,7 +218,7 @@ func (s *Server) submitAndWait(w http.ResponseWriter, r *http.Request, job func(
 			s.writeError(w, r, o.status, o.err)
 			return
 		}
-		s.writeJSON(w, http.StatusOK, o.v)
+		node.WriteJSON(w, http.StatusOK, o.v)
 	case <-r.Context().Done():
 		if !errors.Is(r.Context().Err(), context.DeadlineExceeded) {
 			return // client went away; nobody reads a response
@@ -381,14 +227,14 @@ func (s *Server) submitAndWait(w http.ResponseWriter, r *http.Request, job func(
 		// Prefer the job's own typed outcome if it has already landed
 		// (mid-run aborts surface as canceled within an event pop);
 		// otherwise report the shed now rather than waiting for dequeue.
-		s.met.deadlineShed.Add(1)
+		s.node.DeadlineShed.Add(1)
 		select {
 		case o := <-ch:
 			if o.err != nil {
 				s.writeError(w, r, o.status, o.err)
 				return
 			}
-			s.writeJSON(w, http.StatusOK, o.v)
+			node.WriteJSON(w, http.StatusOK, o.v)
 		default:
 			s.writeError(w, r, http.StatusGatewayTimeout,
 				shedError(r.Context().Err(), "before the job finished"))
@@ -445,7 +291,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 
 //halotis:noctx lists the in-memory circuit cache; no downstream work
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, s.cache.List())
+	node.WriteJSON(w, http.StatusOK, s.cache.List())
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
@@ -454,7 +300,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusNotFound, api.NotFoundf("unknown circuit %q", r.PathValue("id")))
 		return
 	}
-	s.writeJSON(w, http.StatusOK, ent.info)
+	node.WriteJSON(w, http.StatusOK, ent.info)
 }
 
 func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
@@ -463,20 +309,6 @@ func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
-}
-
-//halotis:noctx serves the in-memory trace ring; no downstream work
-func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, s.traces.Traces())
-}
-
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	tr, ok := s.traces.Trace(r.PathValue("id"))
-	if !ok {
-		s.writeError(w, r, http.StatusNotFound, api.NotFoundf("unknown trace %q", r.PathValue("id")))
-		return
-	}
-	s.writeJSON(w, http.StatusOK, tr)
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
@@ -623,7 +455,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				fn.Partial = true
 			}
 		}
-		s.writeJSON(w, http.StatusOK, resp)
+		node.WriteJSON(w, http.StatusOK, resp)
 		return
 	}
 
@@ -635,14 +467,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, rep := range reports {
 		resp.Reports[i] = *rep
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	node.WriteJSON(w, http.StatusOK, resp)
 }
 
 //halotis:noctx renders local gauges; no downstream work
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, HealthResponse{
+	node.WriteJSON(w, http.StatusOK, HealthResponse{
 		Status:        "ok",
-		UptimeSeconds: time.Since(s.met.start).Seconds(),
+		UptimeSeconds: s.node.Uptime().Seconds(),
 		Circuits:      s.cache.Stats().Entries,
 		QueueDepth:    s.queue.Depth(),
 		Workers:       s.cfg.Workers,
@@ -652,8 +484,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 //halotis:noctx renders in-memory counters; no downstream work
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.met.write(w, s.cache.Stats(), s.results.Stats(), s.queue.Stats(), s.traces, s.flight)
+	s.node.WriteMetrics(w, s.writeMetrics)
 }
 
 // --- run execution ---

@@ -37,10 +37,15 @@
 // Endpoints (see server.go): POST /v1/circuits (upload+compile), GET
 // /v1/circuits[/{id}] (list/inspect), DELETE /v1/circuits/{id} (evict),
 // POST /v1/simulate and /v1/simulate/batch (run; waveforms, activity,
-// power, VCD on request), GET /v1/traces[/{id}] (recorded request traces),
-// GET /v1/status (SLO burn-rate rollup), GET /v1/series (in-process
-// time-series), GET /v1/flightrecorder (anomaly flight recorder), GET
-// /healthz and GET /metrics.
+// power, VCD on request), GET /healthz and GET /metrics.
+//
+// The fleet-health and tracing endpoints — GET /v1/traces[/{id}], GET
+// /v1/status (SLO burn rates), GET /v1/series (in-process time-series) and
+// GET /v1/flightrecorder (anomaly flight recorder) — are served by the node
+// shell in internal/node, which the cluster router shares; the replica
+// hooks its queue and cache series and its drain estimate into them
+// (status.go). The shell also owns the tracing and deadline-budget
+// middleware and the wire error writer.
 package service
 
 import (
@@ -49,9 +54,6 @@ import (
 	"time"
 
 	"halotis/internal/cellib"
-	"halotis/internal/obs"
-	"halotis/internal/obs/flight"
-	"halotis/internal/obs/tsdb"
 )
 
 // Config parameterizes a Server. The zero value is usable: every field has
@@ -148,32 +150,5 @@ func (c *Config) setDefaults() {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
-	}
-	if c.Logger == nil {
-		c.Logger = slog.New(slog.DiscardHandler)
-	}
-	if c.TraceCapacity <= 0 {
-		c.TraceCapacity = obs.DefaultTraceCapacity
-	}
-	if c.SLOTargetP99 <= 0 {
-		c.SLOTargetP99 = 500 * time.Millisecond
-	}
-	if c.SLOTargetAvailability <= 0 || c.SLOTargetAvailability >= 1 {
-		c.SLOTargetAvailability = 0.999
-	}
-	if c.SeriesResolution <= 0 {
-		c.SeriesResolution = tsdb.DefaultResolution
-	}
-	switch {
-	case c.SeriesWindows == 0:
-		c.SeriesWindows = tsdb.DefaultWindows
-	case c.SeriesWindows < 0:
-		c.SeriesWindows = 0 // disabled
-	}
-	switch {
-	case c.FlightCapacity == 0:
-		c.FlightCapacity = flight.DefaultCapacity
-	case c.FlightCapacity < 0:
-		c.FlightCapacity = 0 // disabled
 	}
 }

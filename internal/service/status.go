@@ -1,128 +1,18 @@
 package service
 
-// The node-local fleet-health surface: a sampler goroutine snapshots the
-// daemon's counters and histograms into the in-process time-series ring
-// every SeriesResolution, the route wrapper files every API request into
-// the flight recorder (promoting anomalies to pinned trace exemplars),
-// and three endpoints serve the results — GET /v1/series (history), GET
-// /v1/flightrecorder (recent requests + exemplars), GET /v1/status (SLO
-// burn rates). Recording is always cheap (atomics on the request path,
-// one locked ring write per request); detail is paid for only on
-// anomalies, which pin their span trees in the trace ring.
+// The replica's part of the fleet-health surface. The node shell
+// (internal/node) samples the shared series, keeps the SLO windows and the
+// flight recorder, and serves /v1/status, /v1/series and
+// /v1/flightrecorder; the replica adds kernel throughput, queue pressure
+// and cache effectiveness to the series ring, and its queue-drain estimate
+// to /v1/status and to the Retry-After hint of every 503.
 
 import (
-	"net/http"
-	"strconv"
-	"strings"
 	"time"
 
 	"halotis/api"
-	"halotis/internal/obs"
-	"halotis/internal/obs/flight"
+	"halotis/internal/node"
 )
-
-// Time-series metric names the sampler writes. Gauges are per-window
-// last-writes, the rest are per-window sums fed by tick deltas.
-const (
-	seriesRequestsPerSec = "requests_per_second"
-	seriesErrorsPerSec   = "errors_per_second"
-	seriesShedPerSec     = "deadline_shed_per_second"
-	seriesEventsPerSec   = "kernel_events_per_second"
-	seriesQueueDepth     = "queue_depth"
-	seriesDrainMs        = "queue_drain_estimate_ms"
-	seriesCacheHitRate   = "cache_hit_rate"
-	seriesResultHitRate  = "result_cache_hit_rate"
-	seriesSimP50Ms       = "simulate_p50_ms"
-	seriesSimP99Ms       = "simulate_p99_ms"
-	seriesTracesPinned   = "traces_pinned"
-	seriesSLORequests    = "slo_requests"
-	seriesSLOBad         = "slo_bad"
-)
-
-// apiRoute reports whether the endpoint counts against the SLO and is
-// flight-recorded: the request-serving API, not the introspection surface
-// (health probes and metric scrapes would otherwise dominate both).
-func apiRoute(r routeID) bool {
-	switch r {
-	case routeUpload, routeCircuits, routeSimulate, routeBatch:
-		return true
-	}
-	return false
-}
-
-// flightPath mirrors apiRoute for the tracing middleware, which sees the
-// URL before the mux resolves a route.
-func flightPath(p string) bool {
-	return strings.HasPrefix(p, "/v1/simulate") || strings.HasPrefix(p, "/v1/circuits")
-}
-
-// minSlowThreshold floors the p99-derived promotion threshold so a
-// cache-hit-dominated window (p99 in microseconds) cannot promote every
-// request that misses the cache.
-const minSlowThreshold = time.Millisecond
-
-// observe files one finished API request: SLO accounting, the flight
-// record, and anomaly promotion. Called by the route wrapper after the
-// handler returns, so the request's Note (filled by the handler interior)
-// is complete.
-func (s *Server) observe(rid routeID, req *http.Request, status int, d time.Duration) {
-	if !apiRoute(rid) {
-		return
-	}
-	bad := status >= 500 || d > s.cfg.SLOTargetP99
-	s.sloTotal.Add(1)
-	if bad {
-		s.sloBad.Add(1)
-	}
-	if s.flight == nil {
-		return
-	}
-
-	var flags flight.Flags
-	rec := flight.Record{
-		//halotis:wallclock flight records are stamped with arrival wall time for the operator timeline
-		UnixNano:  time.Now().Add(-d).UnixNano(),
-		Route:     routeNames[rid],
-		Replica:   s.cfg.ReplicaID,
-		Status:    status,
-		LatencyNs: d.Nanoseconds(),
-	}
-	if n := flight.NoteFrom(req.Context()); n != nil {
-		if n.Cached {
-			flags |= flight.FlagCached
-		}
-		if n.Hedged {
-			flags |= flight.FlagHedged
-		}
-		if n.Degraded {
-			flags |= flight.FlagDegraded
-		}
-		if n.Partial {
-			flags |= flight.FlagPartial
-		}
-		rec.QueueWaitNs = n.QueueWaitNs
-		rec.KernelEvents = n.KernelEvents
-		rec.Code = n.Code
-	}
-	if status == http.StatusServiceUnavailable || status == http.StatusGatewayTimeout {
-		flags |= flight.FlagShed
-	}
-	if status >= 500 {
-		flags |= flight.FlagFailed
-	}
-	if thr := s.slowNs[rid].Load(); thr > 0 && d.Nanoseconds() > thr {
-		flags |= flight.FlagSlow
-	}
-	rec.TraceID, _ = obs.ContextTraceAny(req.Context())
-	const anomalous = flight.FlagHedged | flight.FlagDegraded | flight.FlagPartial |
-		flight.FlagShed | flight.FlagFailed | flight.FlagSlow
-	if flags&anomalous != 0 {
-		flags |= flight.FlagPinned
-		s.traces.Pin(rec.TraceID)
-	}
-	rec.Flags = flags
-	s.flight.Put(rec)
-}
 
 // drainEstimate predicts how long the current queue needs to drain at the
 // observed service rate: average kernel-run wall time × queue depth ÷
@@ -153,287 +43,20 @@ func (s *Server) drainEstimate() time.Duration {
 // range: at least 1s (clients must not hammer a refusing daemon
 // sub-second) and at most 60s. /v1/status carries the unclamped estimate.
 func retryAfterHint(est time.Duration) time.Duration {
-	if est < time.Second {
-		return time.Second
-	}
-	if est > time.Minute {
-		return time.Minute
-	}
-	return est
+	return min(max(est, time.Second), time.Minute)
 }
 
-// retryAfterHeader renders a hint as the Retry-After header's integer
-// seconds, rounded up.
-func retryAfterHeader(est time.Duration) string {
-	est = retryAfterHint(est)
-	return strconv.FormatInt(int64((est+time.Second-1)/time.Second), 10)
+// sample writes the replica's own series on every sampler tick.
+func (s *Server) sample(smp *node.Sampler) {
+	smp.Rate("kernel_events_per_second", s.met.simEvents.Load())
+	smp.Set("queue_depth", float64(s.queue.Depth()))
+	smp.Set("queue_drain_estimate_ms", float64(s.drainEstimate())/float64(time.Millisecond))
+	smp.Set("cache_hit_rate", s.cache.Stats().HitRate())
+	smp.Set("result_cache_hit_rate", s.results.Stats().HitRate())
 }
 
-// samplerState carries the previous tick's counter values so each tick
-// writes exact deltas.
-type samplerState struct {
-	requests uint64
-	errors   uint64
-	shed     uint64
-	events   uint64
-	sloTotal uint64
-	sloBad   uint64
-	latency  [routeCount]obs.HistogramSnapshot
-}
-
-func (s *Server) samplerInit() (st samplerState) {
-	for r := routeID(0); r < routeCount; r++ {
-		st.requests += s.met.requests[r].Load()
-		st.latency[r] = s.met.latency[r].Snapshot()
-	}
-	st.errors = s.met.httpErrors.Load()
-	st.shed = s.met.deadlineShed.Load()
-	st.events = s.met.simEvents.Load()
-	st.sloTotal = s.sloTotal.Load()
-	st.sloBad = s.sloBad.Load()
-	return st
-}
-
-// runSampler is the periodic snapshot loop feeding the time-series ring;
-// one goroutine per server, stopped by Close.
-func (s *Server) runSampler() {
-	defer close(s.samplerDone)
-	tick := time.NewTicker(s.cfg.SeriesResolution)
-	defer tick.Stop()
-	prev := s.samplerInit()
-	// Seed the ring immediately so /v1/series lists every metric from the
-	// first request on, instead of 404-shaped emptiness until the first tick.
-	prev = s.sampleOnce(prev)
-	for {
-		select {
-		case <-s.samplerStop:
-			return
-		case <-tick.C:
-			prev = s.sampleOnce(prev)
-		}
-	}
-}
-
-// sampleOnce takes one snapshot tick: per-second rates from counter
-// deltas, point-in-time gauges, latency quantiles of the delta
-// distribution, SLO window sums, and the per-endpoint slow-promotion
-// threshold refresh.
-func (s *Server) sampleOnce(prev samplerState) samplerState {
-	now := time.Now()
-	secs := s.cfg.SeriesResolution.Seconds()
-	cur := s.samplerInit()
-
-	s.db.Set(now, seriesRequestsPerSec, float64(cur.requests-prev.requests)/secs)
-	s.db.Set(now, seriesErrorsPerSec, float64(cur.errors-prev.errors)/secs)
-	s.db.Set(now, seriesShedPerSec, float64(cur.shed-prev.shed)/secs)
-	s.db.Set(now, seriesEventsPerSec, float64(cur.events-prev.events)/secs)
-	s.db.Set(now, seriesQueueDepth, float64(s.queue.Depth()))
-	s.db.Set(now, seriesDrainMs, float64(s.drainEstimate())/float64(time.Millisecond))
-	s.db.Set(now, seriesCacheHitRate, s.cache.Stats().HitRate())
-	s.db.Set(now, seriesResultHitRate, s.results.Stats().HitRate())
-	s.db.Set(now, seriesTracesPinned, float64(len(s.traces.Pinned())))
-	s.db.Add(now, seriesSLORequests, float64(cur.sloTotal-prev.sloTotal))
-	s.db.Add(now, seriesSLOBad, float64(cur.sloBad-prev.sloBad))
-	s.sampledTotal.Store(cur.sloTotal)
-	s.sampledBad.Store(cur.sloBad)
-
-	simDelta := cur.latency[routeSimulate].Sub(prev.latency[routeSimulate])
-	if simDelta.Count() > 0 {
-		s.db.Set(now, seriesSimP50Ms, simDelta.Quantile(0.50)*1e3)
-		s.db.Set(now, seriesSimP99Ms, simDelta.Quantile(0.99)*1e3)
-	}
-
-	// Refresh the per-endpoint promotion threshold: twice the recent p99,
-	// floored, and never above the SLO target (a request breaching the SLO
-	// is always anomalous). Windows with too few samples keep the previous
-	// threshold — quantiles of a handful of requests are noise.
-	const minSamples = 16
-	for r := routeID(0); r < routeCount; r++ {
-		if !apiRoute(r) {
-			continue
-		}
-		delta := cur.latency[r].Sub(prev.latency[r])
-		if delta.Count() < minSamples {
-			continue
-		}
-		thr := time.Duration(2 * delta.Quantile(0.99) * float64(time.Second))
-		if thr < minSlowThreshold {
-			thr = minSlowThreshold
-		}
-		if thr > s.cfg.SLOTargetP99 {
-			thr = s.cfg.SLOTargetP99
-		}
-		s.slowNs[r].Store(thr.Nanoseconds())
-	}
-	return cur
-}
-
-// sloWindows evaluates the burn rate over the fast (30 windows) and slow
-// (full ring) horizons. The unsampled remainder — requests observed since
-// the last tick — is folded into both, so a breach surfaces on the next
-// status read, not the next tick.
-func (s *Server) sloWindows() []api.SLOWindow {
-	fast := 30 * s.cfg.SeriesResolution
-	if span := s.db.Span(); fast > span {
-		fast = span
-	}
-	liveTotal := float64(s.sloTotal.Load() - s.sampledTotal.Load())
-	liveBad := float64(s.sloBad.Load() - s.sampledBad.Load())
-	budget := 1 - s.cfg.SLOTargetAvailability
-	mk := func(name string, w time.Duration) api.SLOWindow {
-		req := s.db.Sum(seriesSLORequests, w) + liveTotal
-		bad := s.db.Sum(seriesSLOBad, w) + liveBad
-		win := api.SLOWindow{Name: name, WindowMs: w.Milliseconds(), Requests: req, BadRequests: bad, Availability: 1}
-		if req > 0 {
-			win.Availability = 1 - bad/req
-			win.BurnRate = (1 - win.Availability) / budget
-			win.Firing = win.BurnRate >= 1
-		}
-		return win
-	}
-	return []api.SLOWindow{mk("fast", fast), mk("slow", s.db.Span())}
-}
-
-func statusOf(windows []api.SLOWindow) string {
-	firing := 0
-	for _, w := range windows {
-		if w.Firing {
-			firing++
-		}
-	}
-	switch {
-	case firing == len(windows) && firing > 0:
-		return "firing"
-	case firing > 0:
-		return "warn"
-	}
-	return "ok"
-}
-
-// --- handlers ---
-
-//halotis:noctx renders in-memory rings and counters; no downstream work
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if s.db == nil {
-		s.writeError(w, r, http.StatusNotFound, api.NotFoundf("time-series sampling disabled on this node"))
-		return
-	}
-	windows := s.sloWindows()
-	resp := api.StatusResponse{
-		Status:        statusOf(windows),
-		Node:          s.cfg.ReplicaID,
-		UptimeSeconds: time.Since(s.met.start).Seconds(),
-		SLO: api.SLOConfig{
-			TargetP99Ms:        float64(s.cfg.SLOTargetP99) / float64(time.Millisecond),
-			TargetAvailability: s.cfg.SLOTargetAvailability,
-		},
-		Windows:              windows,
-		QueueDepth:           s.queue.Depth(),
-		QueueDrainEstimateMs: float64(s.drainEstimate()) / float64(time.Millisecond),
-	}
-	if p, ok := s.db.Latest(seriesRequestsPerSec); ok {
-		resp.RequestsPerSecond = p.Value
-	}
-	if p, ok := s.db.Latest(seriesErrorsPerSec); ok {
-		resp.ErrorsPerSecond = p.Value
-	}
-	if p, ok := s.db.Latest(seriesSimP50Ms); ok {
-		resp.P50Ms = p.Value
-	}
-	if p, ok := s.db.Latest(seriesSimP99Ms); ok {
-		resp.P99Ms = p.Value
-	}
-	pinned := s.traces.Pinned()
-	resp.TracesPinned = len(pinned)
-	if len(pinned) > 8 {
-		pinned = pinned[:8]
-	}
-	resp.Exemplars = pinned
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// parseWindow accepts a Go duration string ("5m") or integer seconds.
-func parseWindow(q string) time.Duration {
-	if q == "" {
-		return 0
-	}
-	if d, err := time.ParseDuration(q); err == nil && d > 0 {
-		return d
-	}
-	if secs, err := strconv.Atoi(q); err == nil && secs > 0 {
-		return time.Duration(secs) * time.Second
-	}
-	return 0
-}
-
-//halotis:noctx renders the in-memory series ring; no downstream work
-func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
-	if s.db == nil {
-		s.writeError(w, r, http.StatusNotFound, api.NotFoundf("time-series sampling disabled on this node"))
-		return
-	}
-	resp := api.SeriesResponse{Node: s.cfg.ReplicaID, ResolutionMs: s.db.Resolution().Milliseconds()}
-	metric := r.URL.Query().Get("metric")
-	if metric == "" {
-		resp.Metrics = s.db.Names()
-		s.writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	resp.Metric = metric
-	pts := s.db.Query(metric, parseWindow(r.URL.Query().Get("window")))
-	resp.Points = make([]api.SeriesPoint, len(pts))
-	for i, p := range pts {
-		resp.Points[i] = api.SeriesPoint{UnixMs: p.UnixMs, Value: p.Value}
-	}
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// flightWire converts an in-memory flight record to its JSON shape.
-func flightWire(rec flight.Record) api.FlightRecord {
-	return api.FlightRecord{
-		UnixMs:       rec.UnixNano / int64(time.Millisecond),
-		TraceID:      rec.TraceID,
-		Route:        rec.Route,
-		Replica:      rec.Replica,
-		StatusCode:   rec.Status,
-		Code:         rec.Code,
-		LatencyMs:    float64(rec.LatencyNs) / float64(time.Millisecond),
-		QueueWaitMs:  float64(rec.QueueWaitNs) / float64(time.Millisecond),
-		KernelEvents: rec.KernelEvents,
-		Cached:       rec.Flags.Has(flight.FlagCached),
-		Hedged:       rec.Flags.Has(flight.FlagHedged),
-		Degraded:     rec.Flags.Has(flight.FlagDegraded),
-		Partial:      rec.Flags.Has(flight.FlagPartial),
-		Shed:         rec.Flags.Has(flight.FlagShed),
-		Failed:       rec.Flags.Has(flight.FlagFailed),
-		Slow:         rec.Flags.Has(flight.FlagSlow),
-		Pinned:       rec.Flags.Has(flight.FlagPinned),
-	}
-}
-
-//halotis:noctx renders the in-memory flight ring; no downstream work
-func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	if s.flight == nil {
-		s.writeError(w, r, http.StatusNotFound, api.NotFoundf("flight recorder disabled on this node"))
-		return
-	}
-	limit := 128
-	if q := r.URL.Query().Get("n"); q != "" {
-		if n, err := strconv.Atoi(q); err == nil && n > 0 {
-			limit = n
-		}
-	}
-	recorded, promoted := s.flight.Stats()
-	recs := s.flight.Recent(limit)
-	resp := api.FlightResponse{
-		Node:           s.cfg.ReplicaID,
-		Recorded:       recorded,
-		Promoted:       promoted,
-		Records:        make([]api.FlightRecord, len(recs)),
-		PinnedTraceIDs: s.traces.Pinned(),
-	}
-	for i, rec := range recs {
-		resp.Records[i] = flightWire(rec)
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+// status adds the replica's queue pressure to /v1/status.
+func (s *Server) status(resp *api.StatusResponse) {
+	resp.QueueDepth = s.queue.Depth()
+	resp.QueueDrainEstimateMs = float64(s.drainEstimate()) / float64(time.Millisecond)
 }

@@ -109,9 +109,12 @@ func RunClassic(ckt *netlist.Circuit, st Stimulus, tEnd float64, opt ClassicOpti
 		load[n.ID] = n.Load()
 	}
 
-	// pending[g] is the in-flight output change of gate g, if any.
-	pending := make([]*eventq.Item[classicEvent], len(ckt.Gates))
-	q := eventq.New[classicEvent]()
+	// pending[g] is the in-flight output change of gate g (eventq.NoHandle,
+	// or stale once it fired, when there is none) and pendingVal[g] the
+	// value it will commit.
+	pending := make([]eventq.Handle, len(ckt.Gates))
+	pendingVal := make([]bool, len(ckt.Gates))
+	q := eventq.NewArena[classicEvent]()
 	var stats Stats
 
 	// Schedule stimulus edges as boolean events at their ramp midpoints
@@ -152,25 +155,22 @@ func RunClassic(ckt *netlist.Circuit, st Stimulus, tEnd float64, opt ClassicOpti
 			}
 			stats.Evaluations++
 			newVal := g.Eval(gvals)
-			if p := pending[g.ID]; p != nil && !p.Pending() {
-				pending[g.ID] = nil
-			}
-			p := pending[g.ID]
+			inFlight := q.Pending(pending[g.ID])
 			projected := vals[g.Output.ID]
-			if p != nil {
-				projected = p.Payload.val
+			if inFlight {
+				projected = pendingVal[g.ID]
 			}
 			if newVal == projected {
 				continue
 			}
-			if p != nil {
+			if inFlight {
 				// Inertial rejection: the inputs reverted before
 				// the scheduled output change fired — the pulse
 				// is narrower than the gate delay and is dropped
 				// at the output, for every fanout alike.
-				q.Remove(p)
+				q.Remove(pending[g.ID])
 				stats.EventsFiltered++
-				pending[g.ID] = nil
+				pending[g.ID] = eventq.NoHandle
 				continue
 			}
 			pp := g.Cell.Pins[pin.Index]
@@ -180,23 +180,23 @@ func RunClassic(ckt *netlist.Circuit, st Stimulus, tEnd float64, opt ClassicOpti
 			}
 			res := delay.Conventional(ep, load[g.Output.ID], opt.AssumedSlew)
 			pending[g.ID] = q.Push(now+res.Tp, classicEvent{net: g.Output, val: newVal})
+			pendingVal[g.ID] = newVal
 		}
 	}
 
 	for {
-		it := q.Peek()
-		if it == nil || it.Time > tEnd {
+		if t, ok := q.PeekTime(); !ok || t > tEnd {
 			break
 		}
-		q.Pop()
+		h, t, ev, _ := q.Pop()
 		stats.EventsProcessed++
 		if stats.EventsProcessed > opt.MaxEvents {
-			return nil, fmt.Errorf("sim: classic event limit exceeded at t=%g", it.Time)
+			return nil, fmt.Errorf("sim: classic event limit exceeded at t=%g", t)
 		}
-		if g := it.Payload.net.Driver; g != nil && pending[g.ID] == it {
-			pending[g.ID] = nil
+		if g := ev.net.Driver; g != nil && pending[g.ID] == h {
+			pending[g.ID] = eventq.NoHandle
 		}
-		propagate(it.Time, it.Payload.net, it.Payload.val)
+		propagate(t, ev.net, ev.val)
 	}
 
 	queued, _, removed := q.Stats()
