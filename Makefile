@@ -105,9 +105,9 @@ chaos-smoke:
 
 # partition-smoke is the quick CI variant of the partitioned-kernel sweep:
 # one 100k-gate circuit at P=1 and P=4. The experiment aborts unless the
-# partitioned run is bit-identical (stats equality) to the sequential
-# baseline, making this a large-circuit differential gate, not just a
-# benchmark.
+# partitioned run is bit-identical (stats and every net's transitions) to
+# the sequential baseline, making this a large-circuit differential gate,
+# not just a benchmark.
 partition-smoke:
 	$(GO) run ./cmd/halobench -exp partition -partsizes 100000 -partcounts 1,4 -partfam random-dag -partruns 1
 

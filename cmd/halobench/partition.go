@@ -98,13 +98,33 @@ func modelMakespan(fires []int32, pt *circ.Partitioning) uint64 {
 	return makespan
 }
 
+// sameTransitions reports the first net whose transitions differ between
+// two runs of one circuit, or nil when every net matches bit for bit.
+func sameTransitions(want, got *sim.Result) error {
+	ir := want.IR()
+	for n := int32(0); n < int32(ir.NumNets()); n++ {
+		wt := want.WaveformAt(n).Transitions()
+		gt := got.WaveformAt(n).Transitions()
+		if len(gt) != len(wt) {
+			return fmt.Errorf("net %s: %d transitions diverged from sequential %d", ir.NetName[n], len(gt), len(wt))
+		}
+		for i := range wt {
+			if gt[i] != wt[i] {
+				return fmt.Errorf("net %s: transition %d diverged from sequential:\n got  %+v\n want %+v",
+					ir.NetName[n], i, gt[i], wt[i])
+			}
+		}
+	}
+	return nil
+}
+
 // partitionExperiment sweeps partition count against circuit size on the
 // scalable families and measures the partitioned kernel against the
 // sequential baseline, rendering a table and optionally writing the JSON
-// record (BENCH_PR7.json). Every partitioned configuration is first checked
-// bit-identical to the baseline (stats equality) before it is timed, so the
-// benchmark doubles as a large-circuit differential test; famFilter
-// restricts the sweep to one family ("" = all).
+// record (BENCH_PR7.json). Every configuration is first checked
+// bit-identical to the baseline (stats and every net's transitions) before
+// it is timed, so the benchmark doubles as a large-circuit differential
+// test; famFilter restricts the sweep to one family ("" = all).
 func partitionExperiment(lib *cellib.Library, jsonPath, sizesFlag, countsFlag, famFilter string, runs int) (string, error) {
 	if runs < 1 {
 		return "", fmt.Errorf("-partruns must be >= 1, got %d", runs)
@@ -163,7 +183,7 @@ func partitionExperiment(lib *cellib.Library, jsonPath, sizesFlag, countsFlag, f
 			// model off the warm-up run, then time the steady state.
 			seq := sim.NewEngine(ckt, sim.Options{Model: m, Partitions: 1})
 			var fires []int32
-			seq.SetFireHook(func(pin int32, t float64) { fires = append(fires, ir.PinGate[pin]) })
+			seq.SetFireHook(func(pin int32, t float64) { fires = append(fires, ir.Pins[pin].Gate) })
 			base, err := seq.Run(st, tEnd)
 			if err != nil {
 				return "", fmt.Errorf("%s @ %d gates: %w", fam.Name, target, err)
@@ -185,6 +205,9 @@ func partitionExperiment(lib *cellib.Library, jsonPath, sizesFlag, countsFlag, f
 				if res.Stats != baseStats {
 					return "", fmt.Errorf("%s @ %d gates P=%d: stats diverged from sequential:\n got  %+v\n want %+v",
 						fam.Name, target, p, res.Stats, baseStats)
+				}
+				if err := sameTransitions(base, res); err != nil {
+					return "", fmt.Errorf("%s @ %d gates P=%d: %w", fam.Name, target, p, err)
 				}
 				start := time.Now()
 				for i := 0; i < runs; i++ {

@@ -2,11 +2,13 @@
 // immutable, flat, index-addressed view of a netlist that every performance
 // path in the repository — the simulation kernel, the batch runner, the
 // statistics aggregators, waveform name lookups — runs against. Everything a
-// hot loop needs per event (the receiving gate, the pin threshold, the
-// delay-model edge parameters, the output net load) is hoisted out of the
-// pointer-rich netlist graph into dense slabs at compile time, so consumers
-// perform no map lookups, no interface calls and no pointer chasing beyond a
-// handful of slab reads.
+// hot loop needs per event is hoisted out of the pointer-rich netlist graph
+// at compile time into small fire-ordered records: one Pin per gate input
+// (owning gate, threshold, edge-parameter index), one Gate per gate (pin
+// range, output net, kind, output load), and one deduplicated Edges table
+// of delay-model parameters that the pins index into. Consumers perform no
+// map lookups, no interface calls and no pointer chasing beyond a handful of
+// record reads, and the per-event working set stays a few cache lines.
 //
 // A Compiled is read-only after Compile returns and is therefore safe to
 // share between goroutines; Compile memoizes it on the circuit itself (via
@@ -15,11 +17,11 @@
 //
 // Pin addressing: every gate input pin gets a dense global id
 //
-//	pid = PinStart[gateID] + pinIndex
+//	pid = Gates[gateID].PinStart + pinIndex
 //
-// and all per-pin slabs (PinVT, PinRise, ...) as well as any consumer-side
-// mutable per-pin state (the engine's input values and pending handles) are
-// indexed by pid. Net fanout is stored in CSR form: FanPins[FanStart[n]:
+// and all per-pin slabs (Pins, PinNet) as well as any consumer-side mutable
+// per-pin state (the engine's input values and pending handles) are indexed
+// by pid. Net fanout is stored in CSR form: FanPins[FanStart[n]:
 // FanStart[n+1]] are the global pin ids listening to net n, in netlist
 // fanout order, which fixes the deterministic event insertion order on
 // simultaneous crossings.
@@ -35,6 +37,36 @@ import (
 	"halotis/internal/netlist"
 )
 
+// Pin is the per-pin record an event at a gate input reads: the owning
+// gate, the input threshold the pin's crossings are computed against, and
+// the index of the pin's delay-model parameters in Compiled.Edges.
+type Pin struct {
+	Gate int32 // owning IR gate index
+	Edge int32 // index into Compiled.Edges
+	VT   float64
+}
+
+// Gate is the per-gate record a fired event reads: the gate's pin range
+// starts at PinStart and spans Kind.NumInputs() pins; Out is the driven
+// net and Load that net's total capacitive load (the CL of eq. 2), pF.
+type Gate struct {
+	PinStart int32
+	Out      int32
+	Kind     cellib.Kind
+	Load     float64
+}
+
+// Pins returns the half-open [lo, hi) global pin id range of the gate.
+func (g *Gate) Pins() (int32, int32) {
+	return g.PinStart, g.PinStart + int32(g.Kind.NumInputs())
+}
+
+// Edge holds the delay-model coefficients of one cell input pin: Rise for
+// a rising output edge triggered through the pin, Fall for a falling one.
+type Edge struct {
+	Rise, Fall cellib.EdgeParams
+}
+
 // Compiled is the flat compiled form of one circuit.
 type Compiled struct {
 	// Circuit is the source netlist the IR was compiled from.
@@ -44,35 +76,36 @@ type Compiled struct {
 	// Hash is the circuit's stable content hash (see ContentHash).
 	Hash string
 
-	// Per-gate slabs, indexed by IR gate index. Gates are laid out in
-	// topological level order (stable by netlist ID within a level), not
-	// netlist declaration order: an event wave marching through the circuit
-	// then touches slab entries roughly sequentially, and any contiguous
-	// index range of gates is a union of level slices — the shape the
-	// partitioner's chunks take. GateSlot maps netlist gate IDs into this
-	// numbering. PinStart has len(gates)+1 entries so PinStart[g] :
-	// PinStart[g+1] spans gate g's pins in every per-pin slab.
-	PinStart []int32
-	GateKind []cellib.Kind
-	GateOut  []int32 // driven net ID
+	// Gates is indexed by IR gate index. Gates are laid out in topological
+	// level order (stable by netlist ID within a level), not netlist
+	// declaration order: an event wave marching through the circuit then
+	// touches records roughly sequentially, and any contiguous index range
+	// of gates is a union of level slices — the shape the partitioner's
+	// chunks take. GateSlot maps netlist gate IDs into this numbering.
+	Gates    []Gate
 	GateSlot []int32 // netlist gate ID -> IR gate index
 
-	// Per-pin slabs, indexed by global pin id.
-	PinGate []int32 // owning gate ID
-	PinNet  []int32 // listened net ID
-	PinVT   []float64
-	PinRise []cellib.EdgeParams
-	PinFall []cellib.EdgeParams
+	// Per-pin slabs, indexed by global pin id. Pins holds what the kernel
+	// reads per event; PinNet (the listened net) only seeds initial state.
+	Pins   []Pin
+	PinNet []int32
+
+	// Edges is the deduplicated delay-parameter table Pin.Edge indexes:
+	// one entry per (cell, pin index) of every cell the circuit
+	// instantiates, each cell's pins consecutive, cells in first-use
+	// order. A library has a few dozen such pairs, so the table stays
+	// cache-resident however large the circuit is.
+	Edges []Edge
 
 	// Per-net slabs, indexed by IR net ID. Nets are renumbered to match the
 	// gate layout: primary inputs first in declaration order, then driven
 	// nets in their driver's slab order, then any remaining nets in netlist
 	// order — so a gate and the net it drives sit at nearby indices and the
 	// per-net waveform slab is walked in roughly the same order as the gate
-	// slabs. Load is the precomputed total
-	// capacitive load (the CL of eq. 2), pF. FanStart/FanPins is the CSR
-	// fanout described in the package comment. NetName supports reverse
-	// lookups without touching the netlist graph.
+	// records. Load is the precomputed total capacitive load (the CL of
+	// eq. 2), pF. FanStart/FanPins is the CSR fanout described in the
+	// package comment. NetName supports reverse lookups without touching
+	// the netlist graph.
 	Load     []float64
 	NetName  []string
 	FanStart []int32
@@ -84,9 +117,9 @@ type Compiled struct {
 	Outputs []int32
 
 	// LevelOrder lists IR gate indices in topological level order for
-	// settled initial-state evaluation. Since the slabs themselves are laid
-	// out in level order this is the identity permutation, but consumers
-	// iterate it rather than assuming so.
+	// settled initial-state evaluation. Since the records themselves are
+	// laid out in level order this is the identity permutation, but
+	// consumers iterate it rather than assuming so.
 	LevelOrder []int32
 
 	// InputSet supports stimulus validation without per-run map builds.
@@ -116,14 +149,9 @@ func compile(ckt *netlist.Circuit) *Compiled {
 	c := &Compiled{
 		Circuit:  ckt,
 		VDD:      ckt.Lib.VDD,
-		PinStart: make([]int32, len(ckt.Gates)+1),
-		GateKind: make([]cellib.Kind, len(ckt.Gates)),
-		GateOut:  make([]int32, len(ckt.Gates)),
-		PinGate:  make([]int32, numPins),
+		Gates:    make([]Gate, len(ckt.Gates)),
+		Pins:     make([]Pin, numPins),
 		PinNet:   make([]int32, numPins),
-		PinVT:    make([]float64, numPins),
-		PinRise:  make([]cellib.EdgeParams, numPins),
-		PinFall:  make([]cellib.EdgeParams, numPins),
 		Load:     make([]float64, len(ckt.Nets)),
 		NetName:  make([]string, len(ckt.Nets)),
 		FanStart: make([]int32, len(ckt.Nets)+1),
@@ -137,8 +165,8 @@ func compile(ckt *netlist.Circuit) *Compiled {
 		netID:      make(map[string]int32, len(ckt.Nets)),
 	}
 
-	// Gate slabs in level order, nets renumbered to follow: inputs first in
-	// declaration order, then driven nets as their drivers appear, then
+	// Gate records in level order, nets renumbered to follow: inputs first
+	// in declaration order, then driven nets as their drivers appear, then
 	// anything left (see the struct comments for why).
 	order := ckt.GatesByLevel()
 	for slot, g := range order {
@@ -165,22 +193,27 @@ func compile(ckt *netlist.Circuit) *Compiled {
 		place(n)
 	}
 
+	// The edge table is keyed by (cell, pin index), never by the parameter
+	// values: a cell's pins take consecutive entries from its first use,
+	// found by one pointer lookup per gate, so compile cost stays flat.
+	edgeBase := make(map[*cellib.Cell]int32)
 	pid := int32(0)
 	for slot, g := range order {
-		c.PinStart[slot] = pid
-		c.GateKind[slot] = g.Cell.Kind
-		c.GateOut[slot] = netSlot[g.Output.ID]
+		base, ok := edgeBase[g.Cell]
+		if !ok {
+			base = int32(len(c.Edges))
+			edgeBase[g.Cell] = base
+			for _, pp := range g.Cell.Pins {
+				c.Edges = append(c.Edges, Edge{Rise: pp.Rise, Fall: pp.Fall})
+			}
+		}
+		c.Gates[slot] = Gate{PinStart: pid, Out: netSlot[g.Output.ID], Kind: g.Cell.Kind}
 		for i, p := range g.Inputs {
-			c.PinGate[pid] = int32(slot)
+			c.Pins[pid] = Pin{Gate: int32(slot), Edge: base + int32(i), VT: p.VT}
 			c.PinNet[pid] = netSlot[p.Net.ID]
-			c.PinVT[pid] = p.VT
-			pp := g.Cell.Pins[i]
-			c.PinRise[pid] = pp.Rise
-			c.PinFall[pid] = pp.Fall
 			pid++
 		}
 	}
-	c.PinStart[len(ckt.Gates)] = pid
 
 	for id, n := range newNets {
 		c.Load[id] = n.Load()
@@ -188,10 +221,13 @@ func compile(ckt *netlist.Circuit) *Compiled {
 		c.netID[n.Name] = int32(id)
 		c.FanStart[id] = int32(len(c.FanPins))
 		for _, p := range n.Fanout {
-			c.FanPins = append(c.FanPins, c.PinStart[c.GateSlot[p.Gate.ID]]+int32(p.Index))
+			c.FanPins = append(c.FanPins, c.Gates[c.GateSlot[p.Gate.ID]].PinStart+int32(p.Index))
 		}
 	}
 	c.FanStart[len(ckt.Nets)] = int32(len(c.FanPins))
+	for i := range c.Gates {
+		c.Gates[i].Load = c.Load[c.Gates[i].Out]
+	}
 
 	for i, in := range ckt.Inputs {
 		c.Inputs[i] = netSlot[in.ID]
@@ -260,10 +296,10 @@ func contentHash(ckt *netlist.Circuit) string {
 }
 
 // NumPins returns the total gate-input pin count.
-func (c *Compiled) NumPins() int { return int(c.PinStart[len(c.GateKind)]) }
+func (c *Compiled) NumPins() int { return len(c.Pins) }
 
 // NumGates returns the gate count.
-func (c *Compiled) NumGates() int { return len(c.GateKind) }
+func (c *Compiled) NumGates() int { return len(c.Gates) }
 
 // NumNets returns the net count.
 func (c *Compiled) NumNets() int { return len(c.Load) }
@@ -278,6 +314,3 @@ func (c *Compiled) NetID(name string) int32 {
 
 // Fanout returns the global pin ids listening to net n.
 func (c *Compiled) Fanout(n int32) []int32 { return c.FanPins[c.FanStart[n]:c.FanStart[n+1]] }
-
-// GatePins returns the half-open [lo, hi) global pin id range of gate g.
-func (c *Compiled) GatePins(g int32) (int32, int32) { return c.PinStart[g], c.PinStart[g+1] }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"halotis/internal/cellib"
+	"halotis/internal/circuits"
 	"halotis/internal/netlist"
 )
 
@@ -62,28 +63,33 @@ func TestCompiledSlabs(t *testing.T) {
 		t.Errorf("VDD = %g, want %g", c.VDD, ckt.Lib.VDD)
 	}
 
-	// Every gate's slab row mirrors the netlist gate.
+	// Every gate's record mirrors the netlist gate.
 	for _, g := range ckt.Gates {
 		gid := int32(g.ID)
-		if c.GateKind[gid] != g.Cell.Kind {
-			t.Errorf("gate %s kind %v != %v", g.Name, c.GateKind[gid], g.Cell.Kind)
+		rec := c.Gates[gid]
+		if rec.Kind != g.Cell.Kind {
+			t.Errorf("gate %s kind %v != %v", g.Name, rec.Kind, g.Cell.Kind)
 		}
-		if c.GateOut[gid] != int32(g.Output.ID) {
-			t.Errorf("gate %s out %d != %d", g.Name, c.GateOut[gid], g.Output.ID)
+		if rec.Out != int32(g.Output.ID) {
+			t.Errorf("gate %s out %d != %d", g.Name, rec.Out, g.Output.ID)
 		}
-		lo, hi := c.GatePins(gid)
+		if rec.Load != g.Output.Load() {
+			t.Errorf("gate %s load %g != %g", g.Name, rec.Load, g.Output.Load())
+		}
+		lo, hi := rec.Pins()
 		if int(hi-lo) != len(g.Inputs) {
 			t.Fatalf("gate %s pin span %d != %d inputs", g.Name, hi-lo, len(g.Inputs))
 		}
 		for i, p := range g.Inputs {
 			pid := lo + int32(i)
-			if c.PinGate[pid] != gid || c.PinNet[pid] != int32(p.Net.ID) {
+			pin := c.Pins[pid]
+			if pin.Gate != gid || c.PinNet[pid] != int32(p.Net.ID) {
 				t.Errorf("pin %s: gate/net slab mismatch", p)
 			}
-			if c.PinVT[pid] != p.VT {
-				t.Errorf("pin %s: VT %g != %g", p, c.PinVT[pid], p.VT)
+			if pin.VT != p.VT {
+				t.Errorf("pin %s: VT %g != %g", p, pin.VT, p.VT)
 			}
-			if c.PinRise[pid] != g.Cell.Pins[i].Rise || c.PinFall[pid] != g.Cell.Pins[i].Fall {
+			if e := c.Edges[pin.Edge]; e.Rise != g.Cell.Pins[i].Rise || e.Fall != g.Cell.Pins[i].Fall {
 				t.Errorf("pin %s: edge params differ from cell", p)
 			}
 		}
@@ -106,7 +112,7 @@ func TestCompiledSlabs(t *testing.T) {
 			t.Fatalf("net %s fanout count %d != %d", n.Name, len(fan), len(n.Fanout))
 		}
 		for i, p := range n.Fanout {
-			want := c.PinStart[p.Gate.ID] + int32(p.Index)
+			want := c.Gates[p.Gate.ID].PinStart + int32(p.Index)
 			if fan[i] != want {
 				t.Errorf("net %s fanout[%d] = %d, want %d", n.Name, i, fan[i], want)
 			}
@@ -156,5 +162,78 @@ func TestCompiledInterfaceAndLevels(t *testing.T) {
 			t.Fatalf("LevelOrder not sorted: level %d after %d", lvl, prev)
 		}
 		prev = lvl
+	}
+}
+
+// TestEdgeTableDedup pins the edge-parameter table's size: one entry per
+// distinct (cell, pin index) the circuit instantiates, however many gates
+// share it, and every entry reachable from some pin.
+func TestEdgeTableDedup(t *testing.T) {
+	lib := cellib.Default06()
+	mult, err := circuits.Multiplier(lib, 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ckt := range []*netlist.Circuit{testCircuit(t), mult} {
+		c := Compile(ckt)
+		type key struct {
+			cell *cellib.Cell
+			pin  int
+		}
+		distinct := map[key]bool{}
+		for _, g := range ckt.Gates {
+			for i := range g.Inputs {
+				distinct[key{g.Cell, i}] = true
+			}
+		}
+		if len(c.Edges) > len(distinct) {
+			t.Errorf("%s: %d edge entries for %d distinct (cell, pin) pairs", ckt.Name, len(c.Edges), len(distinct))
+		}
+		owner := make([]key, len(c.Edges))
+		used := make([]bool, len(c.Edges))
+		for _, g := range ckt.Gates {
+			lo, _ := c.Gates[c.GateSlot[g.ID]].Pins()
+			for i := range g.Inputs {
+				e := c.Pins[lo+int32(i)].Edge
+				k := key{g.Cell, i}
+				if used[e] && owner[e] != k {
+					t.Errorf("%s: edge entry %d shared by two (cell, pin) pairs", ckt.Name, e)
+				}
+				owner[e], used[e] = k, true
+			}
+		}
+		for e, u := range used {
+			if !u {
+				t.Errorf("%s: edge entry %d referenced by no pin", ckt.Name, e)
+			}
+		}
+	}
+}
+
+// TestFigure1ThresholdOverrides checks that per-instance SetPinVT
+// overrides land in the per-pin record, not the shared edge table: the
+// paper's Fig. 1 receivers g1 and g2 are the same INV cell with different
+// thresholds.
+func TestFigure1ThresholdOverrides(t *testing.T) {
+	ckt, err := circuits.Figure1(cellib.Default06())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Compile(ckt)
+	want := map[string]float64{"g1": circuits.Figure1VT1, "g2": circuits.Figure1VT2}
+	var edges []int32
+	for _, g := range ckt.Gates {
+		vt, ok := want[g.Name]
+		if !ok {
+			continue
+		}
+		pin := c.Pins[c.Gates[c.GateSlot[g.ID]].PinStart]
+		if pin.VT != vt {
+			t.Errorf("%s: pin VT %g, want override %g", g.Name, pin.VT, vt)
+		}
+		edges = append(edges, pin.Edge)
+	}
+	if len(edges) != 2 || edges[0] != edges[1] {
+		t.Errorf("g1/g2 edge entries %v: want both INV pins on one shared entry", edges)
 	}
 }

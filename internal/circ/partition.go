@@ -95,7 +95,7 @@ func (c *Compiled) partition(k int) *Partitioning {
 		driver[i] = -1
 	}
 	for g := 0; g < n; g++ {
-		driver[c.GateOut[g]] = int32(g)
+		driver[c.Gates[g].Out] = int32(g)
 	}
 
 	if k > 1 {
@@ -131,7 +131,7 @@ func (c *Compiled) partition(k int) *Partitioning {
 		}
 		cross := false
 		for _, pin := range c.Fanout(int32(net)) {
-			dst := p.GatePart[c.PinGate[pin]]
+			dst := p.GatePart[c.Pins[pin].Gate]
 			if dst == src {
 				continue
 			}
@@ -179,7 +179,7 @@ func (c *Compiled) refine(p *Partitioning, driver []int32) {
 		moved := 0
 		for g := int32(0); g < int32(n); g++ {
 			part := p.GatePart[g]
-			lo, hi := c.GatePins(g)
+			lo, hi := c.Gates[g].Pins()
 
 			// Tally this gate's cross-pin exposure toward each neighbor.
 			// Inputs: a pin whose driver sits in part becomes cross on an
@@ -203,8 +203,8 @@ func (c *Compiled) refine(p *Partitioning, driver []int32) {
 			}
 			outSame, outAbove := 0, 0
 			upOK := part < int32(k-1) && counts[part] > minLoad && counts[part+1] < maxLoad
-			for _, pin := range c.Fanout(c.GateOut[g]) {
-				switch lp := p.GatePart[c.PinGate[pin]]; {
+			for _, pin := range c.Fanout(c.Gates[g].Out) {
+				switch lp := p.GatePart[c.Pins[pin].Gate]; {
 				case lp == part:
 					outSame++
 					upOK = false // a same-partition listener blocks moving up

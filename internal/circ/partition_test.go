@@ -101,7 +101,7 @@ func checkInvariants(t *testing.T, c *Compiled, p *Partitioning) {
 		cross := false
 		dsts := map[int32]bool{}
 		for _, pin := range c.Fanout(net) {
-			dst := p.GatePart[c.PinGate[pin]]
+			dst := p.GatePart[c.Pins[pin].Gate]
 			if src < 0 {
 				continue // primary input: stimulus is pre-loaded, no edge
 			}
@@ -212,13 +212,13 @@ func TestPartitionReducesCut(t *testing.T) {
 		}
 		var src int32 = -1
 		for g := int32(0); g < int32(n); g++ {
-			if c.GateOut[g] == net {
+			if c.Gates[g].Out == net {
 				src = seedPart(g)
 				break
 			}
 		}
 		for _, pin := range c.Fanout(net) {
-			if seedPart(c.PinGate[pin]) != src {
+			if seedPart(c.Pins[pin].Gate) != src {
 				seedPins++
 			}
 		}

@@ -42,7 +42,7 @@ type ClassicResult struct {
 	Elapsed time.Duration
 
 	ckt *netlist.Circuit
-	wfs []*wave.Waveform
+	wfs []wave.Waveform // by netlist net ID
 }
 
 // Waveform returns the reconstructed waveform of the named net, or nil.
@@ -53,7 +53,7 @@ func (r *ClassicResult) Waveform(net string) *wave.Waveform {
 	if n == nil {
 		return nil
 	}
-	return r.wfs[n.ID]
+	return &r.wfs[n.ID]
 }
 
 // OutputLogic samples every primary output at time t (half-swing threshold).
@@ -98,14 +98,14 @@ func RunClassic(ckt *netlist.Circuit, st Stimulus, tEnd float64, opt ClassicOpti
 		vals[g.Output.ID] = g.Eval(args)
 	}
 
-	wfs := make([]*wave.Waveform, len(ckt.Nets))
+	wfs := wave.NewSlab(vdd, len(ckt.Nets), transitionChunk)
 	load := make([]float64, len(ckt.Nets))
 	for _, n := range ckt.Nets {
 		v0 := 0.0
 		if vals[n.ID] {
 			v0 = vdd
 		}
-		wfs[n.ID] = wave.NewWaveform(vdd, v0)
+		wfs[n.ID].Reset(v0)
 		load[n.ID] = n.Load()
 	}
 

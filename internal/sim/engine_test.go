@@ -116,6 +116,40 @@ func TestEngineSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestEngineSteadyStateZeroAllocsAfterChunkOverflow pins the zero-alloc
+// steady state when nets outgrow their slab chunk: a pulse train longer
+// than the chunk forces every chain net to grow its transition storage on
+// the warm-up run, and later runs must reuse that grown capacity.
+func TestEngineSteadyStateZeroAllocsAfterChunkOverflow(t *testing.T) {
+	ckt := invChain(t, 4)
+	var edges []InputEdge
+	for i := 0; i < 3*transitionChunk; i++ {
+		edges = append(edges, InputEdge{Time: 1 + 2*float64(i), Rising: i%2 == 0, Slew: 0.3})
+	}
+	st := Stimulus{"in": InputWave{Edges: edges}}
+	for _, m := range []Model{DDM, CDM} {
+		eng := NewEngine(ckt, Options{Model: m})
+		res, err := eng.Run(st, 100) // warm-up: every chain net overflows
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range ckt.Nets {
+			if got := res.Waveform(n.Name).Len(); got <= transitionChunk {
+				t.Fatalf("%v: net %s recorded %d transitions, want more than the %d-slot chunk", m, n.Name, got, transitionChunk)
+			}
+		}
+		//halotis:pins Run emit reconcile fire
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := eng.Run(st, 100); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v: steady-state allocs/run after chunk overflow = %g, want 0", m, allocs)
+		}
+	}
+}
+
 // TestRunBatchMatchesSequential checks batch results are bit-identical to
 // one-at-a-time engine runs, in order, for both models and any worker count.
 func TestRunBatchMatchesSequential(t *testing.T) {

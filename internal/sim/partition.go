@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"halotis/internal/circ"
-	"halotis/internal/eventq"
 	"halotis/internal/wave"
 )
 
@@ -55,8 +54,8 @@ import (
 // above the receiver's horizon, hence above anything it has fired.
 //
 // Shared engine state (waveforms, per-pin values and pending handles,
-// per-gate slabs) is safe without locks because every slab index is owned by
-// exactly one partition: nets by their driver's partition, pins and gate
+// per-gate records) is safe without locks because every slab index is owned
+// by exactly one partition: nets by their driver's partition, pins and gate
 // state by the gate's partition.
 
 // MaxPartitions bounds Options.Partitions; requests above it are clamped.
@@ -147,7 +146,7 @@ type partWorker struct {
 	pt   *circ.Partitioning
 	part int32
 
-	q eventq.ArenaQueue[event]
+	lane // this partition's queue, clock and counters
 
 	// Published clock, split across two atomics. Non-negative float64 bit
 	// patterns compare like the floats themselves, so the time is stored as
@@ -163,8 +162,6 @@ type partWorker struct {
 	outbox []*mailbox // by destination partition; nil where no edge
 	sent   []int32    // scratch: destinations already messaged this emit
 
-	now float64
-	st  Stats
 	err error
 
 	// Profiling counters (see Profile). Plain fields owned by this worker,
@@ -344,8 +341,8 @@ func (e *Engine) applyStimulusPartitioned(st Stimulus, pr *partRun) {
 			tr := e.wfs[net].Add(edge.Time, slew, edge.Rising)
 			pr.pre.Transitions++
 			for _, pin := range ir.Fanout(net) {
-				wk := pr.workers[pr.pt.GatePart[ir.PinGate[pin]]]
-				wk.applyToPin(pin, tr, edge.Time, slew, edge.Rising)
+				wk := pr.workers[pr.pt.GatePart[ir.Pins[pin].Gate]]
+				e.reconcile(&wk.lane, pin, tr)
 			}
 		}
 	}
@@ -409,7 +406,9 @@ func (w *partWorker) run(ctx context.Context, pr *partRun, tEnd float64) {
 			}
 			w.now = t
 			w.st.EventsProcessed++
-			w.fire(h, ev)
+			if out, start, slew, rising, ok := e.fire(&w.lane, h, ev); ok {
+				w.emit(out, start, slew, rising)
+			}
 			w.publish(hT, hP)
 			progressed = true
 		}
@@ -480,7 +479,8 @@ func (w *partWorker) publish(hT float64, hP uint64) {
 // drainInboxes applies every pending boundary message and reports whether
 // there were any.
 func (w *partWorker) drainInboxes() bool {
-	ir := w.e.ir
+	e := w.e
+	ir := e.ir
 	progressed := false
 	for i, mb := range w.inbox {
 		msgs := mb.swap(w.spare[i][:0])
@@ -495,10 +495,10 @@ func (w *partWorker) drainInboxes() bool {
 				End:    math.Inf(1),
 			}
 			for _, pin := range ir.Fanout(m.net) {
-				if w.pt.GatePart[ir.PinGate[pin]] != w.part {
+				if w.pt.GatePart[ir.Pins[pin].Gate] != w.part {
 					continue
 				}
-				w.applyToPin(pin, &tr, m.start, m.slew, m.rising)
+				e.reconcile(&w.lane, pin, &tr)
 			}
 			progressed = true
 		}
@@ -507,39 +507,10 @@ func (w *partWorker) drainInboxes() bool {
 	return progressed
 }
 
-// applyToPin reconciles one fanout pin against a new transition on its net —
-// the per-pin body of Engine.emit (rules 1 and 2 of Fig. 4), against this
-// partition's queue. Any change here must be mirrored there.
-func (w *partWorker) applyToPin(pin int32, tr *wave.Transition, start, slew float64, rising bool) {
-	e := w.e
-	if h := e.pending[pin]; h != eventq.NoHandle {
-		if pt, live := w.q.TimeOf(h); !live {
-			e.pending[pin] = eventq.NoHandle
-		} else if pt >= start {
-			w.q.Remove(h)
-			w.st.EventsFiltered++
-			e.pending[pin] = eventq.NoHandle
-		}
-	}
-	ct, ok := tr.Crossing(e.ir.PinVT[pin])
-	if !ok {
-		return
-	}
-	if h := e.pending[pin]; h != eventq.NoHandle {
-		if pt, live := w.q.TimeOf(h); live && ct <= pt {
-			w.q.Remove(h)
-			w.st.EventsFiltered++
-			e.pending[pin] = eventq.NoHandle
-			return
-		}
-	}
-	e.pending[pin] = w.q.PushKeyed(ct, uint64(uint32(pin)), event{pin: pin, rising: rising, slew: slew})
-}
-
 // emit is the partitioned counterpart of Engine.emit: append the transition
 // to the net's waveform (the net is owned by this partition), reconcile
 // local fanout pins directly and send one message per off-partition
-// destination. Any change here must be mirrored in Engine.emit.
+// destination.
 func (w *partWorker) emit(net int32, start, slew float64, rising bool) {
 	e := w.e
 	ir := e.ir
@@ -547,9 +518,9 @@ func (w *partWorker) emit(net int32, start, slew float64, rising bool) {
 	w.st.Transitions++
 	sent := w.sent[:0]
 	for _, pin := range ir.Fanout(net) {
-		dst := w.pt.GatePart[ir.PinGate[pin]]
+		dst := w.pt.GatePart[ir.Pins[pin].Gate]
 		if dst == w.part {
-			w.applyToPin(pin, tr, start, slew, rising)
+			e.reconcile(&w.lane, pin, tr)
 			continue
 		}
 		dup := false
@@ -567,44 +538,6 @@ func (w *partWorker) emit(net int32, start, slew float64, rising bool) {
 		w.outbox[dst].send(boundaryMsg{net: net, rising: rising, start: start, slew: slew, v0: tr.V0})
 	}
 	w.sent = sent[:0]
-}
-
-// fire mirrors Engine.fire over the shared slabs, with output emission going
-// through the partitioned emit. Any change here must be mirrored there.
-func (w *partWorker) fire(h eventq.Handle, ev event) {
-	e := w.e
-	ir := e.ir
-	pin := ev.pin
-	g := ir.PinGate[pin]
-	if e.pending[pin] == h {
-		e.pending[pin] = eventq.NoHandle
-	}
-	e.inVals[pin] = ev.rising
-
-	w.st.Evaluations++
-	a, b := ir.PinStart[g], ir.PinStart[g+1]
-	newTarget := ir.GateKind[g].Eval(e.inVals[a:b])
-	if newTarget == e.outTarget[g] {
-		return
-	}
-
-	out := ir.GateOut[g]
-	res := e.delayFor(g, pin, out, ev, w.now, newTarget)
-	if res.Filtered {
-		w.st.FullyDegraded++
-	} else if res.Degraded {
-		w.st.DegradedTransitions++
-	}
-
-	tp := math.Max(res.Tp, e.opt.MinPulse)
-	start := w.now + tp
-	if min := e.lastOutStart[g] + e.opt.MinPulse; start < min {
-		start = min
-	}
-
-	e.outTarget[g] = newTarget
-	e.lastOutStart[g] = start
-	w.emit(out, start, res.Slew, newTarget)
 }
 
 // backoff yields while the horizon is stalled: a handful of scheduler yields

@@ -179,16 +179,16 @@ type Result struct {
 	Profile *Profile
 
 	ir  *circ.Compiled
-	wfs []*wave.Waveform
+	wfs []wave.Waveform // by net ID
 }
 
 // Detach returns a deep copy of the result whose waveforms no longer alias
 // engine storage, safe to hold across further runs of the producing engine.
 func (r *Result) Detach() *Result {
 	c := *r
-	c.wfs = make([]*wave.Waveform, len(r.wfs))
-	for i, wf := range r.wfs {
-		c.wfs[i] = wf.Clone()
+	c.wfs = make([]wave.Waveform, len(r.wfs))
+	for i := range r.wfs {
+		c.wfs[i] = *r.wfs[i].Clone()
 	}
 	return &c
 }
@@ -200,13 +200,13 @@ func (r *Result) Waveform(net string) *wave.Waveform {
 	if id < 0 {
 		return nil
 	}
-	return r.wfs[id]
+	return &r.wfs[id]
 }
 
 // WaveformAt returns the waveform of the net with the given dense ID (see
 // circ.Compiled.NetID); the allocation-free variant of Waveform for callers
 // that already hold IR net IDs.
-func (r *Result) WaveformAt(id int32) *wave.Waveform { return r.wfs[id] }
+func (r *Result) WaveformAt(id int32) *wave.Waveform { return &r.wfs[id] }
 
 // Circuit returns the simulated circuit.
 func (r *Result) Circuit() *netlist.Circuit { return r.ir.Circuit }
@@ -237,7 +237,7 @@ type NetActivity struct {
 func (r *Result) Activity() []NetActivity {
 	out := make([]NetActivity, len(r.wfs))
 	for i := range r.wfs {
-		wf := r.wfs[i]
+		wf := &r.wfs[i]
 		out[i] = NetActivity{
 			Net:         r.ir.NetName[i],
 			Transitions: wf.Len(),
@@ -251,9 +251,9 @@ func (r *Result) Activity() []NetActivity {
 // TotalActivity sums transition counts and switching energy across nets,
 // reading the waveforms directly rather than materializing Activity.
 func (r *Result) TotalActivity() (transitions int, energy float64) {
-	for _, wf := range r.wfs {
-		transitions += wf.Len()
-		energy += wf.SwitchingEnergyNorm()
+	for i := range r.wfs {
+		transitions += r.wfs[i].Len()
+		energy += r.wfs[i].SwitchingEnergyNorm()
 	}
 	return transitions, energy
 }

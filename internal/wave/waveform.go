@@ -49,6 +49,25 @@ func (w *Waveform) Reset(vinit float64) {
 	w.seq = 0
 }
 
+// NewSlab returns n waveforms at rest at 0 V under supply vdd whose
+// transition storage is carved from one shared slab, per slots each, in
+// index order: waveform i appends into slab[i*per : (i+1)*per] until it
+// outgrows that chunk, then grows by append into storage of its own
+// and keeps it across Resets. One allocation serves every waveform, and
+// neighbouring waveforms' latest transitions share cache lines. The
+// simulation kernels keep one waveform per net this way.
+func NewSlab(vdd float64, n, per int) []Waveform {
+	if vdd <= 0 {
+		panic(fmt.Sprintf("wave: non-positive VDD %g", vdd))
+	}
+	ws := make([]Waveform, n)
+	ts := make([]Transition, n*per)
+	for i := range ws {
+		ws[i] = Waveform{VDD: vdd, ts: ts[i*per : i*per : (i+1)*per]}
+	}
+	return ws
+}
+
 // Clone returns a deep copy of the waveform with independent transition
 // storage, safe to hold across a Reset of the original.
 func (w *Waveform) Clone() *Waveform {
@@ -88,7 +107,9 @@ func (w *Waveform) V(t float64) float64 {
 // Add appends a ramp beginning at time start with the given direction and
 // full-swing slew. The starting voltage is taken from the waveform itself
 // (the voltage the signal has reached at start), truncating any in-flight
-// ramp. It returns the appended transition.
+// ramp. It returns the appended transition. Storage grows by append only
+// when the waveform is full; Reset keeps the capacity, so a reused waveform
+// appends without allocating once it has reached its high-water mark.
 //
 // Add panics if start precedes the start of the last transition: the engine
 // must clamp output times to keep per-signal transition starts
@@ -106,11 +127,6 @@ func (w *Waveform) Add(start, slew float64, rising bool) *Transition {
 		}
 		last.End = start
 		v0 = last.V(start)
-	} else if w.ts == nil {
-		// First transition ever: reserve a batch up front so active nets
-		// do not pay the doubling-growth allocations one by one.
-		//halotis:alloc one-time warm-up reservation on a net's first-ever transition; the steady state reuses it
-		w.ts = make([]Transition, 0, 16)
 	}
 	w.seq++
 	w.ts = append(w.ts, Transition{

@@ -339,3 +339,52 @@ func TestResetSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state Reset+Add allocs = %g, want 0", allocs)
 	}
 }
+
+// TestSlabChunksAreIsolated checks the engine's slab storage: each
+// waveform appends into its own chunk, one that outgrows its chunk moves to
+// storage of its own without touching its neighbour, keeps that capacity
+// across Reset, and clones detach from the slab.
+func TestSlabChunksAreIsolated(t *testing.T) {
+	const per = 2
+	ws := NewSlab(5, 3, per)
+	for i := range ws {
+		ws[i].Reset(0)
+		ws[i].Add(1, 0.5, true)
+	}
+	for i := 0; i < 3; i++ { // waveform 1 outgrows its chunk
+		ws[1].Add(2+float64(i), 0.5, i%2 == 1)
+	}
+	for i := range ws {
+		if err := ws[i].Validate(); err != nil {
+			t.Fatalf("waveform %d invalid: %v", i, err)
+		}
+	}
+	if ws[0].Len() != 1 || ws[2].Len() != 1 || ws[1].Len() != 4 {
+		t.Fatalf("lengths %d/%d/%d, want 1/4/1", ws[0].Len(), ws[1].Len(), ws[2].Len())
+	}
+	if ws[2].ts[0].Start != 1 || !ws[2].ts[0].Rising {
+		t.Error("overflowing waveform clobbered its neighbour's chunk")
+	}
+	grown := cap(ws[1].ts)
+	if grown <= per {
+		t.Fatalf("capacity %d after overflow, want > %d", grown, per)
+	}
+
+	snap := make([]Waveform, len(ws))
+	for i := range ws {
+		snap[i] = *ws[i].Clone()
+	}
+	ws[1].Reset(5)
+	if cap(ws[1].ts) != grown {
+		t.Errorf("capacity after Reset = %d, want the grown %d", cap(ws[1].ts), grown)
+	}
+	ws[1].Add(10, 0.5, false)
+	if snap[1].Len() != 4 || snap[1].ts[0].Start != 1 || snap[1].VInit != 0 {
+		t.Error("clone mutated by Reset+Add on the original")
+	}
+	for i := range snap {
+		if err := snap[i].Validate(); err != nil {
+			t.Errorf("clone %d invalid: %v", i, err)
+		}
+	}
+}
