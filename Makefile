@@ -48,48 +48,17 @@ apicheck-update:
 		$(GO) doc -all $$p > "apicompat/$$(basename $$p).txt"; \
 	done; echo "apicheck-update: wrote apicompat/ snapshots"
 
-# bench regenerates the perf records for this PR: the Table 2 kernel
-# trajectory (BENCH_PR1.json, carried since PR 1), the size-scaling curves
-# over the scalable circuit families (BENCH_PR2.json), the service load
-# test against an in-process halotisd (BENCH_PR4.json: unique-request,
-# result-cache-hit and batch fan-out throughput; BENCH_PR3.json holds the
-# pre-result-cache trajectory), and the cluster sharding sweep
-# (BENCH_PR5.json: aggregate unique-request throughput at 1 vs 3 replicas
-# under an explicit per-node capacity model, attributed per node via
-# /metrics), and the chaos soak (BENCH_PR6.json: fault-injection run over
-# a 3-replica cluster asserting zero divergent reports, bounded p99 and
-# that hedging/breakers/failover/stale-serve/deadline-shed all fired), and
-# the partitioned-kernel sweep (BENCH_PR7.json: measured and critical-path
-# model speedup vs partition count on 100k+-gate circuits, every
-# configuration checked bit-identical to the sequential baseline), and the
-# observability overhead sweep (BENCH_PR8.json: tracing-off vs tracing-on
-# vs tracing+profiling p50/p99 against an in-process daemon, asserting the
-# worst p50 regression stays under 5%), and the fleet-health sweep
-# (BENCH_PR10.json: observability-disabled vs enabled p50 within 2%, an
-# injected latency breach flipping /v1/status to firing within one rollup
-# interval, and the breaching requests retrievable from /v1/flightrecorder
-# as pinned exemplars with full span trees).
-# Bump the *_OUT vars when a new PR adds a new perf record so the
-# trajectory stays comparable.
-BENCH_OUT ?= BENCH_PR1.json
-SCALE_OUT ?= BENCH_PR2.json
-SERVE_OUT ?= BENCH_PR4.json
-CLUSTER_OUT ?= BENCH_PR5.json
-CHAOS_OUT ?= BENCH_PR6.json
-PARTITION_OUT ?= BENCH_PR7.json
-OBS_OUT ?= BENCH_PR8.json
-SLO_OUT ?= BENCH_PR10.json
-bench: build
-	$(GO) run ./cmd/halobench -exp bench -benchruns 500 -benchjson $(BENCH_OUT)
-	$(GO) run ./cmd/halobench -exp scale -scaleruns 5 -scalejson $(SCALE_OUT)
-	$(GO) run ./cmd/halobench -exp serve -serveruns 300 -servejson $(SERVE_OUT)
-	$(GO) run ./cmd/halobench -exp cluster -clusterjson $(CLUSTER_OUT)
-	$(GO) run ./cmd/halobench -exp chaos -chaosjson $(CHAOS_OUT)
-	$(GO) run ./cmd/halobench -exp partition -partjson $(PARTITION_OUT)
-	$(GO) run ./cmd/halobench -exp obs -obsjson $(OBS_OUT)
-	$(GO) run ./cmd/halobench -exp slo -slojson $(SLO_OUT)
+# bench runs the repository benchmark (BENCHMARK.json, perfbench/) on both
+# of its workloads; add --trace 1 for the per-layer breakdown. It is the
+# one perf harness and schema: halobench keeps the paper's tables and
+# figures plus the runs perfbench does not do, and writes no perf record.
+# The BENCH_PR*.json files are frozen history.
+bench:
+	bash perfbench/run.sh --workload kernel-large
+	bash perfbench/run.sh --workload serve-fleet
 
-# bench-smoke is the quick CI variant: few iterations, no JSON artifact.
+# bench-smoke is the quick check of the root kernel benchmarks and the
+# halobench sweeps: few iterations each.
 bench-smoke:
 	$(GO) test -run=NONE -bench='Table2Seq1DDM|EngineReuseSeq1DDM' -benchmem -benchtime=100x .
 	$(GO) run ./cmd/halobench -exp scale -scaleruns 1 -scalesizes 500

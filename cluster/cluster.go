@@ -46,8 +46,6 @@ import (
 	"halotis/api"
 	"halotis/client"
 	"halotis/internal/cellib"
-	"halotis/internal/netfmt"
-	"halotis/internal/netlist"
 	"halotis/internal/node"
 )
 
@@ -500,32 +498,4 @@ func (s *textStore) drop(id string) {
 		delete(s.m, id)
 		s.lru.Remove(el)
 	}
-}
-
-// parseText parses a netlist text exactly as a replica's upload path does,
-// so the router's locally computed content hash matches the ID the
-// replicas assign.
-func parseText(text, format string, lib *cellib.Library, name string) (*netlist.Circuit, error) {
-	f, ok := netfmt.FormatByName(format)
-	if !ok {
-		return nil, fmt.Errorf("unknown netlist format %q", format)
-	}
-	if f == netfmt.FormatAuto {
-		f = netfmt.SniffFormat(text)
-	}
-	var ckt *netlist.Circuit
-	var err error
-	switch f {
-	case netfmt.FormatBench:
-		ckt, err = netfmt.ParseBench(strings.NewReader(text), lib)
-	default:
-		ckt, err = netfmt.ParseCircuit(strings.NewReader(text), lib)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if name != "" {
-		ckt.Name = name
-	}
-	return ckt, nil
 }

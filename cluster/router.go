@@ -9,6 +9,7 @@ import (
 	"halotis/api"
 	"halotis/client"
 	"halotis/internal/circ"
+	"halotis/internal/netfmt"
 	"halotis/internal/node"
 	"halotis/internal/obs"
 	"halotis/internal/obs/flight"
@@ -89,7 +90,7 @@ func (c *Cluster) resolveTarget(ctx context.Context, circuit, netlistText, forma
 		sp.SetAttr("source", "id")
 		return circuit, c.texts.get(circuit), nil
 	}
-	ckt, err := parseText(netlistText, format, c.lib, name)
+	ckt, err := netfmt.ParseText(netlistText, format, c.lib, name)
 	if err != nil {
 		err = api.InvalidRequestf("parse netlist: %v", err)
 		sp.Fail(err)
@@ -121,7 +122,7 @@ func (c *Cluster) handleUpload(w http.ResponseWriter, r *http.Request) {
 		c.badRequest(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	ckt, err := parseText(req.Netlist, req.Format, c.lib, req.Name)
+	ckt, err := netfmt.ParseText(req.Netlist, req.Format, c.lib, req.Name)
 	if err != nil {
 		c.badRequest(w, r, http.StatusUnprocessableEntity, "parse netlist: "+err.Error())
 		return

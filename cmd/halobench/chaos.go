@@ -3,14 +3,12 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"regexp"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -41,41 +39,6 @@ import (
 //
 // Success latency is also recorded; p99 must stay bounded (well under the
 // client deadline) even across the kill and slow phases.
-
-// ChaosReport is the JSON document emitted by -exp chaos (BENCH_PR6.json).
-type ChaosReport struct {
-	GoVersion   string   `json:"go_version"`
-	GOMAXPROCS  int      `json:"gomaxprocs"`
-	Replicas    int      `json:"replicas"`
-	Replication int      `json:"replication"`
-	Clients     int      `json:"clients"`
-	DurationMs  float64  `json:"duration_ms"`
-	Phases      []string `json:"phases"`
-	// Requests counts soak runs issued; Failures the ones that returned an
-	// error (tolerated during fault windows, the rest must succeed).
-	Requests int `json:"requests"`
-	Failures int `json:"failures"`
-	// DivergentReports counts successful reports whose deterministic
-	// fields differed from the local-backend baseline. Must be zero.
-	DivergentReports int `json:"divergent_reports"`
-	// DegradedReports counts successes flagged Degraded (served stale from
-	// the router's result cache during the blackout probe).
-	DegradedReports int     `json:"degraded_reports"`
-	P50Us           float64 `json:"p50_us"`
-	P99Us           float64 `json:"p99_us"`
-	// Resilience counters scraped from the router's /metrics after the
-	// soak.
-	Hedges         uint64  `json:"hedges"`
-	HedgeWins      uint64  `json:"hedge_wins"`
-	HedgeRate      float64 `json:"hedge_rate"`
-	Failovers      uint64  `json:"failovers"`
-	Reuploads      uint64  `json:"reuploads"`
-	BreakerOpens   uint64  `json:"breaker_opens"`
-	BreakerCloses  uint64  `json:"breaker_closes"`
-	BreakerSkips   uint64  `json:"breaker_skips"`
-	DegradedServes uint64  `json:"degraded_serves"`
-	DeadlineShed   uint64  `json:"deadline_shed"`
-}
 
 // chaosGate sits in front of one replica and applies the scripted faults:
 // down severs every connection (the panic aborts the HTTP/1 connection,
@@ -109,7 +72,7 @@ func reportSignature(rep *halotis.Report) string {
 	for k := range rep.Outputs {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	var b strings.Builder
 	fmt.Fprintf(&b, "events=%d", rep.Stats.EventsProcessed)
 	for _, k := range keys {
@@ -146,8 +109,8 @@ func scrapeRouterCounters(url string) (map[string]uint64, error) {
 	return out, nil
 }
 
-// chaosExperiment runs the resilience soak and writes BENCH_PR6.json.
-func chaosExperiment(lib *cellib.Library, jsonPath string, dur time.Duration, clients int) (string, error) {
+// chaosExperiment runs the resilience soak and its assertions.
+func chaosExperiment(lib *cellib.Library, dur time.Duration, clients int) (string, error) {
 	if dur < time.Second {
 		return "", fmt.Errorf("-chaosdur must be at least 1s")
 	}
@@ -253,19 +216,18 @@ func chaosExperiment(lib *cellib.Library, jsonPath string, dur time.Duration, cl
 	// Soak: clients hammer both circuits round-robin while the controller
 	// walks the fault schedule in quarters of the run.
 	var (
-		next        atomic.Int64
-		failures    atomic.Int64
-		divergent   atomic.Int64
-		degraded    atomic.Int64
-		latMu       sync.Mutex
-		lats        []time.Duration
-		phases      []string
-		soakEnd     = time.Now().Add(dur)
-		quarter     = dur / 4
-		wg          sync.WaitGroup
-		controller  sync.WaitGroup
-		phase       = func(f string, a ...any) { phases = append(phases, fmt.Sprintf(f, a...)) }
-		soakStarted = time.Now()
+		next       atomic.Int64
+		failures   atomic.Int64
+		divergent  atomic.Int64
+		degraded   atomic.Int64
+		latMu      sync.Mutex
+		lats       []time.Duration
+		phases     []string
+		soakEnd    = time.Now().Add(dur)
+		quarter    = dur / 4
+		wg         sync.WaitGroup
+		controller sync.WaitGroup
+		phase      = func(f string, a ...any) { phases = append(phases, fmt.Sprintf(f, a...)) }
 	)
 	phase("0/4: all healthy (hedge warmup, result-cache fill)")
 	controller.Add(1)
@@ -313,7 +275,6 @@ func chaosExperiment(lib *cellib.Library, jsonPath string, dur time.Duration, cl
 	}
 	wg.Wait()
 	controller.Wait()
-	wall := time.Since(soakStarted)
 	total := int(next.Load())
 
 	// Blackout probe: with every replica dead, a previously served request
@@ -363,84 +324,39 @@ func chaosExperiment(lib *cellib.Library, jsonPath string, dur time.Duration, cl
 		return "", fmt.Errorf("scrape router metrics: %w", err)
 	}
 
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	rep6 := ChaosReport{
-		GoVersion:        runtime.Version(),
-		GOMAXPROCS:       runtime.GOMAXPROCS(0),
-		Replicas:         nReplicas,
-		Replication:      replication,
-		Clients:          clients,
-		DurationMs:       float64(wall) / float64(time.Millisecond),
-		Phases:           phases,
-		Requests:         total,
-		Failures:         int(failures.Load()),
-		DivergentReports: int(divergent.Load()),
-		DegradedReports:  int(degraded.Load()),
-		P50Us:            percentile(lats, 0.50),
-		P99Us:            percentile(lats, 0.99),
-		Hedges:           counters["hedges_total"],
-		HedgeWins:        counters["hedge_wins_total"],
-		Failovers:        counters["failovers_total"],
-		Reuploads:        counters["reuploads_total"],
-		BreakerOpens:     counters["breaker_opens_total"],
-		BreakerCloses:    counters["breaker_closes_total"],
-		BreakerSkips:     counters["breaker_skips_total"],
-		DegradedServes:   counters["degraded_serves_total"],
-		DeadlineShed:     counters["deadline_shed_total"],
-	}
-	if rep6.Hedges > 0 {
-		rep6.HedgeRate = float64(rep6.Hedges) / float64(total)
-	}
+	slices.Sort(lats)
+	p50, p99 := percentile(lats, 0.50), percentile(lats, 0.99)
 
 	// The soak's hard assertions: correctness first, then proof that each
 	// resilience mechanism actually fired.
-	if rep6.DivergentReports != 0 {
-		return "", fmt.Errorf("chaos soak: %d divergent reports (want 0)", rep6.DivergentReports)
+	if n := divergent.Load(); n != 0 {
+		return "", fmt.Errorf("chaos soak: %d divergent reports (want 0)", n)
 	}
-	if p99 := time.Duration(rep6.P99Us) * time.Microsecond; p99 >= clientTO/2 {
-		return "", fmt.Errorf("chaos soak: p99 %v not bounded (want < %v)", p99, clientTO/2)
+	if d := time.Duration(p99) * time.Microsecond; d >= clientTO/2 {
+		return "", fmt.Errorf("chaos soak: p99 %v not bounded (want < %v)", d, clientTO/2)
 	}
-	checks := []struct {
-		name string
-		v    uint64
-	}{
-		{"hedges_total", rep6.Hedges},
-		{"failovers_total", rep6.Failovers},
-		{"breaker_opens_total", rep6.BreakerOpens},
-		{"breaker_closes_total", rep6.BreakerCloses},
-		{"degraded_serves_total", rep6.DegradedServes},
-		{"deadline_shed_total", rep6.DeadlineShed},
-	}
-	for _, c := range checks {
-		if c.v == 0 {
-			return "", fmt.Errorf("chaos soak: %s is 0 — that mechanism never fired", c.name)
+	for _, name := range []string{"hedges_total", "failovers_total", "breaker_opens_total",
+		"breaker_closes_total", "degraded_serves_total", "deadline_shed_total"} {
+		if counters[name] == 0 {
+			return "", fmt.Errorf("chaos soak: %s is 0 — that mechanism never fired", name)
 		}
 	}
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "Chaos soak: %d replicas (replication %d), %d clients, %v, %s\n",
-		nReplicas, replication, clients, dur.Round(time.Millisecond), rep6.GoVersion)
+		nReplicas, replication, clients, dur.Round(time.Millisecond), runtime.Version())
 	for _, p := range phases {
 		fmt.Fprintf(&b, "  phase %s\n", p)
 	}
 	fmt.Fprintf(&b, "%d requests, %d failed during fault windows, 0 divergent reports, %d degraded\n",
-		rep6.Requests, rep6.Failures, rep6.DegradedReports)
+		total, failures.Load(), degraded.Load())
 	fmt.Fprintf(&b, "latency p50 %.0fus p99 %.0fus (bounded under the %v client deadline)\n",
-		rep6.P50Us, rep6.P99Us, clientTO)
+		p50, p99, clientTO)
 	fmt.Fprintf(&b, "hedges %d (%.1f%% of requests, %d won), failovers %d, reuploads %d\n",
-		rep6.Hedges, 100*rep6.HedgeRate, rep6.HedgeWins, rep6.Failovers, rep6.Reuploads)
+		counters["hedges_total"], 100*float64(counters["hedges_total"])/float64(total),
+		counters["hedge_wins_total"], counters["failovers_total"], counters["reuploads_total"])
 	fmt.Fprintf(&b, "breaker opens %d closes %d skips %d, degraded serves %d, deadline sheds %d\n",
-		rep6.BreakerOpens, rep6.BreakerCloses, rep6.BreakerSkips, rep6.DegradedServes, rep6.DeadlineShed)
-
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(rep6, "", "  ")
-		if err != nil {
-			return "", err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "\nwrote %s\n", jsonPath)
-	}
+		counters["breaker_opens_total"], counters["breaker_closes_total"], counters["breaker_skips_total"],
+		counters["degraded_serves_total"], counters["deadline_shed_total"])
 	return b.String(), nil
 }

@@ -2,14 +2,13 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"regexp"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -47,42 +46,15 @@ import (
 // halotisd_build_info{replica="..."} identifies the node and
 // halotisd_sim_runs_total counts the kernel runs it absorbed.
 
-// ClusterPoint is one measured (mode, replicas) configuration.
-type ClusterPoint struct {
-	Mode        string  `json:"mode"`
-	Replicas    int     `json:"replicas"`
-	Replication int     `json:"replication"`
-	Circuits    int     `json:"circuits"`
-	Clients     int     `json:"clients"`
-	Requests    int     `json:"requests"`
-	ReqPerSec   float64 `json:"req_per_sec"`
-	P50Us       float64 `json:"p50_us"`
-	P99Us       float64 `json:"p99_us"`
-	// PerNodeRuns attributes kernel runs per replica, scraped from each
+// clusterPoint is one measured (mode, replicas) configuration.
+type clusterPoint struct {
+	requests     int
+	reqPerSec    float64
+	p50Us, p99Us float64
+	// perNodeRuns attributes kernel runs per replica, scraped from each
 	// node's /metrics (halotisd_sim_runs_total joined on the
 	// halotisd_build_info replica label).
-	PerNodeRuns map[string]uint64 `json:"per_node_runs"`
-}
-
-// ClusterReport is the JSON document emitted by -exp cluster
-// (BENCH_PR5.json).
-type ClusterReport struct {
-	GoVersion  string `json:"go_version"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	Runs       int    `json:"requests_per_sweep"`
-	// NodeSlots and NodeServiceDelayMs describe the capacity model of
-	// "capacity" mode: each replica serves NodeSlots requests at a time,
-	// each occupying the node for at least NodeServiceDelayMs.
-	NodeSlots          int            `json:"node_slots"`
-	NodeServiceDelayMs float64        `json:"node_service_delay_ms"`
-	Points             []ClusterPoint `json:"points"`
-	// SpeedupCapacity is aggregate unique-request throughput at the
-	// largest replica count vs 1, under the per-node capacity model —
-	// the sharding payoff.
-	SpeedupCapacity float64 `json:"speedup_capacity"`
-	// SpeedupCPU is the same ratio with no capacity model: what spare
-	// host cores (if any) add on top.
-	SpeedupCPU float64 `json:"speedup_cpu"`
+	perNodeRuns map[string]uint64
 }
 
 // cappedNode models one node's bounded capacity in front of a replica
@@ -153,7 +125,7 @@ func clusterWorkloads(lib *cellib.Library, n int) ([]*halotis.Circuit, error) {
 }
 
 // clusterSweep measures one (mode, replicas) point.
-func clusterSweep(lib *cellib.Library, mode string, nReplicas, runs, clients int, delay time.Duration) (*ClusterPoint, error) {
+func clusterSweep(lib *cellib.Library, nReplicas, runs, clients int, delay time.Duration) (*clusterPoint, error) {
 	type node struct {
 		svc *service.Server
 		ts  *httptest.Server
@@ -260,22 +232,17 @@ func clusterSweep(lib *cellib.Library, mode string, nReplicas, runs, clients int
 		perNode[id] = nodeRuns
 	}
 
-	return &ClusterPoint{
-		Mode:        mode,
-		Replicas:    nReplicas,
-		Replication: replication,
-		Circuits:    len(ckts),
-		Clients:     clients,
-		Requests:    len(all),
-		ReqPerSec:   float64(len(all)) / wall.Seconds(),
-		P50Us:       percentile(all, 0.50),
-		P99Us:       percentile(all, 0.99),
-		PerNodeRuns: perNode,
+	return &clusterPoint{
+		requests:    len(all),
+		reqPerSec:   float64(len(all)) / wall.Seconds(),
+		p50Us:       percentile(all, 0.50),
+		p99Us:       percentile(all, 0.99),
+		perNodeRuns: perNode,
 	}, nil
 }
 
-// clusterExperiment runs the sharding sweep and writes BENCH_PR5.json.
-func clusterExperiment(lib *cellib.Library, jsonPath, replicasFlag string, runs, clients int) (string, error) {
+// clusterExperiment runs the sharding sweep in both modes.
+func clusterExperiment(lib *cellib.Library, replicasFlag string, runs, clients int) (string, error) {
 	if runs < 1 || clients < 1 {
 		return "", fmt.Errorf("-clusterruns and -clusterclients must be >= 1")
 	}
@@ -284,20 +251,14 @@ func clusterExperiment(lib *cellib.Library, jsonPath, replicasFlag string, runs,
 		return "", fmt.Errorf("bad -clusterreplicas: %w", err)
 	}
 
+	// Each node of the capacity model serves one request at a time, each
+	// occupying it for at least nodeDelay.
 	const nodeDelay = 4 * time.Millisecond
-	rep := ClusterReport{
-		GoVersion:          runtime.Version(),
-		GOMAXPROCS:         runtime.GOMAXPROCS(0),
-		Runs:               runs,
-		NodeSlots:          1,
-		NodeServiceDelayMs: float64(nodeDelay) / float64(time.Millisecond),
-	}
-
 	var b strings.Builder
 	fmt.Fprintf(&b, "Cluster sharding sweep (%d unique requests/sweep, %d clients, %s, host GOMAXPROCS %d)\n",
-		runs, clients, rep.GoVersion, rep.GOMAXPROCS)
-	fmt.Fprintf(&b, "capacity mode models each node as %d slot x %v service time; cpu mode is raw (replicas share this host's cores)\n",
-		rep.NodeSlots, nodeDelay)
+		runs, clients, runtime.Version(), runtime.GOMAXPROCS(0))
+	fmt.Fprintf(&b, "capacity mode models each node as 1 slot x %v service time; cpu mode is raw (replicas share this host's cores)\n",
+		nodeDelay)
 	fmt.Fprintf(&b, "%-9s %9s %12s %12s %10s %10s  %s\n", "mode", "replicas", "requests", "req/s", "p50(us)", "p99(us)", "per-node runs")
 
 	byMode := map[string]map[int]float64{}
@@ -308,46 +269,24 @@ func clusterExperiment(lib *cellib.Library, jsonPath, replicasFlag string, runs,
 			delay = 0
 		}
 		for _, n := range counts {
-			p, err := clusterSweep(lib, mode, n, runs, clients, delay)
+			p, err := clusterSweep(lib, n, runs, clients, delay)
 			if err != nil {
 				return "", fmt.Errorf("%s mode, %d replicas: %w", mode, n, err)
 			}
-			rep.Points = append(rep.Points, *p)
-			byMode[mode][n] = p.ReqPerSec
+			byMode[mode][n] = p.reqPerSec
 			var nodesDesc []string
-			for _, id := range sortedKeys(p.PerNodeRuns) {
-				nodesDesc = append(nodesDesc, fmt.Sprintf("%s:%d", id, p.PerNodeRuns[id]))
+			for _, id := range sortedKeys(p.perNodeRuns) {
+				nodesDesc = append(nodesDesc, fmt.Sprintf("%s:%d", id, p.perNodeRuns[id]))
 			}
 			fmt.Fprintf(&b, "%-9s %9d %12d %12.0f %10.0f %10.0f  %s\n",
-				p.Mode, p.Replicas, p.Requests, p.ReqPerSec, p.P50Us, p.P99Us, strings.Join(nodesDesc, " "))
+				mode, n, p.requests, p.reqPerSec, p.p50Us, p.p99Us, strings.Join(nodesDesc, " "))
 		}
 	}
 
-	minN, maxN := counts[0], counts[0]
-	for _, n := range counts {
-		if n < minN {
-			minN = n
-		}
-		if n > maxN {
-			maxN = n
-		}
-	}
+	minN, maxN := slices.Min(counts), slices.Max(counts)
 	if minN != maxN {
-		rep.SpeedupCapacity = byMode["capacity"][maxN] / byMode["capacity"][minN]
-		rep.SpeedupCPU = byMode["cpu"][maxN] / byMode["cpu"][minN]
 		fmt.Fprintf(&b, "aggregate unique-request speedup %dx->%dx replicas: %.2fx under the per-node capacity model, %.2fx raw cpu\n",
-			minN, maxN, rep.SpeedupCapacity, rep.SpeedupCPU)
-	}
-
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return "", err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "\nwrote %s\n", jsonPath)
+			minN, maxN, byMode["capacity"][maxN]/byMode["capacity"][minN], byMode["cpu"][maxN]/byMode["cpu"][minN])
 	}
 	return b.String(), nil
 }

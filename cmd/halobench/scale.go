@@ -1,47 +1,17 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"strconv"
 	"strings"
 	"time"
 
 	"halotis/internal/cellib"
-	"halotis/internal/circ"
 	"halotis/internal/circuits"
 	"halotis/internal/sim"
 	"halotis/internal/stimuli"
 )
-
-// ScalePoint is one measured (family, size, model) configuration of the
-// size-scaling sweep, serialized into BENCH_PR2.json.
-type ScalePoint struct {
-	Family     string  `json:"family"`
-	Circuit    string  `json:"circuit"`
-	Gates      int     `json:"gates"`
-	Nets       int     `json:"nets"`
-	Depth      int     `json:"depth"`
-	Model      string  `json:"model"`
-	Runs       int     `json:"runs"`
-	Events     uint64  `json:"events_per_run"`
-	NsPerRun   float64 `json:"ns_per_run"`
-	NsPerEvent float64 `json:"ns_per_event"`
-	EventsPerS float64 `json:"events_per_sec"`
-}
-
-// ScaleReport is the JSON document emitted by -exp scale: the kernel's
-// ns/event scaling curve over circuit size, DDM vs CDM, per family.
-type ScaleReport struct {
-	GoVersion  string       `json:"go_version"`
-	GOMAXPROCS int          `json:"gomaxprocs"`
-	Vectors    int          `json:"vectors"`
-	PeriodNs   float64      `json:"period_ns"`
-	Sizes      []int        `json:"target_gate_counts"`
-	Points     []ScalePoint `json:"points"`
-}
 
 // parseSizes parses the -scalesizes flag ("1000,3000,10000").
 func parseSizes(s string) ([]int, error) {
@@ -64,11 +34,10 @@ func parseSizes(s string) ([]int, error) {
 }
 
 // scaleExperiment sweeps circuit size across the scalable families under
-// random stimulus and measures kernel ns/event for DDM and CDM, rendering a
-// table and optionally writing the JSON record (the BENCH_PR2.json scaling
-// curve). Every size reuses one warm engine per model, so the numbers are
-// the steady-state event-loop cost, not setup.
-func scaleExperiment(lib *cellib.Library, jsonPath, sizesFlag string, runs int) (string, error) {
+// random stimulus and measures kernel ns/event for DDM and CDM. Every size
+// reuses one warm engine per model, so the numbers are the steady-state
+// event-loop cost, not setup.
+func scaleExperiment(lib *cellib.Library, sizesFlag string, runs int) (string, error) {
 	if runs < 1 {
 		return "", fmt.Errorf("-scaleruns must be >= 1, got %d", runs)
 	}
@@ -83,16 +52,9 @@ func scaleExperiment(lib *cellib.Library, jsonPath, sizesFlag string, runs int) 
 	)
 	tEnd := period * float64(vectors+1)
 
-	rep := ScaleReport{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Vectors:    vectors,
-		PeriodNs:   period,
-		Sizes:      sizes,
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Size scaling (%d random vectors @ %gns, %d runs/point, %s)\n",
-		vectors, period, runs, rep.GoVersion)
+		vectors, period, runs, runtime.Version())
 	fmt.Fprintf(&b, "%-14s %8s %7s %6s %14s %12s %12s\n",
 		"family", "gates", "depth", "model", "events/run", "ns/run", "ns/event")
 
@@ -102,7 +64,6 @@ func scaleExperiment(lib *cellib.Library, jsonPath, sizesFlag string, runs int) 
 			if err != nil {
 				return "", fmt.Errorf("%s @ %d gates: %w", fam.Name, target, err)
 			}
-			ir := circ.Compile(ckt)
 			st, err := stimuli.RandomStimulusFor(ckt, vectors, period, slew, int64(target))
 			if err != nil {
 				return "", err
@@ -120,38 +81,22 @@ func scaleExperiment(lib *cellib.Library, jsonPath, sizesFlag string, runs int) 
 						return "", err
 					}
 				}
-				elapsed := float64(time.Since(start).Nanoseconds())
-				p := ScalePoint{
-					Family:   fam.Name,
-					Circuit:  ckt.Name,
-					Gates:    len(ckt.Gates),
-					Nets:     ir.NumNets(),
-					Depth:    ckt.Depth(),
-					Model:    m.String(),
-					Runs:     runs,
-					Events:   events,
-					NsPerRun: elapsed / float64(runs),
-				}
+				nsPerRun := float64(time.Since(start).Nanoseconds()) / float64(runs)
+				nsPerEvent := 0.0
 				if events > 0 {
-					p.NsPerEvent = p.NsPerRun / float64(events)
-					p.EventsPerS = 1e9 / p.NsPerEvent
+					nsPerEvent = nsPerRun / float64(events)
 				}
-				rep.Points = append(rep.Points, p)
 				fmt.Fprintf(&b, "%-14s %8d %7d %6s %14d %12.0f %12.1f\n",
-					p.Family, p.Gates, p.Depth, shortModel(m), p.Events, p.NsPerRun, p.NsPerEvent)
+					fam.Name, len(ckt.Gates), ckt.Depth(), shortModel(m), events, nsPerRun, nsPerEvent)
 			}
 		}
 	}
-
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return "", err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "\nwrote %s\n", jsonPath)
-	}
 	return b.String(), nil
+}
+
+func shortModel(m sim.Model) string {
+	if m == sim.DDM {
+		return "DDM"
+	}
+	return "CDM"
 }

@@ -2,12 +2,10 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http/httptest"
-	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,49 +17,6 @@ import (
 	"halotis/internal/netfmt"
 	"halotis/internal/service"
 )
-
-// ServePoint is one measured (workload, mode, concurrency) configuration
-// of the service load test, serialized into the BENCH_PR*.json record.
-// Mode "unique" sends a distinct stimulus per request (every request runs
-// the kernel); mode "repeat" re-sends one identical request (steady state
-// is served from the daemon's result cache without a kernel run).
-type ServePoint struct {
-	Circuit      string  `json:"circuit"`
-	Mode         string  `json:"mode"`
-	Gates        int     `json:"gates"`
-	Clients      int     `json:"clients"`
-	Requests     int     `json:"requests"`
-	ReqPerSec    float64 `json:"req_per_sec"`
-	P50Us        float64 `json:"p50_us"`
-	P99Us        float64 `json:"p99_us"`
-	EventsPerReq uint64  `json:"events_per_req"`
-}
-
-// BatchPoint measures the batch endpoint's fan-out: one request carrying
-// many distinct jobs, executed across the daemon's worker pool.
-type BatchPoint struct {
-	Circuit        string  `json:"circuit"`
-	JobsPerBatch   int     `json:"jobs_per_batch"`
-	Batches        int     `json:"batches"`
-	JobsPerSec     float64 `json:"jobs_per_sec"`
-	Workers        int     `json:"workers"`
-	PeakInFlight   int64   `json:"peak_in_flight"`
-	EventsPerJob   uint64  `json:"events_per_job"`
-	BatchWallMsP50 float64 `json:"batch_wall_ms_p50"`
-}
-
-// ServeReport is the JSON document emitted by -exp serve.
-type ServeReport struct {
-	GoVersion          string                   `json:"go_version"`
-	GOMAXPROCS         int                      `json:"gomaxprocs"`
-	RunsPerConc        int                      `json:"requests_per_client"`
-	Points             []ServePoint             `json:"points"`
-	BatchPoints        []BatchPoint             `json:"batch_points"`
-	Cache              service.CacheStats       `json:"cache"`
-	CacheHitRate       float64                  `json:"cache_hit_rate"`
-	ResultCache        service.ResultCacheStats `json:"result_cache"`
-	ResultCacheHitRate float64                  `json:"result_cache_hit_rate"`
-}
 
 func parseConcList(s string) ([]int, error) {
 	var out []int
@@ -115,9 +70,9 @@ func percentile(sorted []time.Duration, p float64) float64 {
 // engine pools carry the load; every request runs the kernel); "repeat" —
 // the same clients re-sending one identical request (the result cache
 // answers without a kernel run); and the batch endpoint fanning many jobs
-// per request across the worker pool. It records requests/sec, p50/p99
+// per request across the worker pool. It reports requests/sec, p50/p99
 // latency, batch jobs/sec and the final cache + result-cache hit rates.
-func serveExperiment(lib *cellib.Library, jsonPath, concFlag string, runs int) (string, error) {
+func serveExperiment(lib *cellib.Library, concFlag string, runs int) (string, error) {
 	if runs < 1 {
 		return "", fmt.Errorf("-serveruns must be >= 1, got %d", runs)
 	}
@@ -164,14 +119,9 @@ func serveExperiment(lib *cellib.Library, jsonPath, concFlag string, runs int) (
 		{"mult4x4", multText.String(), "net"},
 	}
 
-	rep := ServeReport{
-		GoVersion:   runtime.Version(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		RunsPerConc: runs,
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Service load test (%d requests/client, %s, %d workers)\n",
-		runs, rep.GoVersion, runtime.GOMAXPROCS(0))
+		runs, runtime.Version(), runtime.GOMAXPROCS(0))
 	fmt.Fprintf(&b, "%-10s %-7s %8s %8s %10s %12s %10s %10s\n",
 		"circuit", "mode", "gates", "clients", "requests", "req/s", "p50(us)", "p99(us)")
 
@@ -181,7 +131,7 @@ func serveExperiment(lib *cellib.Library, jsonPath, concFlag string, runs int) (
 	// kernel run, contaminating the measurement). Reset per workload.
 	nextVariant := 1
 
-	sweep := func(wl workload, up *client.UploadResponse, mode string, conc int, events uint64) error {
+	sweep := func(wl workload, up *client.UploadResponse, mode string, conc int) error {
 		latencies := make([][]time.Duration, conc)
 		errs := make([]error, conc)
 		base := nextVariant
@@ -224,21 +174,10 @@ func serveExperiment(lib *cellib.Library, jsonPath, concFlag string, runs int) (
 		for _, lat := range latencies {
 			all = append(all, lat...)
 		}
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-		p := ServePoint{
-			Circuit:      wl.name,
-			Mode:         mode,
-			Gates:        up.Gates,
-			Clients:      conc,
-			Requests:     len(all),
-			ReqPerSec:    float64(len(all)) / wall.Seconds(),
-			P50Us:        percentile(all, 0.50),
-			P99Us:        percentile(all, 0.99),
-			EventsPerReq: events,
-		}
-		rep.Points = append(rep.Points, p)
+		slices.Sort(all)
 		fmt.Fprintf(&b, "%-10s %-7s %8d %8d %10d %12.0f %10.0f %10.0f\n",
-			p.Circuit, p.Mode, p.Gates, p.Clients, p.Requests, p.ReqPerSec, p.P50Us, p.P99Us)
+			wl.name, mode, up.Gates, conc, len(all), float64(len(all))/wall.Seconds(),
+			percentile(all, 0.50), percentile(all, 0.99))
 		return nil
 	}
 
@@ -250,7 +189,7 @@ func serveExperiment(lib *cellib.Library, jsonPath, concFlag string, runs int) (
 		}
 
 		// One warm-up request per workload primes the engine pools.
-		warm, err := cl.Simulate(ctx, client.SimRequest{
+		_, err = cl.Simulate(ctx, client.SimRequest{
 			Circuit: up.ID,
 			Request: client.Request{TEnd: 30, Stimulus: toggleStimulus(up.Inputs, 0)},
 		})
@@ -260,7 +199,7 @@ func serveExperiment(lib *cellib.Library, jsonPath, concFlag string, runs int) (
 
 		for _, mode := range []string{"unique", "repeat"} {
 			for _, conc := range concs {
-				if err := sweep(wl, up, mode, conc, warm.Stats.EventsProcessed); err != nil {
+				if err := sweep(wl, up, mode, conc); err != nil {
 					return "", err
 				}
 			}
@@ -283,19 +222,16 @@ func serveExperiment(lib *cellib.Library, jsonPath, concFlag string, runs int) (
 		const jobsPerBatch = 32
 		batches := runs/4 + 1
 		jobs := make([]client.Request, jobsPerBatch)
-		walls := make([]time.Duration, 0, batches)
 		start := time.Now()
 		var batchErr error
 		for n := 0; n < batches; n++ {
 			for j := range jobs {
 				jobs[j] = client.Request{TEnd: 30, Stimulus: toggleStimulus(bup.Inputs, nextVariant+n*jobsPerBatch+j)}
 			}
-			t0 := time.Now()
 			if _, err := bcl.SimulateBatch(ctx, client.BatchRequest{Circuit: bup.ID, Requests: jobs}); err != nil {
 				batchErr = fmt.Errorf("batch %s: %w", wl.name, err)
 				break
 			}
-			walls = append(walls, time.Since(t0))
 		}
 		wall := time.Since(start)
 		nextVariant += batches * jobsPerBatch
@@ -305,41 +241,14 @@ func serveExperiment(lib *cellib.Library, jsonPath, concFlag string, runs int) (
 		if batchErr != nil {
 			return "", batchErr
 		}
-		sort.Slice(walls, func(i, j int) bool { return walls[i] < walls[j] })
-		bp := BatchPoint{
-			Circuit:        wl.name,
-			JobsPerBatch:   jobsPerBatch,
-			Batches:        batches,
-			JobsPerSec:     float64(jobsPerBatch*batches) / wall.Seconds(),
-			Workers:        runtime.GOMAXPROCS(0),
-			PeakInFlight:   peak,
-			EventsPerJob:   warm.Stats.EventsProcessed,
-			BatchWallMsP50: percentile(walls, 0.50) / 1e3,
-		}
-		rep.BatchPoints = append(rep.BatchPoints, bp)
 		fmt.Fprintf(&b, "%-10s batch  %8d jobs x %d batches %12.0f jobs/s (peak in-flight %d)\n",
-			bp.Circuit, bp.JobsPerBatch, bp.Batches, bp.JobsPerSec, bp.PeakInFlight)
+			wl.name, jobsPerBatch, batches, float64(jobsPerBatch*batches)/wall.Seconds(), peak)
 	}
 
-	rep.Cache = svc.CacheStats()
-	rep.CacheHitRate = rep.Cache.HitRate()
-	rep.ResultCache = svc.ResultCacheStats()
-	rep.ResultCacheHitRate = rep.ResultCache.HitRate()
+	cache, results := svc.CacheStats(), svc.ResultCacheStats()
 	fmt.Fprintf(&b, "circuit cache: %d compiles, %d hits, %d misses (hit rate %.4f), %d engines created\n",
-		rep.Cache.Compiles, rep.Cache.Hits, rep.Cache.Misses, rep.CacheHitRate, rep.Cache.EnginesCreated)
+		cache.Compiles, cache.Hits, cache.Misses, cache.HitRate(), cache.EnginesCreated)
 	fmt.Fprintf(&b, "result cache: %d hits, %d misses (hit rate %.4f), %d entries, %d evictions\n",
-		rep.ResultCache.Hits, rep.ResultCache.Misses, rep.ResultCacheHitRate,
-		rep.ResultCache.Entries, rep.ResultCache.Evictions)
-
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return "", err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "\nwrote %s\n", jsonPath)
-	}
+		results.Hits, results.Misses, results.HitRate(), results.Entries, results.Evictions)
 	return b.String(), nil
 }

@@ -68,6 +68,36 @@ func SniffFormat(text string) Format {
 	return FormatNative
 }
 
+// ParseText parses netlist text from a source with no file name (service
+// uploads): format is a FormatByName value, where "" or "auto" sniffs the
+// text, and a non-empty name overrides the circuit's own. Replicas and the
+// cluster router both parse uploads here, so the router's locally computed
+// content hash matches the ID the replicas assign.
+func ParseText(text, format string, lib *cellib.Library, name string) (*netlist.Circuit, error) {
+	f, ok := FormatByName(format)
+	if !ok {
+		return nil, fmt.Errorf("unknown netlist format %q", format)
+	}
+	if f == FormatAuto {
+		f = SniffFormat(text)
+	}
+	var ckt *netlist.Circuit
+	var err error
+	switch f {
+	case FormatBench:
+		ckt, err = ParseBench(strings.NewReader(text), lib)
+	default:
+		ckt, err = ParseCircuit(strings.NewReader(text), lib)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if name != "" {
+		ckt.Name = name
+	}
+	return ckt, nil
+}
+
 // inFile stamps the named file onto an error produced while reading it, so
 // multi-file diagnostics say which file went wrong: ParseErrors get their
 // File field set (rendered as file:line), anything else (netlist builder

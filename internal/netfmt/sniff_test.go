@@ -1,6 +1,9 @@
 package netfmt
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestSniffFormat(t *testing.T) {
 	cases := []struct {
@@ -17,6 +20,38 @@ func TestSniffFormat(t *testing.T) {
 	for _, c := range cases {
 		if got := SniffFormat(c.text); got != c.want {
 			t.Errorf("%s: SniffFormat = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+func TestParseText(t *testing.T) {
+	cases := []struct {
+		name, text, format, rename string
+		wantName                   string
+		wantGates                  int
+		wantErr                    string
+	}{
+		{name: "auto-sniffed bench", text: C17Bench(), wantName: "bench", wantGates: 6},
+		{name: "auto-sniffed native", text: sample, format: "auto", wantName: "demo", wantGates: 2},
+		{name: "explicit bench", text: C17Bench(), format: "iscas85", wantName: "bench", wantGates: 6},
+		{name: "explicit format is not sniffed", text: C17Bench(), format: "net", wantErr: `unknown directive "INPUT(1)"`},
+		{name: "unknown format", text: sample, format: "verilog", wantErr: `unknown netlist format "verilog"`},
+		{name: "name override", text: sample, rename: "renamed", wantName: "renamed", wantGates: 2},
+	}
+	for _, c := range cases {
+		ckt, err := ParseText(c.text, c.format, lib, c.rename)
+		if c.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if ckt.Name != c.wantName || len(ckt.Gates) != c.wantGates {
+			t.Errorf("%s: got circuit %q with %d gates, want %q with %d", c.name, ckt.Name, len(ckt.Gates), c.wantName, c.wantGates)
 		}
 	}
 }

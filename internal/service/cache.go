@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -13,7 +12,6 @@ import (
 	"halotis/internal/cellib"
 	"halotis/internal/circ"
 	"halotis/internal/netfmt"
-	"halotis/internal/netlist"
 	"halotis/internal/sim"
 )
 
@@ -120,31 +118,6 @@ func rawKey(libName, format, text string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func parseNetlistText(text, format string, lib *cellib.Library, name string) (*netlist.Circuit, error) {
-	f, ok := netfmt.FormatByName(format)
-	if !ok {
-		return nil, fmt.Errorf("unknown netlist format %q", format)
-	}
-	if f == netfmt.FormatAuto {
-		f = netfmt.SniffFormat(text)
-	}
-	var ckt *netlist.Circuit
-	var err error
-	switch f {
-	case netfmt.FormatBench:
-		ckt, err = netfmt.ParseBench(strings.NewReader(text), lib)
-	default:
-		ckt, err = netfmt.ParseCircuit(strings.NewReader(text), lib)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if name != "" {
-		ckt.Name = name
-	}
-	return ckt, nil
-}
-
 func (c *circuitCache) newEntry(ir *circ.Compiled) *cacheEntry {
 	info := api.InfoOf(ir)
 	info.Replica = c.replica
@@ -182,7 +155,7 @@ func (c *circuitCache) Add(text, format, name string) (*cacheEntry, bool, error)
 
 	// Parse and compile outside the lock: uploads must not stall cache
 	// hits on other circuits.
-	ckt, err := parseNetlistText(text, format, c.lib, name)
+	ckt, err := netfmt.ParseText(text, format, c.lib, name)
 	var ir *circ.Compiled
 	if err == nil {
 		ir = circ.Compile(ckt)

@@ -297,7 +297,7 @@ func (e *Engine) applyStimulus(st Stimulus) {
 		for _, edge := range w.Edges {
 			slew := edge.Slew
 			if slew <= 0 {
-				slew = e.opt.DefaultSlew
+				slew = DefaultInputSlew
 			}
 			e.emit(net, edge.Time, slew, edge.Rising)
 		}

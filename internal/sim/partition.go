@@ -171,7 +171,8 @@ type partWorker struct {
 	stallWaits   uint64
 	mailboxSends uint64
 
-	pub uint64 // events already published to e.progress (see Engine.SetProgress)
+	pub     uint64 // events already published to e.progress (see Engine.SetProgress)
+	charged uint64 // events already charged to partRun.proc
 }
 
 // pubProgress flushes this worker's events since the last publish into the
@@ -190,7 +191,7 @@ type partRun struct {
 	pt      *circ.Partitioning
 	workers []*partWorker
 	pre     Stats         // stimulus-phase counters (applied single-threaded)
-	proc    atomic.Uint64 // shared fired-event budget, batch-charged
+	proc    atomic.Uint64 // shared fired-event budget, charged every 64 events
 	abort   atomic.Bool
 }
 
@@ -233,6 +234,7 @@ func (pr *partRun) reset() {
 		w.stallWaits = 0
 		w.mailboxSends = 0
 		w.pub = 0
+		w.charged = 0
 		w.clockPin.Store(0)
 		w.clockTime.Store(0)
 		for _, mb := range w.inbox {
@@ -266,7 +268,9 @@ func (e *Engine) runPartitioned(ctx context.Context, st Stimulus, tEnd float64, 
 	wg.Wait()
 
 	total := pr.pre
+	last := 0.0
 	for _, w := range pr.workers {
+		last = max(last, w.now)
 		queued, _, removed := w.q.Stats()
 		if w.err == nil && w.st.EventsFiltered != removed {
 			w.err = fmt.Errorf("sim: partition %d filtered-event accounting mismatch: %d vs %d",
@@ -284,6 +288,12 @@ func (e *Engine) runPartitioned(ctx context.Context, st Stimulus, tEnd float64, 
 		if w.err != nil {
 			return nil, w.err
 		}
+	}
+	// Workers charge the shared budget in batches, so together they can
+	// overrun the limit by up to a batch each unnoticed; the exact total
+	// decides, as it does in the sequential kernel.
+	if total.EventsProcessed > e.opt.MaxEvents {
+		return nil, fmt.Errorf("sim: event limit %d exceeded at t=%g ns (oscillation?)", e.opt.MaxEvents, last)
 	}
 
 	e.st = total
@@ -336,7 +346,7 @@ func (e *Engine) applyStimulusPartitioned(st Stimulus, pr *partRun) {
 		for _, edge := range w.Edges {
 			slew := edge.Slew
 			if slew <= 0 {
-				slew = e.opt.DefaultSlew
+				slew = DefaultInputSlew
 			}
 			tr := e.wfs[net].Add(edge.Time, slew, edge.Rising)
 			pr.pre.Transitions++
@@ -392,7 +402,11 @@ func (w *partWorker) run(ctx context.Context, pr *partRun, tEnd float64) {
 						return
 					}
 				}
-				if total := pr.proc.Add(ctxCheckMask + 1); total > e.opt.MaxEvents {
+				// Charge only events already fired: a charge ahead of the
+				// work would fail runs that stay within the limit.
+				total := pr.proc.Add(w.st.EventsProcessed - w.charged)
+				w.charged = w.st.EventsProcessed
+				if total > e.opt.MaxEvents {
 					w.fail(pr, fmt.Errorf("sim: event limit %d exceeded at t=%g ns (oscillation?)",
 						e.opt.MaxEvents, w.now))
 					return

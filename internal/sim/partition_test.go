@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -130,6 +131,43 @@ func TestPartitionedEngineReuse(t *testing.T) {
 		}
 		if got.Stats != wantStats {
 			t.Fatalf("run %d: stats drifted:\n got  %+v\n want %+v", run, got.Stats, wantStats)
+		}
+	}
+}
+
+// TestPartitionedEventLimit pins the event limit to the run, not to how it
+// is split: with MaxEvents at n-1, n and n+1 around a run's exact event
+// count n, every partition count agrees with the sequential kernel — n-1
+// fails, n and n+1 succeed. The service's result cache leaves Partitions
+// out of its key on exactly this premise.
+func TestPartitionedEventLimit(t *testing.T) {
+	lib := cellib.Default06()
+	ckt, err := circuits.FamilyByName("random-dag").Build(lib, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := stimuli.RandomStimulusFor(ckt, 3, 10, 0.2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tEnd = 40.0
+	base, err := sim.NewEngine(ckt, sim.Options{Partitions: 1}).Run(st, tEnd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := base.Stats.EventsProcessed
+	if n < 4*64 {
+		t.Fatalf("workload fires %d events; need more than one 64-event batch per worker at P=4", n)
+	}
+	for _, limit := range []uint64{n - 1, n, n + 1} {
+		for _, p := range []int{1, 2, 4} {
+			_, err := sim.NewEngine(ckt, sim.Options{Partitions: p, MaxEvents: limit}).Run(st, tEnd)
+			wantErr := limit < n
+			if (err != nil) != wantErr {
+				t.Errorf("P=%d MaxEvents=%d (run fires %d): err = %v, want error: %t", p, limit, n, err, wantErr)
+			} else if err != nil && !strings.Contains(err.Error(), "event limit") {
+				t.Errorf("P=%d MaxEvents=%d: error %q does not name the event limit", p, limit, err)
+			}
 		}
 	}
 }

@@ -56,9 +56,6 @@ type Options struct {
 	// MaxEvents aborts the run when exceeded, as a guard against
 	// oscillating circuits. Default 50e6.
 	MaxEvents uint64
-	// DefaultSlew is the input slew assumed for stimulus edges that do
-	// not specify one. Default 0.5 ns.
-	DefaultSlew float64
 	// Workers bounds the parallelism of RunBatch: <= 0 means one worker
 	// per available CPU. Single runs ignore it.
 	Workers int
@@ -85,13 +82,14 @@ type Options struct {
 	Profile bool
 }
 
-// Defaults applied by setDefaults. DefaultMinPulse and DefaultMaxEvents
-// are exported so layers above (the service's engine-pool keys) can
-// normalize explicit spellings of the defaults onto one value instead of
-// duplicating the literals. Note the engine's DefaultSlew (0.5 ns, for
-// stimulus edges reaching the kernel with no slew) is distinct from the
-// text/wire stimulus formats' own omitted-slew default of 0.3 ns, which
-// netfmt and the service apply before the stimulus reaches the engine.
+// Kernel defaults. setDefaults applies DefaultMinPulse and
+// DefaultMaxEvents, which are exported so layers above (the service's
+// engine-pool keys) can normalize explicit spellings of the defaults onto
+// one value instead of duplicating the literals. The stimulus path applies
+// DefaultInputSlew (0.5 ns, for edges reaching the kernel with no slew); it
+// is distinct from the text/wire stimulus formats' own omitted-slew default
+// of 0.3 ns, which netfmt and the service apply before the stimulus reaches
+// the engine.
 const (
 	// DefaultMinPulse is the default minimum output pulse separation, ns.
 	DefaultMinPulse = 1e-6
@@ -107,9 +105,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.MaxEvents == 0 {
 		o.MaxEvents = DefaultMaxEvents
-	}
-	if o.DefaultSlew <= 0 {
-		o.DefaultSlew = DefaultInputSlew
 	}
 }
 
