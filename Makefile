@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-race vet lint fmt-check bench bench-smoke fuzz-smoke chaos-smoke partition-smoke obs-smoke paper apicheck apicheck-update service-smoke cluster-smoke
+.PHONY: all build test test-race vet lint fmt-check bench bench-smoke fleet-smoke fuzz-smoke chaos-smoke partition-smoke obs-smoke paper apicheck apicheck-update service-smoke cluster-smoke
 
 all: build lint fmt-check test apicheck
 
@@ -58,12 +58,19 @@ bench:
 	bash perfbench/run.sh --workload serve-fleet
 
 # bench-smoke is the quick check of the root kernel benchmarks and the
-# halobench sweeps: few iterations each.
+# halobench scale sweep: few iterations each.
 bench-smoke:
 	$(GO) test -run=NONE -bench='Table2Seq1DDM|EngineReuseSeq1DDM' -benchmem -benchtime=100x .
 	$(GO) run ./cmd/halobench -exp scale -scaleruns 1 -scalesizes 500
-	$(GO) run ./cmd/halobench -exp serve -serveruns 20 -serveconc 1,4
-	$(GO) run ./cmd/halobench -exp cluster -clusterruns 60 -clusterclients 4
+
+# fleet-smoke is a short serve-fleet run of the repository benchmark: two
+# replicas behind a router, every report checked. perfbench exits 0 even
+# when ops fail, so the gate also requires "correct":true on the run's last
+# line (the JSON summary).
+fleet-smoke:
+	@out=$$(bash perfbench/run.sh --workload serve-fleet --seconds 3) || { echo "$$out"; exit 1; }; \
+	echo "$$out"; \
+	echo "$$out" | tail -n 1 | grep -q '"correct":true' || { echo "fleet-smoke: serve-fleet run not correct"; exit 1; }
 
 # chaos-smoke is the quick CI variant of the resilience soak: a short
 # fault-injection run whose built-in assertions (zero divergent reports,

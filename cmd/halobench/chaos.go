@@ -19,6 +19,7 @@ import (
 	"halotis/api"
 	"halotis/cluster"
 	"halotis/internal/cellib"
+	"halotis/internal/circuits"
 	"halotis/internal/service"
 )
 
@@ -105,6 +106,23 @@ func scrapeRouterCounters(url string) (map[string]uint64, error) {
 			return nil, err
 		}
 		out[m[1]] = v
+	}
+	return out, nil
+}
+
+// clusterWorkloads builds n same-size random combinational circuits under
+// distinct seeds, so their content hashes — and therefore their placements —
+// differ while per-request kernel cost stays uniform.
+func clusterWorkloads(lib *cellib.Library, n int) ([]*halotis.Circuit, error) {
+	out := make([]*halotis.Circuit, n)
+	for i := range out {
+		ckt, err := circuits.RandomCombinational(lib, circuits.RandomOptions{
+			Inputs: 8, Gates: 60, Seed: int64(i + 1),
+		})
+		if err != nil {
+			return nil, err
+		}
+		out[i] = ckt
 	}
 	return out, nil
 }

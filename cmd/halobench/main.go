@@ -5,12 +5,10 @@
 //
 // Usage:
 //
-//	halobench [-exp all|fig1|fig3|fig5|fig6|fig7|table1|table2|power|ddmcurve|scale|partition|serve|cluster|chaos|obs]
+//	halobench [-exp all|fig1|fig3|fig5|fig6|fig7|table1|table2|power|ddmcurve|scale|partition|chaos|obs]
 //	          [-fast]
 //	          [-scaleruns N] [-scalesizes 1000,3000,10000]
 //	          [-partruns N] [-partsizes 100000,250000] [-partcounts 1,2,4,8] [-partfam NAME]
-//	          [-serveruns N] [-serveconc 1,2,4,8]
-//	          [-clusterruns N] [-clusterclients N] [-clusterreplicas 1,3]
 //	          [-chaosdur DUR] [-chaosclients N]
 //	          [-obsruns N] [-version]
 //
@@ -23,11 +21,7 @@
 //   - partition: partition count against circuit size (100k gates and
 //     up); every partitioned configuration must be bit-identical to the
 //     sequential baseline before it is timed, so this is a large-circuit
-//     differential gate. It reports measured and critical-path-model
-//     speedup.
-//   - serve: concurrent clients and batch fan-out against an in-process
-//     halotisd: requests/sec, p50/p99 latency and cache hit rates.
-//   - cluster: aggregate unique-request throughput at 1 vs N replicas.
+//     differential gate. It reports measured speedup against P=1.
 //   - chaos: the resilience gate — a fault-injection soak of three
 //     replicas behind a router, failing on any divergent report, an
 //     unbounded p99, or a resilience mechanism that never fired.
@@ -50,12 +44,10 @@ import (
 
 // options holds the flag values the experiments read.
 type options struct {
-	fast                                        bool
-	scaleRuns, partRuns, serveRuns, clusterRuns int
-	clusterClients, chaosClients, obsRuns       int
-	scaleSizes, partSizes, partCounts, partFam  string
-	serveConc, clusterReplicas                  string
-	chaosDur                                    time.Duration
+	fast                                       bool
+	scaleRuns, partRuns, chaosClients, obsRuns int
+	scaleSizes, partSizes, partCounts, partFam string
+	chaosDur                                   time.Duration
 }
 
 // paperExperiments are what -exp all runs: the paper's figures and tables.
@@ -110,12 +102,6 @@ var experiments = map[string]func(*cellib.Library, *options) (string, error){
 	"partition": func(lib *cellib.Library, o *options) (string, error) {
 		return partitionExperiment(lib, o.partSizes, o.partCounts, o.partFam, o.partRuns)
 	},
-	"serve": func(lib *cellib.Library, o *options) (string, error) {
-		return serveExperiment(lib, o.serveConc, o.serveRuns)
-	},
-	"cluster": func(lib *cellib.Library, o *options) (string, error) {
-		return clusterExperiment(lib, o.clusterReplicas, o.clusterRuns, o.clusterClients)
-	},
 	"chaos": func(lib *cellib.Library, o *options) (string, error) {
 		return chaosExperiment(lib, o.chaosDur, o.chaosClients)
 	},
@@ -154,15 +140,10 @@ func run(w io.Writer, exp string, o *options) error {
 
 func main() {
 	var o options
-	exp := flag.String("exp", "all", "experiment: all, fig1, fig3, fig5, fig6, fig7, table1, table2, power, ddmcurve, scale, partition, serve, cluster, chaos, obs")
+	exp := flag.String("exp", "all", "experiment: all, fig1, fig3, fig5, fig6, fig7, table1, table2, power, ddmcurve, scale, partition, chaos, obs")
 	flag.BoolVar(&o.fast, "fast", false, "coarser analog step for table2")
 	flag.IntVar(&o.scaleRuns, "scaleruns", 3, "scale: iterations per (family, size, model) point")
 	flag.StringVar(&o.scaleSizes, "scalesizes", "1000,3000,10000", "scale: comma-separated target gate counts")
-	flag.IntVar(&o.serveRuns, "serveruns", 200, "serve: requests per concurrent client")
-	flag.StringVar(&o.serveConc, "serveconc", "1,2,4,8", "serve: comma-separated concurrent client counts")
-	flag.IntVar(&o.clusterRuns, "clusterruns", 600, "cluster: unique requests per sweep")
-	flag.IntVar(&o.clusterClients, "clusterclients", 8, "cluster: concurrent clients per sweep")
-	flag.StringVar(&o.clusterReplicas, "clusterreplicas", "1,3", "cluster: comma-separated replica counts to sweep")
 	flag.IntVar(&o.partRuns, "partruns", 2, "partition: timed iterations per (family, size, count) point")
 	flag.StringVar(&o.partSizes, "partsizes", "100000,250000", "partition: comma-separated target gate counts")
 	flag.StringVar(&o.partCounts, "partcounts", "1,2,4,8", "partition: comma-separated partition counts (include 1 for the baseline)")

@@ -112,15 +112,15 @@ func TestPlan(t *testing.T) {
 			t.Errorf("all names %q, which has no runner", n)
 		}
 	}
-	for _, n := range []string{"scale", "partition", "serve", "cluster", "chaos", "obs"} {
+	for _, n := range []string{"scale", "partition", "chaos", "obs"} {
 		if got, err := plan(n); err != nil || !slices.Equal(got, []string{n}) {
 			t.Errorf("plan(%q) = %v, %v; want just that mode", n, got, err)
 		}
 	}
-	if len(experiments) != len(want)+6 {
-		t.Errorf("%d experiments registered, want the %d paper modes and 6 others", len(experiments), len(want))
+	if len(experiments) != len(want)+4 {
+		t.Errorf("%d experiments registered, want the %d paper modes and 4 others", len(experiments), len(want))
 	}
-	for _, n := range []string{"bench", "slo", "layers", "", "All"} {
+	for _, n := range []string{"bench", "slo", "layers", "serve", "cluster", "", "All"} {
 		if _, err := plan(n); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
 			t.Errorf("plan(%q): err = %v, want unknown experiment", n, err)
 		}

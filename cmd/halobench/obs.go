@@ -104,6 +104,31 @@ func (d *obsDaemon) stimulus() client.Stimulus {
 	return toggleStimulus(d.inputs, d.last)
 }
 
+// toggleStimulus drives every listed input with a staggered rise/fall
+// pair; variant perturbs the edge times so distinct variants hash to
+// distinct result-cache keys. Callers that must miss the result cache draw
+// variants from one monotonic counter per circuit.
+func toggleStimulus(inputs []string, variant int) client.Stimulus {
+	dt := 0.0001 * float64(variant)
+	st := client.Stimulus{}
+	for i, in := range inputs {
+		st[in] = client.InputWave{Edges: []client.Edge{
+			{T: 2 + 0.37*float64(i%16) + dt, Rising: true, Slew: 0.2},
+			{T: 12 + 0.37*float64(i%16) + dt, Rising: false, Slew: 0.2},
+		}}
+	}
+	return st
+}
+
+// percentile returns the p-quantile of sorted latencies in microseconds.
+func percentile(sorted []time.Duration, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	idx := int(p * float64(len(sorted)-1))
+	return float64(sorted[idx].Nanoseconds()) / 1e3
+}
+
 // obsMode is one measured mode and its rounds.
 type obsMode struct {
 	name    string

@@ -13,34 +13,6 @@ import (
 	"halotis/internal/stimuli"
 )
 
-// modelMakespan replays the sequential fire sequence (recorded as the gate
-// index of every processed event, in pop order) against one partitioning:
-// each partition executes one event per step, and an event cannot start
-// before the latest step any of its upstream partitions has reached —
-// exactly the dependency structure the mailbox protocol enforces, with
-// message latency taken as zero. The result is the critical-path length of
-// the run on P processors.
-func modelMakespan(fires []int32, pt *circ.Partitioning) uint64 {
-	last := make([]uint64, pt.K)
-	for _, g := range fires {
-		p := pt.GatePart[g]
-		s := last[p]
-		for _, q := range pt.Incoming[p] {
-			if last[q] > s {
-				s = last[q]
-			}
-		}
-		last[p] = s + 1
-	}
-	var makespan uint64
-	for _, s := range last {
-		if s > makespan {
-			makespan = s
-		}
-	}
-	return makespan
-}
-
 // sameTransitions reports the first net whose transitions differ between
 // two runs of one circuit, or nil when every net matches bit for bit.
 func sameTransitions(want, got *sim.Result) error {
@@ -68,8 +40,7 @@ func sameTransitions(want, got *sim.Result) error {
 // so the benchmark doubles as a large-circuit differential test; famFilter
 // restricts the sweep to one family ("" = all). Measured speedup says more
 // about the host than the kernel on a machine with fewer cores than
-// partitions; the critical-path model column bounds what the partitioning
-// could deliver given enough cores.
+// partitions.
 func partitionExperiment(lib *cellib.Library, sizesFlag, countsFlag, famFilter string, runs int) (string, error) {
 	if runs < 1 {
 		return "", fmt.Errorf("-partruns must be >= 1, got %d", runs)
@@ -98,8 +69,8 @@ func partitionExperiment(lib *cellib.Library, sizesFlag, countsFlag, famFilter s
 	var b strings.Builder
 	fmt.Fprintf(&b, "Partitioned kernel (%d random vectors @ %gns, %d runs/point, GOMAXPROCS=%d, %s)\n",
 		vectors, period, runs, runtime.GOMAXPROCS(0), runtime.Version())
-	fmt.Fprintf(&b, "%-14s %8s %3s %12s %9s %12s %8s %8s\n",
-		"family", "gates", "P", "events/run", "bnd.pins", "ns/run", "meas.x", "model.x")
+	fmt.Fprintf(&b, "%-14s %8s %3s %12s %9s %12s %8s\n",
+		"family", "gates", "P", "events/run", "bnd.pins", "ns/run", "meas.x")
 
 	for _, fam := range circuits.ScalableFamilies() {
 		if famFilter != "" && fam.Name != famFilter {
@@ -116,17 +87,12 @@ func partitionExperiment(lib *cellib.Library, sizesFlag, countsFlag, famFilter s
 				return "", err
 			}
 
-			// Baseline pass: record the fire sequence for the schedule
-			// model off the warm-up run, then time the steady state.
-			seq := sim.NewEngine(ckt, sim.Options{Model: m, Partitions: 1})
-			var fires []int32
-			seq.SetFireHook(func(pin int32, t float64) { fires = append(fires, ir.Pins[pin].Gate) })
-			base, err := seq.Run(st, tEnd)
+			// Every configuration is held to this sequential run.
+			base, err := sim.NewEngine(ckt, sim.Options{Model: m, Partitions: 1}).Run(st, tEnd)
 			if err != nil {
 				return "", fmt.Errorf("%s @ %d gates: %w", fam.Name, target, err)
 			}
 			baseStats := base.Stats
-			seq.SetFireHook(nil)
 			events := baseStats.EventsProcessed
 			if events == 0 {
 				return "", fmt.Errorf("%s @ %d gates: degenerate workload, nothing fired", fam.Name, target)
@@ -154,21 +120,19 @@ func partitionExperiment(lib *cellib.Library, sizesFlag, countsFlag, famFilter s
 				}
 				nsPerRun := float64(time.Since(start).Nanoseconds()) / float64(runs)
 
-				// The P=1 baseline has no boundary and a makespan of
-				// every event; measured speedup is against it.
-				speedup, modelSpeedup, boundaryPins := 0.0, 1.0, 0
+				// The P=1 baseline has no boundary; measured speedup is
+				// against it.
+				speedup, boundaryPins := 0.0, 0
 				if p == 1 {
 					baseNsPerRun = nsPerRun
 				} else {
-					pt := ir.Partition(p)
-					boundaryPins = pt.BoundaryPins
-					modelSpeedup = float64(events) / float64(modelMakespan(fires, pt))
+					boundaryPins = ir.Partition(p).BoundaryPins
 				}
 				if baseNsPerRun > 0 {
 					speedup = baseNsPerRun / nsPerRun
 				}
-				fmt.Fprintf(&b, "%-14s %8d %3d %12d %9d %12.0f %8.2f %8.2f\n",
-					fam.Name, len(ckt.Gates), p, events, boundaryPins, nsPerRun, speedup, modelSpeedup)
+				fmt.Fprintf(&b, "%-14s %8d %3d %12d %9d %12.0f %8.2f\n",
+					fam.Name, len(ckt.Gates), p, events, boundaryPins, nsPerRun, speedup)
 			}
 		}
 	}

@@ -7,7 +7,10 @@
 //
 //	halotisd [-addr :8080] [-id NAME] [-workers N] [-queue N] [-cache N]
 //	         [-result-cache N] [-pool N] [-max-body BYTES]
-//	         [-max-timeout DUR] [-chaos RULES] [-chaos-seed N]
+//	         [-max-timeout DUR] [-max-events N] [-drain-timeout DUR]
+//	         [-slo-p99-ms MS] [-slo-availability FRACTION]
+//	         [-cluster URLS] [-replication R] [-probe-interval DUR]
+//	         [-chaos RULES] [-chaos-seed N]
 //	         [-log-level LEVEL] [-log-format FMT] [-pprof ADDR] [-version]
 //
 // Endpoints: POST /v1/circuits, GET /v1/circuits[/{id}], DELETE
@@ -62,6 +65,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -123,28 +127,92 @@ func main() {
 		fatal("-chaos", err)
 	}
 	sloP99 := time.Duration(*sloP99Ms * float64(time.Millisecond))
+
+	var (
+		h            http.Handler
+		closeBackend func()
+	)
 	if *clusterAddrs != "" {
-		if err := runRouter(logger, *addr, *drainTimeout, *clusterAddrs, *replication, *probeInterval, sloP99, *sloAvail, chaos); err != nil {
+		var replicas []string
+		for _, a := range strings.Split(*clusterAddrs, ",") {
+			if a = strings.TrimSpace(a); a != "" {
+				replicas = append(replicas, a)
+			}
+		}
+		c, err := cluster.New(replicas,
+			cluster.WithReplication(*replication),
+			cluster.WithProbeInterval(*probeInterval),
+			cluster.WithSLO(cluster.SLOPolicy{TargetP99: sloP99, TargetAvailability: *sloAvail}),
+			cluster.WithLogger(logger),
+		)
+		if err != nil {
 			fatal("router failed", err)
 		}
-		return
+		logger.Info("routing", "replicas", len(replicas), "replication", c.Replication())
+		h, closeBackend = c.Handler(), func() { c.Close() }
+	} else {
+		svc := service.New(service.Config{
+			ReplicaID:             *id,
+			Workers:               *workers,
+			QueueDepth:            *queueDepth,
+			CacheSize:             *cacheSize,
+			ResultCacheSize:       *resultCache,
+			EnginePoolSize:        *poolSize,
+			MaxBodyBytes:          *maxBody,
+			MaxTimeout:            *maxTimeout,
+			MaxEvents:             *maxEvents,
+			SLOTargetP99:          sloP99,
+			SLOTargetAvailability: *sloAvail,
+			Logger:                logger,
+		})
+		// Close drains the jobs still queued once serve has returned.
+		h, closeBackend = svc.Handler(), svc.Close
 	}
-	if err := run(logger, *addr, *drainTimeout, chaos, service.Config{
-		ReplicaID:             *id,
-		Workers:               *workers,
-		QueueDepth:            *queueDepth,
-		CacheSize:             *cacheSize,
-		ResultCacheSize:       *resultCache,
-		EnginePoolSize:        *poolSize,
-		MaxBodyBytes:          *maxBody,
-		MaxTimeout:            *maxTimeout,
-		MaxEvents:             *maxEvents,
-		SLOTargetP99:          sloP99,
-		SLOTargetAvailability: *sloAvail,
-		Logger:                logger,
-	}); err != nil {
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	context.AfterFunc(ctx, stop) // a second signal during the drain kills the process
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fatal("listen failed", err)
+	}
+	logger.Info("listening", "addr", ln.Addr().String())
+	err = serve(ctx, logger, ln, chaos(h), *drainTimeout)
+	closeBackend()
+	if err != nil {
 		fatal("server failed", err)
 	}
+	logger.Info("drained, exiting")
+}
+
+// serve serves h on ln until ctx is canceled or serving fails. On
+// cancellation it shuts down gracefully: it stops accepting and waits up to
+// drainTimeout for in-flight requests, which themselves wait on their
+// queued jobs. Connections still open after that are force-closed, which
+// cancels their request contexts, so their simulations abort at the
+// kernel's next event-pop check instead of running to completion; serve
+// then returns the shutdown error.
+func serve(ctx context.Context, logger *slog.Logger, ln net.Listener, h http.Handler, drainTimeout time.Duration) error {
+	srv := &http.Server{Handler: h}
+	errCh := make(chan error, 1)
+	go func() { errCh <- srv.Serve(ln) }()
+	select {
+	case err := <-errCh:
+		return err
+	case <-ctx.Done():
+	}
+	logger.Info("shutting down, draining in-flight requests")
+	shutdownCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), drainTimeout)
+	defer cancel()
+	err := srv.Shutdown(shutdownCtx)
+	if err != nil {
+		logger.Warn("drain timeout exceeded, aborting in-flight requests", "error", err)
+		srv.Close()
+	}
+	if serveErr := <-errCh; !errors.Is(serveErr, http.ErrServerClosed) && err == nil {
+		err = serveErr
+	}
+	return err
 }
 
 // servePprof exposes the net/http/pprof handlers on their own listener —
@@ -180,104 +248,4 @@ func chaosMiddleware(logger *slog.Logger, spec string, seed int64) (func(http.Ha
 		logger.Info("chaos rule mounted", "rule", r)
 	}
 	return inj.Middleware, nil
-}
-
-// runRouter serves the cluster router: the same wire API, sharded across
-// the listed replicas (see halotis/cluster).
-func runRouter(logger *slog.Logger, addr string, drainTimeout time.Duration, addrsFlag string, replication int, probeInterval time.Duration, sloP99 time.Duration, sloAvail float64, chaos func(http.Handler) http.Handler) error {
-	var replicas []string
-	for _, a := range strings.Split(addrsFlag, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			replicas = append(replicas, a)
-		}
-	}
-	c, err := cluster.New(replicas,
-		cluster.WithReplication(replication),
-		cluster.WithProbeInterval(probeInterval),
-		cluster.WithSLO(cluster.SLOPolicy{TargetP99: sloP99, TargetAvailability: sloAvail}),
-		cluster.WithLogger(logger),
-	)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	srv := &http.Server{Addr: addr, Handler: chaos(c.Handler())}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() {
-		logger.Info("routing", "replicas", len(replicas), "replication", c.Replication(), "addr", addr)
-		if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			errCh <- err
-			return
-		}
-		errCh <- nil
-	}()
-
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-	}
-	stop()
-	logger.Info("router shutting down")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	err = srv.Shutdown(shutdownCtx)
-	if err != nil {
-		srv.Close()
-	}
-	if serveErr := <-errCh; serveErr != nil && err == nil {
-		err = serveErr
-	}
-	return err
-}
-
-func run(logger *slog.Logger, addr string, drainTimeout time.Duration, chaos func(http.Handler) http.Handler, cfg service.Config) error {
-	svc := service.New(cfg)
-	srv := &http.Server{Addr: addr, Handler: chaos(svc.Handler())}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errCh := make(chan error, 1)
-	go func() {
-		logger.Info("listening", "addr", addr)
-		if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			errCh <- err
-			return
-		}
-		errCh <- nil
-	}()
-
-	select {
-	case err := <-errCh:
-		svc.Close()
-		return err
-	case <-ctx.Done():
-	}
-	stop()
-	logger.Info("shutting down, draining in-flight jobs")
-
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	// Shutdown stops accepting and waits for in-flight HTTP requests —
-	// which themselves wait on their queued jobs — then Close drains any
-	// jobs still queued. If the polite drain exceeds -drain-timeout,
-	// force-close the remaining connections: that cancels their request
-	// contexts, the kernel aborts at the next event-pop check, and the
-	// queue drain below finishes promptly instead of running simulations
-	// to completion.
-	err := srv.Shutdown(shutdownCtx)
-	if err != nil {
-		logger.Warn("drain timeout exceeded, aborting in-flight requests", "error", err)
-		srv.Close()
-	}
-	svc.Close()
-	if serveErr := <-errCh; serveErr != nil && err == nil {
-		err = serveErr
-	}
-	logger.Info("drained, exiting")
-	return err
 }

@@ -6,6 +6,7 @@ import (
 
 	"halotis/internal/cellib"
 	"halotis/internal/circ"
+	"halotis/internal/circuits"
 	"halotis/internal/netfmt"
 	"halotis/internal/netlist"
 )
@@ -111,5 +112,38 @@ func TestContentHashStableAcrossBenchWhitespace(t *testing.T) {
 	}
 	if circ.ContentHash(a) != circ.ContentHash(b) {
 		t.Error("whitespace-equivalent .bench inputs hash differently")
+	}
+}
+
+// TestContentHashPinned pins the IDs of three reference circuits. Circuit
+// IDs cross the wire and key every cache, so a change to the canonical
+// rendering — even one that keeps the hash's sensitivity — breaks stored
+// IDs and mixed-version fleets. These literals must not change.
+func TestContentHashPinned(t *testing.T) {
+	lib := cellib.Default06()
+	c17, err := netfmt.ParseBench(strings.NewReader(netfmt.C17Bench()), lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mult, err := circuits.Multiplier4x4(lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dag, err := circuits.RandomCombinational(lib, circuits.RandomOptions{Inputs: 8, Gates: 60, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		ckt  *netlist.Circuit
+		want string
+	}{
+		{"c17", c17, "3281bdc30ce7d4f6a6ea1f8f54fb29f0187ac032631d9522fdf15d43d6444604"},
+		{"Fig. 5 multiplier", mult, "f16922e9257470b85ec2522a71c7c317c0709eb8ec5f040a19d5842645596793"},
+		{"random DAG seed 1", dag, "daabecd74f57997a51a255a4e16ca57ea19a6fe71de8317947eee251e044822d"},
+	} {
+		if got := circ.ContentHash(c.ckt); got != c.want {
+			t.Errorf("%s: ID %s, want %s", c.name, got, c.want)
+		}
 	}
 }

@@ -68,8 +68,7 @@ type Engine struct {
 	res Result // reused result storage returned by Run
 
 	part      *partRun // partitioned-execution state, built on first use
-	fireHook  func(pin int32, t float64)
-	profiling bool // materialize Result.Profile (see SetProfiling)
+	profiling bool     // materialize Result.Profile (see SetProfiling)
 
 	progress    *atomic.Uint64 // live event counter, published every 64 pops (see SetProgress)
 	progressPub uint64         // events already published to progress this run
@@ -238,9 +237,6 @@ func (e *Engine) RunContext(ctx context.Context, st Stimulus, tEnd float64) (*Re
 		if e.st.EventsProcessed > e.opt.MaxEvents {
 			e.publishProgress()
 			return nil, fmt.Errorf("sim: event limit %d exceeded at t=%g ns (oscillation?)", e.opt.MaxEvents, e.now)
-		}
-		if e.fireHook != nil {
-			e.fireHook(ev.pin, t)
 		}
 		if out, start, slew, rising, ok := e.fire(&e.lane, h, ev); ok {
 			e.emit(out, start, slew, rising)
@@ -418,14 +414,6 @@ func (e *Engine) fire(l *lane, h eventq.Handle, ev event) (out int32, start, sle
 	gs.lastOutStart = start
 	return g.Out, start, res.Slew, rising, true
 }
-
-// SetFireHook installs an instrumentation callback invoked by the sequential
-// kernel after every event pop, with the event's pin and time, before the
-// event fires. The partition-schedule model in halobench replays a
-// sequential run through it to compute critical-path bounds; a nil hook (the
-// default) costs one predicted branch per event. Not honored by the
-// partitioned path.
-func (e *Engine) SetFireHook(h func(pin int32, t float64)) { e.fireHook = h }
 
 // SetProfiling toggles per-run kernel profiling on a live engine: when on,
 // the next Run's Result.Profile carries per-worker counters (see Profile).
