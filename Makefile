@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-race vet lint fmt-check bench bench-smoke fleet-smoke fuzz-smoke chaos-smoke partition-smoke obs-smoke paper apicheck apicheck-update service-smoke cluster-smoke
+.PHONY: all build test test-race vet lint fmt-check bench bench-smoke fleet-smoke kernel-smoke fuzz-smoke chaos-smoke partition-smoke obs-smoke paper apicheck apicheck-update service-smoke cluster-smoke
 
 all: build lint fmt-check test apicheck
 
@@ -63,14 +63,19 @@ bench-smoke:
 	$(GO) test -run=NONE -bench='Table2Seq1DDM|EngineReuseSeq1DDM' -benchmem -benchtime=100x .
 	$(GO) run ./cmd/halobench -exp scale -scaleruns 1 -scalesizes 500
 
-# fleet-smoke is a short serve-fleet run of the repository benchmark: two
-# replicas behind a router, every report checked. perfbench exits 0 even
-# when ops fail, so the gate also requires "correct":true on the run's last
-# line (the JSON summary).
-fleet-smoke:
-	@out=$$(bash perfbench/run.sh --workload serve-fleet --seconds 3) || { echo "$$out"; exit 1; }; \
+# fleet-smoke and kernel-smoke are 3 s runs of the repository benchmark,
+# one workload each, with every report checked. fleet-smoke runs
+# serve-fleet: two replicas behind a router. kernel-smoke runs
+# kernel-large: a 100k-gate circuit parsed from text, whose simulated
+# counts perfbench/expected.json pins. perfbench exits 0 even when ops
+# fail, so the gate also requires "correct":true on the run's last line
+# (the JSON summary).
+fleet-smoke: SMOKE_WORKLOAD = serve-fleet
+kernel-smoke: SMOKE_WORKLOAD = kernel-large
+fleet-smoke kernel-smoke:
+	@out=$$(bash perfbench/run.sh --workload $(SMOKE_WORKLOAD) --seconds 3) || { echo "$$out"; exit 1; }; \
 	echo "$$out"; \
-	echo "$$out" | tail -n 1 | grep -q '"correct":true' || { echo "fleet-smoke: serve-fleet run not correct"; exit 1; }
+	echo "$$out" | tail -n 1 | grep -q '"correct":true' || { echo "$@: $(SMOKE_WORKLOAD) run not correct"; exit 1; }
 
 # chaos-smoke is the quick CI variant of the resilience soak: a short
 # fault-injection run whose built-in assertions (zero divergent reports,

@@ -80,9 +80,10 @@ func (c *Cluster) writeError(w http.ResponseWriter, r *http.Request, err error) 
 
 // resolveTarget turns a wire target (cached ID or inline netlist) into a
 // circuit ID plus, when available, the serialized text that enables
-// upload-on-miss. Inline netlists are parsed locally — the content hash,
-// and therefore placement, never depends on which node computes it — and
-// placed on the top-R replicas before the run is routed.
+// upload-on-miss. Inline netlists are parsed and hashed locally, never
+// compiled — the content hash, and therefore placement, never depends on
+// which node computes it — and placed on the top-R replicas before the run
+// is routed.
 func (c *Cluster) resolveTarget(ctx context.Context, circuit, netlistText, format, name string) (string, *circuitText, error) {
 	ctx, sp := obs.Start(ctx, "router.resolve")
 	defer sp.End()
@@ -96,9 +97,9 @@ func (c *Cluster) resolveTarget(ctx context.Context, circuit, netlistText, forma
 		sp.Fail(err)
 		return "", nil, err
 	}
-	ir := circ.Compile(ckt)
-	t := &circuitText{id: ir.Hash, text: netlistText, format: format, name: name}
-	if known := c.texts.get(ir.Hash); known == nil {
+	id := circ.ContentHash(ckt)
+	t := &circuitText{id: id, text: netlistText, format: format, name: name}
+	if known := c.texts.get(id); known == nil {
 		sp.SetAttr("source", "inline-placed")
 		c.texts.put(t)
 		if _, err := c.place(ctx, t); err != nil {
@@ -108,7 +109,7 @@ func (c *Cluster) resolveTarget(ctx context.Context, circuit, netlistText, forma
 	} else {
 		sp.SetAttr("source", "inline-known")
 	}
-	return ir.Hash, t, nil
+	return id, t, nil
 }
 
 // badRequest writes a decode/parse failure.
@@ -127,8 +128,7 @@ func (c *Cluster) handleUpload(w http.ResponseWriter, r *http.Request) {
 		c.badRequest(w, r, http.StatusUnprocessableEntity, "parse netlist: "+err.Error())
 		return
 	}
-	ir := circ.Compile(ckt)
-	t := &circuitText{id: ir.Hash, text: req.Netlist, format: req.Format, name: req.Name}
+	t := &circuitText{id: circ.ContentHash(ckt), text: req.Netlist, format: req.Format, name: req.Name}
 	c.texts.put(t)
 	resp, err := c.place(r.Context(), t)
 	if err != nil {

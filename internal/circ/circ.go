@@ -30,6 +30,7 @@ package circ
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"math"
 	"strconv"
 	"sync"
 
@@ -254,44 +255,77 @@ func compile(ckt *netlist.Circuit) *Compiled {
 // stimuli and result lookups address the circuit — but the circuit's display
 // name is cosmetic metadata and deliberately excluded.
 //
-// The hash is computed during Compile and memoized with the IR, so repeated
-// calls cost one memoized-pointer load.
-func ContentHash(ckt *netlist.Circuit) string { return Compile(ckt).Hash }
+// It hashes the netlist directly, without compiling it, so a caller that
+// needs only the circuit's ID (the cluster router placing an upload) skips
+// Compile. Compile stores the same value in Compiled.Hash.
+func ContentHash(ckt *netlist.Circuit) string { return contentHash(ckt) }
 
+// contentHash renders every record into one reused buffer: fields, each
+// NUL-terminated, then a newline. The bytes are the hash's definition, so
+// circuit IDs stay stable only while this rendering does.
 func contentHash(ckt *netlist.Circuit) string {
 	h := sha256.New()
-	buf := make([]byte, 0, 64)
-	str := func(parts ...string) {
-		buf = buf[:0]
-		for _, p := range parts {
-			buf = append(buf, p...)
-			buf = append(buf, 0)
-		}
-		buf = append(buf, '\n')
-		h.Write(buf)
+	buf := make([]byte, 0, 32<<10)
+	str := func(s string) {
+		buf = append(buf, s...)
+		buf = append(buf, 0)
 	}
-	num := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	// Thresholds repeat across a circuit, so num reuses the digits of the
+	// last value (compared bit for bit: 0 and -0 format differently).
+	var lastBits uint64
+	var digits []byte
+	num := func(v float64) {
+		if bits := math.Float64bits(v); bits != lastBits || digits == nil {
+			lastBits = bits
+			digits = strconv.AppendFloat(digits[:0], v, 'g', -1, 64)
+		}
+		buf = append(buf, digits...)
+		buf = append(buf, 0)
+	}
+	end := func() {
+		buf = append(buf, '\n')
+		if len(buf) >= 16<<10 { // hash in blocks, not record by record
+			h.Write(buf)
+			buf = buf[:0]
+		}
+	}
 
 	str("halotis/circ content v1")
-	str("lib", ckt.Lib.Name, num(ckt.Lib.VDD))
+	end()
+	str("lib")
+	str(ckt.Lib.Name)
+	num(ckt.Lib.VDD)
+	end()
 	for _, in := range ckt.Inputs {
-		str("input", in.Name)
+		str("input")
+		str(in.Name)
+		end()
 	}
 	for _, o := range ckt.Outputs {
-		str("output", o.Name)
+		str("output")
+		str(o.Name)
+		end()
 	}
 	for _, g := range ckt.Gates {
-		parts := []string{"gate", g.Name, g.Cell.Kind.String(), g.Output.Name}
+		str("gate")
+		str(g.Name)
+		str(g.Cell.Kind.String())
+		str(g.Output.Name)
 		for _, p := range g.Inputs {
-			parts = append(parts, p.Net.Name, num(p.VT))
+			str(p.Net.Name)
+			num(p.VT)
 		}
-		str(parts...)
+		end()
 	}
 	for _, n := range ckt.Nets {
 		if n.WireCap != 0 {
-			str("wirecap", n.Name, num(n.WireCap))
+			str("wirecap")
+			str(n.Name)
+			num(n.WireCap)
+			end()
 		}
 	}
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -1,7 +1,6 @@
 package netfmt
 
 import (
-	"bufio"
 	_ "embed"
 	"fmt"
 	"io"
@@ -39,8 +38,7 @@ func C17Bench() string { return c17Bench }
 // should use ParseCircuitFile with FormatBench (or FormatAuto), which names
 // the circuit after the file and stamps parse errors with it.
 func ParseBench(r io.Reader, lib *cellib.Library) (*netlist.Circuit, error) {
-	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 1<<20), 1<<20)
+	scanner := newLineScanner(r)
 	b := netlist.NewBuilder("bench", lib)
 	var inputs, outputs []string
 

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -67,22 +68,33 @@ func parseFinite(s string) (float64, error) {
 	return v, nil
 }
 
+// newLineScanner reads lines of any length: its buffer starts at the
+// scanner's default size and grows with the longest line, so memory is
+// bounded by the input (service bodies are capped before they get here)
+// rather than preset, and a circuit with a million-byte input list reads
+// back.
+func newLineScanner(r io.Reader) *bufio.Scanner {
+	s := bufio.NewScanner(r)
+	s.Buffer(nil, math.MaxInt)
+	return s
+}
+
 // ParseCircuit reads the netlist format and builds a circuit over the
 // given library.
 func ParseCircuit(r io.Reader, lib *cellib.Library) (*netlist.Circuit, error) {
-	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 1<<20), 1<<20)
+	scanner := newLineScanner(r)
 	name := "circuit"
 	b := netlist.NewBuilder(name, lib)
 	named := false
 	lineNo := 0
+	var fields []string
 	for scanner.Scan() {
 		lineNo++
 		line := scanner.Text()
 		if i := strings.IndexByte(line, '#'); i >= 0 {
 			line = line[:i]
 		}
-		fields := strings.Fields(line)
+		fields = slices.AppendSeq(fields[:0], strings.FieldsSeq(line))
 		if len(fields) == 0 {
 			continue
 		}

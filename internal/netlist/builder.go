@@ -8,6 +8,11 @@ import (
 
 // Builder assembles a Circuit incrementally and validates it on Build.
 // Nets are created on first reference, so gates may be added in any order.
+//
+// Net, Gate and Pin records and every gate's Inputs list are carved from
+// chunked slabs rather than allocated one by one, so a 100k-gate circuit
+// costs a few hundred allocations for its records instead of half a
+// million. Fanout lists are assembled once, by Build.
 type Builder struct {
 	name string
 	lib  *cellib.Library
@@ -17,10 +22,44 @@ type Builder struct {
 	inputs  []*Net
 	outputs []*Net
 
+	// netState is indexed by net ID: the per-net flags and counts Build
+	// needs, kept off the exported Net record.
+	netState []netState
+
 	netByName  map[string]*Net
 	gateByName map[string]*Gate
 
+	netSlab  slab[Net]
+	gateSlab slab[Gate]
+	pinSlab  slab[Pin]
+	listSlab slab[*Pin]
+
 	errs []error
+}
+
+type netState struct {
+	fanout int32 // receiving pins so far
+	input  bool  // declared a primary input
+}
+
+// slab hands out records from chunks that never move, so pointers into it
+// stay valid as it grows. Chunks double from 16 to 4096 records: a c17
+// upload stays small and a large circuit allocates once per 4096 records.
+type slab[T any] struct {
+	free []T
+	size int
+}
+
+// take returns n fresh zeroed records, contiguous, with capacity clamped
+// so that an append to the result never writes into a neighbour's records.
+func (s *slab[T]) take(n int) []T {
+	if len(s.free) < n {
+		s.size = min(max(2*s.size, 16), 4096)
+		s.free = make([]T, max(s.size, n))
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
 }
 
 // NewBuilder starts a circuit with the given name over the given library.
@@ -45,8 +84,10 @@ func (b *Builder) Net(name string) *Net {
 	if name == "" {
 		b.errf("empty net name")
 	}
-	n := &Net{ID: len(b.nets), Name: name}
+	n := &b.netSlab.take(1)[0]
+	n.ID, n.Name = len(b.nets), name
 	b.nets = append(b.nets, n)
+	b.netState = append(b.netState, netState{})
 	b.netByName[name] = n
 	return n
 }
@@ -54,12 +95,10 @@ func (b *Builder) Net(name string) *Net {
 // Input declares a primary input net and returns it.
 func (b *Builder) Input(name string) *Net {
 	n := b.Net(name)
-	for _, in := range b.inputs {
-		if in == n {
-			return n // already declared; idempotent
-		}
+	if st := &b.netState[n.ID]; !st.input {
+		st.input = true
+		b.inputs = append(b.inputs, n)
 	}
-	b.inputs = append(b.inputs, n)
 	return n
 }
 
@@ -99,19 +138,21 @@ func (b *Builder) AddGate(name string, kind cellib.Kind, output string, inputs .
 		b.errf("duplicate gate name %q", name)
 		return nil
 	}
-	g := &Gate{ID: len(b.gates), Name: name, Cell: cell}
 	out := b.Net(output)
 	if out.Driver != nil {
 		b.errf("net %q driven by both %q and %q", output, out.Driver.Name, name)
 		return nil
 	}
+	g := &b.gateSlab.take(1)[0]
+	g.ID, g.Name, g.Cell, g.Output = len(b.gates), name, cell, out
 	out.Driver = g
-	g.Output = out
+	pins := b.pinSlab.take(len(inputs))
+	g.Inputs = b.listSlab.take(len(inputs))
 	for i, in := range inputs {
 		net := b.Net(in)
-		pin := &Pin{Gate: g, Index: i, Net: net, VT: cell.Pins[i].VT, CIn: cell.Pins[i].CIn}
-		g.Inputs = append(g.Inputs, pin)
-		net.Fanout = append(net.Fanout, pin)
+		pins[i] = Pin{Gate: g, Index: i, Net: net, VT: cell.Pins[i].VT, CIn: cell.Pins[i].CIn}
+		g.Inputs[i] = &pins[i]
+		b.netState[net.ID].fanout++
 	}
 	b.gates = append(b.gates, g)
 	b.gateByName[name] = g
@@ -146,62 +187,21 @@ func (b *Builder) Build() (*Circuit, error) {
 	if len(b.errs) > 0 {
 		return nil, b.errs[0]
 	}
-	isInput := make(map[*Net]bool, len(b.inputs))
-	for _, n := range b.inputs {
-		isInput[n] = true
-	}
+	b.linkFanout()
 	for _, n := range b.nets {
+		input := b.netState[n.ID].input
 		switch {
-		case n.Driver == nil && !isInput[n]:
+		case n.Driver == nil && !input:
 			return nil, fmt.Errorf("netlist: net %q has no driver and is not a primary input", n.Name)
-		case n.Driver != nil && isInput[n]:
+		case n.Driver != nil && input:
 			return nil, fmt.Errorf("netlist: primary input %q is driven by gate %q", n.Name, n.Driver.Name)
 		case len(n.Fanout) == 0 && !n.IsOutput:
 			return nil, fmt.Errorf("netlist: net %q is dangling (no fanout, not an output)", n.Name)
 		}
 	}
-	// Levelize with Kahn's algorithm; leftovers indicate a cycle.
-	indeg := make(map[*Gate]int, len(b.gates))
-	for _, g := range b.gates {
-		for _, p := range g.Inputs {
-			if p.Net.Driver != nil {
-				indeg[g]++
-			}
-		}
-	}
-	var queue []*Gate
-	for _, g := range b.gates {
-		if indeg[g] == 0 {
-			g.Level = 0
-			queue = append(queue, g)
-		}
-	}
-	levels := 0
-	processed := 0
-	for len(queue) > 0 {
-		g := queue[0]
-		queue = queue[1:]
-		processed++
-		if g.Level+1 > levels {
-			levels = g.Level + 1
-		}
-		for _, p := range g.Output.Fanout {
-			succ := p.Gate
-			indeg[succ]--
-			if succ.Level < g.Level+1 {
-				succ.Level = g.Level + 1
-			}
-			if indeg[succ] == 0 {
-				queue = append(queue, succ)
-			}
-		}
-	}
-	if processed != len(b.gates) {
-		for _, g := range b.gates {
-			if indeg[g] > 0 {
-				return nil, fmt.Errorf("netlist: combinational cycle through gate %q", g.Name)
-			}
-		}
+	levels, err := b.levelize()
+	if err != nil {
+		return nil, err
 	}
 	return &Circuit{
 		Name:       b.name,
@@ -214,6 +214,73 @@ func (b *Builder) Build() (*Circuit, error) {
 		gateByName: b.gateByName,
 		levels:     levels,
 	}, nil
+}
+
+// linkFanout fills every net's Fanout from one backing array: pins in gate
+// declaration order, then pin index order, each net's sub-slice capacity
+// clamped so an append to one net's list never overwrites the next.
+func (b *Builder) linkFanout() {
+	next := make([]int32, len(b.nets)) // net ID -> next free slot of its range
+	total := int32(0)
+	for id, st := range b.netState {
+		next[id] = total
+		total += st.fanout
+	}
+	all := make([]*Pin, total)
+	for _, g := range b.gates {
+		for _, p := range g.Inputs {
+			all[next[p.Net.ID]] = p
+			next[p.Net.ID]++
+		}
+	}
+	for _, n := range b.nets {
+		hi := next[n.ID] // filled: next[id] is now the end of net id's range
+		lo := hi - b.netState[n.ID].fanout
+		n.Fanout = nil
+		if lo < hi {
+			n.Fanout = all[lo:hi:hi]
+		}
+	}
+}
+
+// levelize assigns every gate its topological level with Kahn's algorithm
+// over ID-indexed in-degrees, and returns the level count. Gates left with
+// unresolved inputs sit on or behind a combinational cycle.
+func (b *Builder) levelize() (int, error) {
+	indeg := make([]int32, len(b.gates))
+	queue := make([]*Gate, 0, len(b.gates))
+	for _, g := range b.gates {
+		g.Level = 0
+		for _, p := range g.Inputs {
+			if p.Net.Driver != nil {
+				indeg[g.ID]++
+			}
+		}
+		if indeg[g.ID] == 0 {
+			queue = append(queue, g)
+		}
+	}
+	levels := 0
+	for head := 0; head < len(queue); head++ {
+		g := queue[head]
+		levels = max(levels, g.Level+1)
+		for _, p := range g.Output.Fanout {
+			succ := p.Gate
+			indeg[succ.ID]--
+			succ.Level = max(succ.Level, g.Level+1)
+			if indeg[succ.ID] == 0 {
+				queue = append(queue, succ)
+			}
+		}
+	}
+	if len(queue) != len(b.gates) {
+		for _, g := range b.gates {
+			if indeg[g.ID] > 0 {
+				return 0, fmt.Errorf("netlist: combinational cycle through gate %q", g.Name)
+			}
+		}
+	}
+	return levels, nil
 }
 
 // MustBuild is Build for tests and generators of known-good circuits.

@@ -6,7 +6,6 @@ package netlist
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"halotis/internal/cellib"
@@ -141,9 +140,19 @@ func (c *Circuit) Depth() int { return c.levels }
 // within a level). The HALOTIS engine does not need levelization — it is
 // purely event-driven — but the analog engine and zero-delay evaluation do.
 func (c *Circuit) GatesByLevel() []*Gate {
+	// Counting sort: next[l] is the next free slot of level l's range.
+	next := make([]int, c.levels+1)
+	for _, g := range c.Gates {
+		next[g.Level+1]++
+	}
+	for l := 1; l < len(next); l++ {
+		next[l] += next[l-1]
+	}
 	out := make([]*Gate, len(c.Gates))
-	copy(out, c.Gates)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Level < out[j].Level })
+	for _, g := range c.Gates {
+		out[next[g.Level]] = g
+		next[g.Level]++
+	}
 	return out
 }
 

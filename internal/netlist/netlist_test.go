@@ -241,14 +241,133 @@ func boolToInt(b bool) int {
 	return 0
 }
 
+// buildMixedOrder builds a four-level circuit whose gates are declared out
+// of level order, with two gates on levels 0 and 1 and several multi-pin
+// fanouts:
+//
+//	level 0: g1 = INV(a), g5 = INV(b)
+//	level 1: g2 = NAND2(x1, b), g6 = NOR2(b, x1)
+//	level 2: g0 = NAND2(x2, x2)
+//	level 3: g4 = NAND3(x3, y, x6)
+func buildMixedOrder(t *testing.T) *Circuit {
+	t.Helper()
+	b := NewBuilder("mixed", lib())
+	b.Input("a")
+	b.Input("b")
+	b.AddGate("g0", cellib.NAND2, "x3", "x2", "x2")
+	b.AddGate("g1", cellib.INV, "x1", "a")
+	b.AddGate("g2", cellib.NAND2, "x2", "x1", "b")
+	b.AddGate("g4", cellib.NAND3, "z", "x3", "y", "x6")
+	b.AddGate("g5", cellib.INV, "y", "b")
+	b.AddGate("g6", cellib.NOR2, "x6", "b", "x1")
+	b.Output("z")
+	c, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	return c
+}
+
 func TestGatesByLevelOrdering(t *testing.T) {
-	c := buildInvChain(t, 5)
-	prev := -1
-	for _, g := range c.GatesByLevel() {
-		if g.Level < prev {
-			t.Fatalf("GatesByLevel not sorted: %d after %d", g.Level, prev)
+	for _, c := range []*Circuit{buildInvChain(t, 5), buildMixedOrder(t)} {
+		order := c.GatesByLevel()
+		if len(order) != len(c.Gates) {
+			t.Fatalf("%s: GatesByLevel returned %d gates, want %d", c.Name, len(order), len(c.Gates))
 		}
-		prev = g.Level
+		for i := 1; i < len(order); i++ {
+			prev, g := order[i-1], order[i]
+			if g.Level < prev.Level {
+				t.Fatalf("%s: GatesByLevel not sorted: level %d after %d", c.Name, g.Level, prev.Level)
+			}
+			if g.Level == prev.Level && g.ID < prev.ID {
+				t.Fatalf("%s: level %d not in ID order: %s after %s", c.Name, g.Level, g.Name, prev.Name)
+			}
+		}
+	}
+	var names []string
+	for _, g := range buildMixedOrder(t).GatesByLevel() {
+		names = append(names, g.Name)
+	}
+	if got, want := strings.Join(names, " "), "g1 g5 g2 g6 g0 g4"; got != want {
+		t.Errorf("GatesByLevel = %s, want %s", got, want)
+	}
+}
+
+// TestFanoutOrder pins every net's Fanout to the reference order: gates in
+// ID (declaration) order, then pins in index order. That order fixes the
+// kernel's event insertion order on simultaneous crossings, so a change to
+// it would change simulated results.
+func TestFanoutOrder(t *testing.T) {
+	c := buildMixedOrder(t)
+	for _, n := range c.Nets {
+		var want []*Pin
+		for _, g := range c.Gates {
+			for _, p := range g.Inputs {
+				if p.Net == n {
+					want = append(want, p)
+				}
+			}
+		}
+		if len(n.Fanout) != len(want) {
+			t.Fatalf("net %s: fanout %d pins, want %d", n.Name, len(n.Fanout), len(want))
+		}
+		for i := range want {
+			if n.Fanout[i] != want[i] {
+				t.Errorf("net %s: Fanout[%d] = %s, want %s", n.Name, i, n.Fanout[i], want[i])
+			}
+		}
+	}
+	if got := len(c.NetByName("b").Fanout); got != 3 {
+		t.Errorf("fanout of b = %d, want 3", got)
+	}
+}
+
+// TestAppendAfterBuildIsolated checks that the lists Build carves from
+// shared backing arrays have their capacity clamped: appending to one
+// net's Fanout or one gate's Inputs must not overwrite a neighbour's.
+func TestAppendAfterBuildIsolated(t *testing.T) {
+	c := buildMixedOrder(t)
+	snapshot := func() [][]*Pin {
+		var lists [][]*Pin
+		for _, n := range c.Nets {
+			lists = append(lists, append([]*Pin(nil), n.Fanout...))
+		}
+		for _, g := range c.Gates {
+			lists = append(lists, append([]*Pin(nil), g.Inputs...))
+		}
+		return lists
+	}
+	check := func(what string, before [][]*Pin, skip int) {
+		t.Helper()
+		after := snapshot()
+		for i := range before {
+			if i == skip {
+				continue
+			}
+			if len(after[i]) != len(before[i]) {
+				t.Fatalf("append to %s changed list %d's length", what, i)
+			}
+			for j := range before[i] {
+				if after[i][j] != before[i][j] {
+					t.Fatalf("append to %s overwrote list %d", what, i)
+				}
+			}
+		}
+	}
+	stray := &Pin{Index: -1}
+	for i, n := range c.Nets {
+		before := snapshot()
+		saved := n.Fanout
+		n.Fanout = append(n.Fanout, stray)
+		check("net "+n.Name+"'s Fanout", before, i)
+		n.Fanout = saved
+	}
+	for i, g := range c.Gates {
+		before := snapshot()
+		saved := g.Inputs
+		g.Inputs = append(g.Inputs, stray)
+		check("gate "+g.Name+"'s Inputs", before, len(c.Nets)+i)
+		g.Inputs = saved
 	}
 }
 
