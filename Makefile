@@ -147,6 +147,7 @@ fuzz-smoke:
 	$(GO) test ./internal/netfmt -run=NONE -fuzz=FuzzParseBench -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/service -run=NONE -fuzz=FuzzDecodeSimRequest -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/service -run=NONE -fuzz=FuzzDecodeUploadRequest -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/service -run=NONE -fuzz=FuzzDecodeBatchRequest -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sim -run=NONE -fuzz=FuzzPartitionedIdentity -fuzztime=$(FUZZTIME)
 
 # service-smoke builds the daemon, starts it, and drives the client round

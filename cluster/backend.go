@@ -107,7 +107,8 @@ func (s *session) RunBatch(ctx context.Context, reqs []api.Request) ([]*api.Repo
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return s.cl.scatterBatch(ctx, s.info.ID, s.t, reqs)
+	reports, _, err := s.cl.scatterBatch(ctx, s.info.ID, s.t, reqs, false)
+	return reports, err
 }
 
 // Compile-time check: cluster sessions support graceful batch degradation.
@@ -124,5 +125,5 @@ func (s *session) RunBatchPartial(ctx context.Context, reqs []api.Request) ([]*a
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return s.cl.scatterBatchPartial(ctx, s.info.ID, s.t, reqs)
+	return s.cl.scatterBatch(ctx, s.info.ID, s.t, reqs, true)
 }

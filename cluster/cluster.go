@@ -46,6 +46,7 @@ import (
 	"halotis/api"
 	"halotis/client"
 	"halotis/internal/cellib"
+	"halotis/internal/fanout"
 	"halotis/internal/node"
 )
 
@@ -413,32 +414,28 @@ func (c *Cluster) probeLoop() {
 // calls it on its interval; tests and operators call it for an immediate
 // refresh.
 func (c *Cluster) ProbeNow() {
-	var wg sync.WaitGroup
-	for _, r := range c.replicas {
-		wg.Add(1)
-		go func(r *replica) {
-			defer wg.Done()
-			timeout := c.probeTimeout
-			if timeout <= 0 {
-				timeout = 2 * time.Second
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), timeout)
-			defer cancel()
-			h, err := r.c.Probe(ctx)
-			r.lastProbeMs.Store(time.Now().UnixMilli())
-			if err != nil {
-				r.noteFail("probe failed")
-				return
-			}
-			r.mu.Lock()
-			r.lastHealth = *h
-			r.mu.Unlock()
-			// Probe-driven recovery: a successful probe is the half-open
-			// trial, whoever initiated it.
-			r.markUp("probe ok")
-		}(r)
-	}
-	wg.Wait()
+	fanout.Each(context.Background(), len(c.replicas), len(c.replicas), false, func(ctx context.Context, i int) error {
+		r := c.replicas[i]
+		timeout := c.probeTimeout
+		if timeout <= 0 {
+			timeout = 2 * time.Second
+		}
+		ctx, cancel := context.WithTimeout(ctx, timeout)
+		defer cancel()
+		h, err := r.c.Probe(ctx)
+		r.lastProbeMs.Store(time.Now().UnixMilli())
+		if err != nil {
+			r.noteFail("probe failed")
+			return nil
+		}
+		r.mu.Lock()
+		r.lastHealth = *h
+		r.mu.Unlock()
+		// Probe-driven recovery: a successful probe is the half-open
+		// trial, whoever initiated it.
+		r.markUp("probe ok")
+		return nil
+	})
 }
 
 // circuitText is the serialized form of a circuit the cluster has seen —

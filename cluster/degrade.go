@@ -2,10 +2,8 @@ package cluster
 
 import (
 	"container/list"
-	"context"
 	"crypto/sha256"
 	"encoding/json"
-	"fmt"
 	"sync"
 
 	"halotis/api"
@@ -13,10 +11,12 @@ import (
 
 // Graceful degradation. Two mechanisms:
 //
-//   - Partial batches (scatterBatchPartial): with BatchOptions.AllowPartial
-//     a batch no longer fails as a unit — every request runs to its own
-//     outcome and failures come back per-slot, so one poisoned stimulus or
-//     one unlucky chunk does not discard thousands of finished reports.
+//   - Partial batches: with BatchOptions.AllowPartial, scatterBatch
+//     (failover.go) no longer fails a batch as a unit — every request runs
+//     to its own outcome and failures come back per-slot, so one poisoned
+//     stimulus or one unlucky chunk does not discard thousands of finished
+//     reports. The router answers with service.BatchResponseOf, the same
+//     response builder the replica uses.
 //   - Stale reads (resultCache): the router remembers recent simulation
 //     results by (circuit, request) content hash. When every replica
 //     holding a circuit is unreachable, a cache hit is served with
@@ -86,65 +86,4 @@ func (s *resultCache) get(k resultKey) (api.Report, bool) {
 	}
 	s.lru.MoveToFront(el)
 	return el.Value.(*resultEntry).rep, true
-}
-
-// scatterBatchPartial is scatterBatch under AllowPartial semantics: chunks
-// fan out with the same placement and failover, but a chunk failure fills
-// its slots' error entries instead of canceling the siblings, and replicas
-// are asked for partial results themselves so a single bad request inside
-// a chunk surfaces alone. Reports and errs align with reqs: exactly one of
-// reports[i], errs[i] is non-nil.
-func (c *Cluster) scatterBatchPartial(ctx context.Context, id string, t *circuitText, reqs []api.Request) ([]*api.Report, []error, error) {
-	n := len(reqs)
-	reports := make([]*api.Report, n)
-	errs := make([]error, n)
-	if n == 0 {
-		return reports, errs, nil
-	}
-	targets := c.healthyPrimaries(id)
-	if len(targets) == 0 {
-		targets = c.candidates(id)[:1]
-	}
-	if len(targets) > n {
-		targets = targets[:n]
-	}
-	k := len(targets)
-
-	var wg sync.WaitGroup
-	for ci := 0; ci < k; ci++ {
-		lo, hi := ci*n/k, (ci+1)*n/k
-		wg.Add(1)
-		go func(lo, hi int, prefer *replica) {
-			defer wg.Done()
-			chunk := reqs[lo:hi]
-			err := c.withFailover(ctx, id, t, prefer, func(ctx context.Context, r *replica) error {
-				resp, err := r.c.SimulateBatch(ctx, api.BatchRequest{
-					Circuit:  id,
-					Requests: chunk,
-					Options:  &api.BatchOptions{AllowPartial: true},
-				})
-				if err != nil {
-					return err
-				}
-				if len(resp.Reports) != len(chunk) {
-					return fmt.Errorf("replica %s returned %d reports for %d requests", r.id, len(resp.Reports), len(chunk))
-				}
-				for j := range resp.Reports {
-					if j < len(resp.Errors) && resp.Errors[j] != nil {
-						reports[lo+j], errs[lo+j] = nil, resp.Errors[j].Err()
-					} else {
-						reports[lo+j], errs[lo+j] = &resp.Reports[j], nil
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				for j := lo; j < hi; j++ {
-					reports[j], errs[j] = nil, err
-				}
-			}
-		}(lo, hi, targets[ci])
-	}
-	wg.Wait()
-	return reports, errs, nil
 }

@@ -5,11 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"sync"
 	"time"
 
 	"halotis/api"
 	"halotis/client"
+	"halotis/internal/fanout"
 	"halotis/internal/obs"
 )
 
@@ -264,15 +264,21 @@ func (c *Cluster) place(ctx context.Context, t *circuitText) (*api.UploadRespons
 // placement set: contiguous chunks, one per target replica, merged back in
 // request order. Each chunk keeps the full failover machinery (its
 // assigned replica is just the first candidate), so a replica dying
-// mid-batch moves its chunk, not the whole batch. The first failure
-// cancels the remaining chunks and is reported as the root cause,
-// matching Local and Remote RunBatch semantics. For per-request failure
-// isolation instead, see scatterBatchPartial.
-func (c *Cluster) scatterBatch(ctx context.Context, id string, t *circuitText, reqs []api.Request) ([]*api.Report, error) {
+// mid-batch moves its chunk, not the whole batch.
+//
+// By default the first failure cancels the remaining chunks and comes back
+// as err, the root cause, matching Local and Remote RunBatch semantics.
+// With partial (BatchOptions.AllowPartial) failures are isolated instead:
+// replicas are asked for partial results themselves, so a single bad
+// request inside a chunk surfaces alone, and a chunk failure fills its
+// slots' error entries without canceling its siblings. Either way, when
+// err is nil, exactly one of reports[i], errs[i] is non-nil for each
+// request — a chunk that never started holds the cancellation.
+func (c *Cluster) scatterBatch(ctx context.Context, id string, t *circuitText, reqs []api.Request, partial bool) ([]*api.Report, []error, error) {
 	n := len(reqs)
-	reports := make([]*api.Report, n)
+	reports, errs := make([]*api.Report, n), make([]error, n)
 	if n == 0 {
-		return reports, nil
+		return reports, errs, nil
 	}
 	targets := c.healthyPrimaries(id)
 	if len(targets) == 0 {
@@ -282,40 +288,55 @@ func (c *Cluster) scatterBatch(ctx context.Context, id string, t *circuitText, r
 		targets = targets[:n]
 	}
 	k := len(targets)
+	span := func(ci int) (lo, hi int) { return ci * n / k, (ci + 1) * n / k }
+	var opts *api.BatchOptions
+	if partial {
+		opts = &api.BatchOptions{AllowPartial: true}
+	}
 
-	fanCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	errs := make([]error, k)
-	var wg sync.WaitGroup
-	for ci := 0; ci < k; ci++ {
-		lo, hi := ci*n/k, (ci+1)*n/k
-		wg.Add(1)
-		go func(ci, lo, hi int, prefer *replica) {
-			defer wg.Done()
-			chunk := reqs[lo:hi]
-			err := c.withFailover(fanCtx, id, t, prefer, func(ctx context.Context, r *replica) error {
-				resp, err := r.c.SimulateBatch(ctx, api.BatchRequest{Circuit: id, Requests: chunk})
-				if err != nil {
-					return err
-				}
-				if len(resp.Reports) != len(chunk) {
-					return fmt.Errorf("replica %s returned %d reports for %d requests", r.id, len(resp.Reports), len(chunk))
-				}
-				for j := range resp.Reports {
+	chunkErrs := fanout.Each(ctx, k, k, !partial, func(ctx context.Context, ci int) error {
+		lo, hi := span(ci)
+		chunk := reqs[lo:hi]
+		return c.withFailover(ctx, id, t, targets[ci], func(ctx context.Context, r *replica) error {
+			resp, err := r.c.SimulateBatch(ctx, api.BatchRequest{Circuit: id, Requests: chunk, Options: opts})
+			if err != nil {
+				return err
+			}
+			if len(resp.Reports) != len(chunk) {
+				return fmt.Errorf("replica %s returned %d reports for %d requests", r.id, len(resp.Reports), len(chunk))
+			}
+			for j := range resp.Reports {
+				if j < len(resp.Errors) && resp.Errors[j] != nil {
+					errs[lo+j] = resp.Errors[j].Err()
+				} else {
 					reports[lo+j] = &resp.Reports[j]
 				}
-				return nil
-			})
-			if err != nil {
-				errs[ci] = fmt.Errorf("requests[%d..%d]: %w", lo, hi-1, err)
-				cancel()
 			}
-		}(ci, lo, hi, targets[ci])
+			return nil
+		})
+	})
+	for ci, err := range chunkErrs {
+		if err == nil {
+			continue
+		}
+		if err == context.Canceled || err == context.DeadlineExceeded {
+			// fanout.Each leaves a never-started chunk's context error
+			// bare; type it like a chunk canceled mid-flight.
+			err = api.Canceled(err)
+		}
+		lo, hi := span(ci)
+		if !partial {
+			err = fmt.Errorf("requests[%d..%d]: %w", lo, hi-1, err)
+		}
+		chunkErrs[ci] = err
+		for j := lo; j < hi; j++ {
+			reports[j], errs[j] = nil, err
+		}
 	}
-	wg.Wait()
-
-	if _, err := api.FirstFailure(errs); err != nil {
-		return nil, err
+	if !partial {
+		if _, err := api.FirstFailure(chunkErrs); err != nil {
+			return nil, nil, err
+		}
 	}
-	return reports, nil
+	return reports, errs, nil
 }

@@ -200,41 +200,13 @@ func (c *Cluster) handleBatch(w http.ResponseWriter, r *http.Request) {
 		c.writeError(w, r, err)
 		return
 	}
-	if req.Options != nil && req.Options.AllowPartial {
-		reports, errs, err := c.scatterBatchPartial(r.Context(), id, t, req.Requests)
-		if err != nil {
-			c.writeError(w, r, err)
-			return
-		}
-		resp := api.BatchResponse{Circuit: id, Reports: make([]api.Report, len(reports))}
-		for i, rep := range reports {
-			if errs[i] != nil {
-				if resp.Errors == nil {
-					resp.Errors = make([]*api.ErrorResponse, len(reports))
-				}
-				resp.Errors[i] = api.ErrorResponseOf(errs[i])
-				continue
-			}
-			resp.Reports[i] = *rep
-		}
-		if resp.Errors != nil {
-			if n := flight.NoteFrom(r.Context()); n != nil {
-				n.Partial = true
-			}
-		}
-		node.WriteJSON(w, http.StatusOK, resp)
-		return
-	}
-	reports, err := c.scatterBatch(r.Context(), id, t, req.Requests)
+	partial := req.Options != nil && req.Options.AllowPartial
+	reports, errs, err := c.scatterBatch(r.Context(), id, t, req.Requests, partial)
 	if err != nil {
 		c.writeError(w, r, err)
 		return
 	}
-	resp := api.BatchResponse{Circuit: id, Reports: make([]api.Report, len(reports))}
-	for i, rep := range reports {
-		resp.Reports[i] = *rep
-	}
-	node.WriteJSON(w, http.StatusOK, resp)
+	node.WriteJSON(w, http.StatusOK, service.BatchResponseOf(r.Context(), id, reports, errs))
 }
 
 // handleList merges the circuit lists of every healthy replica,

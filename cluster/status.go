@@ -12,10 +12,10 @@ package cluster
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"halotis/api"
+	"halotis/internal/fanout"
 	"halotis/internal/node"
 )
 
@@ -93,36 +93,32 @@ type fleetRollup struct {
 func (c *Cluster) RollupNow() {
 	timeout := min(c.rollupEvery, 2*time.Second)
 	summaries := make([]api.ReplicaStatusSummary, len(c.replicas))
-	var wg sync.WaitGroup
-	for i, r := range c.replicas {
-		wg.Add(1)
-		go func(i int, r *replica) {
-			defer wg.Done()
-			sum := api.ReplicaStatusSummary{
-				ID:           r.id,
-				Addr:         r.addr,
-				Healthy:      r.healthy(),
-				BreakerState: r.br.state().String(),
+	fanout.Each(context.Background(), len(c.replicas), len(c.replicas), false, func(ctx context.Context, i int) error {
+		r := c.replicas[i]
+		sum := api.ReplicaStatusSummary{
+			ID:           r.id,
+			Addr:         r.addr,
+			Healthy:      r.healthy(),
+			BreakerState: r.br.state().String(),
+		}
+		ctx, cancel := context.WithTimeout(ctx, timeout)
+		defer cancel()
+		if st, err := r.c.Status(ctx); err == nil {
+			sum.Availability = 1
+			if n := len(st.Windows); n > 0 {
+				// The slow (full-ring) window is the replica's overall
+				// availability; the fast one only decides firing.
+				sum.Availability = st.Windows[n-1].Availability
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), timeout)
-			defer cancel()
-			if st, err := r.c.Status(ctx); err == nil {
-				sum.Availability = 1
-				if n := len(st.Windows); n > 0 {
-					// The slow (full-ring) window is the replica's overall
-					// availability; the fast one only decides firing.
-					sum.Availability = st.Windows[n-1].Availability
-				}
-				sum.P99Ms = st.P99Ms
-				sum.QueueDepth = st.QueueDepth
-				sum.QueueDrainEstimateMs = st.QueueDrainEstimateMs
-				sum.Firing = st.Status == "firing"
-				sum.ExemplarTraceIDs = st.Exemplars
-			}
-			summaries[i] = sum
-		}(i, r)
-	}
-	wg.Wait()
+			sum.P99Ms = st.P99Ms
+			sum.QueueDepth = st.QueueDepth
+			sum.QueueDrainEstimateMs = st.QueueDrainEstimateMs
+			sum.Firing = st.Status == "firing"
+			sum.ExemplarTraceIDs = st.Exemplars
+		}
+		summaries[i] = sum
+		return nil
+	})
 
 	var roll fleetRollup
 	var served, total uint64

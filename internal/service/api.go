@@ -1,11 +1,13 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
 
 	"halotis/api"
+	"halotis/internal/obs/flight"
 )
 
 // The wire types of the HTTP/JSON API are the shared request/report
@@ -83,4 +85,28 @@ func DecodeBatchRequest(r io.Reader) (*BatchRequest, error) {
 		return nil, err
 	}
 	return &req, nil
+}
+
+// BatchResponseOf assembles the batch response the replica and the router
+// both send: slot i carries reports[i], or errs[i] as a typed wire error
+// when that request failed. A response with a failed slot is partial, and
+// the request's flight note records it so.
+func BatchResponseOf(ctx context.Context, circuit string, reports []*Report, errs []error) *BatchResponse {
+	resp := &BatchResponse{Circuit: circuit, Reports: make([]Report, len(reports))}
+	for i, rep := range reports {
+		if errs[i] != nil {
+			if resp.Errors == nil {
+				resp.Errors = make([]*ErrorResponse, len(reports))
+			}
+			resp.Errors[i] = api.ErrorResponseOf(errs[i])
+			continue
+		}
+		resp.Reports[i] = *rep
+	}
+	if resp.Errors != nil {
+		if n := flight.NoteFrom(ctx); n != nil {
+			n.Partial = true
+		}
+	}
+	return resp
 }

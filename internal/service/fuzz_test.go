@@ -12,9 +12,7 @@ import (
 
 // FuzzDecodeSimRequest hardens the service's JSON request decoder: whatever
 // bytes arrive, decoding must not panic, and every accepted request must
-// satisfy the documented invariants — in particular no NaN/Inf smuggled
-// into times, slews or horizons (the same rejection the text parsers'
-// parseFinite applies).
+// satisfy the documented invariants (checkTarget, checkRequest).
 func FuzzDecodeSimRequest(f *testing.F) {
 	f.Add([]byte(`{"circuit":"abc","t_end":30,"stimulus":{"a":{"init":true,"edges":[{"t":5,"rising":true,"slew":0.2}]}}}`))
 	f.Add([]byte(`{"netlist":"input a\noutput a\n","format":"net","t_end":1,"stimulus":{}}`))
@@ -33,45 +31,87 @@ func FuzzDecodeSimRequest(f *testing.F) {
 			return
 		}
 		// Accepted requests obey the invariants the server relies on.
-		if (req.Circuit == "") == (req.Netlist == "") {
-			t.Fatalf("accepted request with circuit=%q netlist=%q", req.Circuit, req.Netlist)
+		checkTarget(t, req.Circuit, req.Netlist)
+		checkRequest(t, &req.Request)
+	})
+}
+
+// FuzzDecodeBatchRequest covers the batch payload decoder: an accepted
+// batch names exactly one target, carries at least one request, and every
+// request obeys the single-run invariants.
+func FuzzDecodeBatchRequest(f *testing.F) {
+	f.Add([]byte(`{"circuit":"abc","requests":[{"t_end":30,"stimulus":{"a":{"init":true,"edges":[{"t":5,"rising":true,"slew":0.2}]}}},{"t_end":10,"model":"cdm","stimulus":{}}]}`))
+	f.Add([]byte(`{"netlist":"input a\noutput a\n","format":"net","requests":[{"t_end":1,"stimulus":{}}],"options":{"allow_partial":true}}`))
+	f.Add([]byte(`{"circuit":"x","requests":[]}`))
+	f.Add([]byte(`{"circuit":"x","netlist":"both","requests":[{"t_end":5,"stimulus":{}}]}`))
+	f.Add([]byte(`{"circuit":"x","requests":[{"t_end":5,"stimulus":{}},{"t_end":-1,"stimulus":{}}]}`))
+	f.Add([]byte(`{"circuit":"x","requests":[{"t_end":5,"stimulus":{"a":{"edges":[{"t":1e999}]}}}]}`))
+	f.Add([]byte(`{"circuit":"x","requests":[{"t_end":5}],"options":{"bogus":1}}`))
+	f.Add([]byte(`{"requests":[{"t_end":5,"stimulus":{}}]}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := DecodeBatchRequest(bytes.NewReader(data))
+		if err != nil {
+			return
 		}
-		if !(req.TEnd > 0) || math.IsInf(req.TEnd, 0) {
-			t.Fatalf("accepted non-positive or non-finite t_end %v", req.TEnd)
+		checkTarget(t, req.Circuit, req.Netlist)
+		if len(req.Requests) == 0 {
+			t.Fatal("accepted batch with no requests")
 		}
-		for _, v := range []float64{req.MinPulse, req.TimeoutMs} {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				t.Fatalf("accepted bad option value %v", v)
-			}
-		}
-		for name, w := range req.Stimulus {
-			if name == "" {
-				t.Fatal("accepted empty input name")
-			}
-			for _, e := range w.Edges {
-				if math.IsNaN(e.T) || math.IsInf(e.T, 0) || e.T < 0 {
-					t.Fatalf("accepted bad edge time %v", e.T)
-				}
-				if math.IsNaN(e.Slew) || math.IsInf(e.Slew, 0) || e.Slew < 0 {
-					t.Fatalf("accepted bad slew %v", e.Slew)
-				}
-			}
-		}
-		// The accepted stimulus must convert into a kernel-valid one.
-		st := req.Stimulus.ToSim()
-		for name, w := range st {
-			prev := math.Inf(-1)
-			for _, e := range w.Edges {
-				if e.Slew <= 0 {
-					t.Fatalf("ToSim produced non-positive slew for %q", name)
-				}
-				if e.Time < prev {
-					t.Fatalf("ToSim produced unsorted edges for %q", name)
-				}
-				prev = e.Time
-			}
+		for i := range req.Requests {
+			checkRequest(t, &req.Requests[i])
 		}
 	})
+}
+
+// checkTarget requires an accepted payload to name exactly one target.
+func checkTarget(t *testing.T, circuit, netlist string) {
+	t.Helper()
+	if (circuit == "") == (netlist == "") {
+		t.Fatalf("accepted request with circuit=%q netlist=%q", circuit, netlist)
+	}
+}
+
+// checkRequest requires an accepted run request to obey the invariants the
+// server relies on — in particular no NaN/Inf smuggled into times, slews
+// or horizons (the same rejection the text parsers' parseFinite applies) —
+// and to convert into a kernel-valid stimulus.
+func checkRequest(t *testing.T, req *api.Request) {
+	t.Helper()
+	if !(req.TEnd > 0) || math.IsInf(req.TEnd, 0) {
+		t.Fatalf("accepted non-positive or non-finite t_end %v", req.TEnd)
+	}
+	for _, v := range []float64{req.MinPulse, req.TimeoutMs} {
+		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+			t.Fatalf("accepted bad option value %v", v)
+		}
+	}
+	for name, w := range req.Stimulus {
+		if name == "" {
+			t.Fatal("accepted empty input name")
+		}
+		for _, e := range w.Edges {
+			if math.IsNaN(e.T) || math.IsInf(e.T, 0) || e.T < 0 {
+				t.Fatalf("accepted bad edge time %v", e.T)
+			}
+			if math.IsNaN(e.Slew) || math.IsInf(e.Slew, 0) || e.Slew < 0 {
+				t.Fatalf("accepted bad slew %v", e.Slew)
+			}
+		}
+	}
+	st := req.Stimulus.ToSim()
+	for name, w := range st {
+		prev := math.Inf(-1)
+		for _, e := range w.Edges {
+			if e.Slew <= 0 {
+				t.Fatalf("ToSim produced non-positive slew for %q", name)
+			}
+			if e.Time < prev {
+				t.Fatalf("ToSim produced unsorted edges for %q", name)
+			}
+			prev = e.Time
+		}
+	}
 }
 
 // FuzzDecodeUploadRequest covers the circuit-upload payload decoder.

@@ -7,18 +7,19 @@ import (
 	"sync/atomic"
 )
 
-// ErrQueueFull is returned by Submit when the bounded job queue is at
+// ErrQueueFull is returned by SubmitTask when the bounded job queue is at
 // capacity; callers surface it as 503 with Retry-After.
 var ErrQueueFull = errors.New("service: job queue full")
 
-// ErrClosed is returned by Submit once shutdown has begun.
+// ErrClosed is returned by SubmitTask and SubmitWaitTask once shutdown has
+// begun.
 var ErrClosed = errors.New("service: shutting down")
 
-// task is one unit of queued work. A non-nil ctx arms shed-at-dequeue: a
-// task whose ctx is already dead when a worker picks it up is dropped
-// without running (the deadline passed while it sat in the backlog, so
-// executing it would burn a worker on an answer nobody is waiting for);
-// the expired callback, if any, receives the ctx error instead.
+// task is one unit of queued work. Its ctx arms shed-at-dequeue: a task
+// whose ctx is already dead when a worker picks it up is dropped without
+// running (the deadline passed while it sat in the backlog, so executing
+// it would burn a worker on an answer nobody is waiting for); the expired
+// callback, if any, receives the ctx error instead.
 type task struct {
 	ctx     context.Context
 	run     func()
@@ -26,9 +27,9 @@ type task struct {
 }
 
 // workerPool is the bounded job queue and its workers: all CPU-heavy work
-// (compiles, simulation runs) is admitted through Submit, so concurrency is
-// capped at the worker count, backlog at the queue depth, and overload
-// fails fast instead of stacking goroutines.
+// (compiles, simulation runs) is admitted through SubmitTask, so
+// concurrency is capped at the worker count, backlog at the queue depth,
+// and overload fails fast instead of stacking goroutines.
 type workerPool struct {
 	mu     sync.RWMutex
 	closed bool
@@ -50,14 +51,12 @@ func newWorkerPool(workers, depth int) *workerPool {
 		go func() {
 			defer p.wg.Done()
 			for t := range p.jobs {
-				if t.ctx != nil {
-					if err := t.ctx.Err(); err != nil {
-						p.expired.Add(1)
-						if t.expired != nil {
-							t.expired(err)
-						}
-						continue
+				if err := t.ctx.Err(); err != nil {
+					p.expired.Add(1)
+					if t.expired != nil {
+						t.expired(err)
 					}
+					continue
 				}
 				cur := p.inFlight.Add(1)
 				for {
@@ -75,27 +74,18 @@ func newWorkerPool(workers, depth int) *workerPool {
 	return p
 }
 
-// Submit enqueues a job for the workers. It never blocks: a full queue
-// returns ErrQueueFull, a closing pool ErrClosed.
-func (p *workerPool) Submit(job func()) error {
-	return p.submit(task{run: job})
-}
-
-// SubmitTask is Submit with shed-at-dequeue armed: if ctx is dead by the
-// time a worker would start the job, run is skipped and expired (may be
-// nil) gets the ctx error.
+// SubmitTask enqueues a job for the workers. It never blocks: a full queue
+// returns ErrQueueFull, a closing pool ErrClosed. Shed-at-dequeue is armed
+// on ctx: if ctx is dead by the time a worker would start the job, run is
+// skipped and expired (may be nil) gets the ctx error.
 func (p *workerPool) SubmitTask(ctx context.Context, run func(), expired func(error)) error {
-	return p.submit(task{ctx: ctx, run: run, expired: expired})
-}
-
-func (p *workerPool) submit(t task) error {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.closed {
 		return ErrClosed
 	}
 	select {
-	case p.jobs <- t:
+	case p.jobs <- task{ctx: ctx, run: run, expired: expired}:
 		return nil
 	default:
 		p.rejected.Add(1)
@@ -103,30 +93,21 @@ func (p *workerPool) submit(t task) error {
 	}
 }
 
-// SubmitWait enqueues a job, blocking until queue space frees up or ctx is
-// done. It exists for fan-out callers (the batch handler) that have already
-// passed admission control with a nonblocking Submit and must not drop
-// their remaining jobs under transient pressure. The caller must not be a
-// worker (a worker blocking on its own queue can deadlock the pool); HTTP
-// handler goroutines are safe.
-func (p *workerPool) SubmitWait(ctx context.Context, job func()) error {
-	return p.submitWait(ctx, task{run: job})
-}
-
-// SubmitWaitTask is SubmitWait with shed-at-dequeue armed on the same ctx
-// that bounds the enqueue wait.
+// SubmitWaitTask is SubmitTask blocking until queue space frees up or ctx
+// is done, with shed-at-dequeue armed on the same ctx. It exists for
+// fan-out callers (the batch handler) that have already passed admission
+// control with a nonblocking SubmitTask and must not drop their remaining
+// jobs under transient pressure. The caller must not be a worker (a worker
+// blocking on its own queue can deadlock the pool); HTTP handler
+// goroutines are safe.
 func (p *workerPool) SubmitWaitTask(ctx context.Context, run func(), expired func(error)) error {
-	return p.submitWait(ctx, task{ctx: ctx, run: run, expired: expired})
-}
-
-func (p *workerPool) submitWait(ctx context.Context, t task) error {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.closed {
 		return ErrClosed
 	}
 	select {
-	case p.jobs <- t:
+	case p.jobs <- task{ctx: ctx, run: run, expired: expired}:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()

@@ -17,7 +17,7 @@ func TestQueueRunsJobs(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		wg.Add(1)
 		for {
-			err := p.Submit(func() { ran.Add(1); wg.Done() })
+			err := p.SubmitTask(context.Background(), func() { ran.Add(1); wg.Done() }, nil)
 			if err == nil {
 				break
 			}
@@ -39,17 +39,17 @@ func TestQueueFullRejectsFast(t *testing.T) {
 	gate := make(chan struct{})
 	running := make(chan struct{})
 	// Occupy the single worker and wait until it has the job...
-	if err := p.Submit(func() { close(running); <-gate }); err != nil {
+	if err := p.SubmitTask(context.Background(), func() { close(running); <-gate }, nil); err != nil {
 		t.Fatal(err)
 	}
 	<-running
 	// ...fill the single queue slot...
-	if err := p.Submit(func() {}); err != nil {
+	if err := p.SubmitTask(context.Background(), func() {}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// ...now submission must fail fast with ErrQueueFull.
-	if err := p.Submit(func() {}); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("Submit on full queue: err = %v, want ErrQueueFull", err)
+	if err := p.SubmitTask(context.Background(), func() {}, nil); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("SubmitTask on full queue: err = %v, want ErrQueueFull", err)
 	}
 	if p.Stats().Rejected == 0 {
 		t.Error("rejection not counted")
@@ -63,13 +63,13 @@ func TestQueueCloseDrains(t *testing.T) {
 	started := make(chan struct{})
 	for i := 0; i < 16; i++ {
 		i := i
-		if err := p.Submit(func() {
+		if err := p.SubmitTask(context.Background(), func() {
 			if i == 0 {
 				close(started)
 			}
 			time.Sleep(2 * time.Millisecond)
 			ran.Add(1)
-		}); err != nil {
+		}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -78,47 +78,48 @@ func TestQueueCloseDrains(t *testing.T) {
 	if got := ran.Load(); got != 16 {
 		t.Fatalf("Close returned with %d/16 jobs done — did not drain", got)
 	}
-	if err := p.Submit(func() {}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Submit after Close: err = %v, want ErrClosed", err)
+	if err := p.SubmitTask(context.Background(), func() {}, nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("SubmitTask after Close: err = %v, want ErrClosed", err)
 	}
 	// Idempotent.
 	p.Close()
 }
 
 // TestQueueSubmitWaitBlocksForSpace pins the blocking submit path the
-// batch fan-out uses: a full queue makes SubmitWait wait for capacity
+// batch fan-out uses: a full queue makes SubmitWaitTask wait for capacity
 // instead of rejecting, and a canceled context unblocks it with an error.
 func TestQueueSubmitWaitBlocksForSpace(t *testing.T) {
 	p := newWorkerPool(1, 1)
 	defer p.Close()
 	gate := make(chan struct{})
 	running := make(chan struct{})
-	if err := p.Submit(func() { close(running); <-gate }); err != nil {
+	if err := p.SubmitTask(context.Background(), func() { close(running); <-gate }, nil); err != nil {
 		t.Fatal(err)
 	}
 	<-running
-	if err := p.Submit(func() {}); err != nil { // fill the queue slot
+	if err := p.SubmitTask(context.Background(), func() {}, nil); err != nil { // fill the queue slot
 		t.Fatal(err)
 	}
 
-	// SubmitWait with a live context parks until the worker frees a slot.
+	// SubmitWaitTask with a live context parks until the worker frees a
+	// slot.
 	var ran atomic.Bool
 	done := make(chan error, 1)
 	go func() {
-		done <- p.SubmitWait(context.Background(), func() { ran.Store(true) })
+		done <- p.SubmitWaitTask(context.Background(), func() { ran.Store(true) }, nil)
 	}()
 	select {
 	case err := <-done:
-		t.Fatalf("SubmitWait returned %v while the queue was full", err)
+		t.Fatalf("SubmitWaitTask returned %v while the queue was full", err)
 	case <-time.After(10 * time.Millisecond):
 	}
 	close(gate) // worker drains; the waiting submit lands
 	if err := <-done; err != nil {
-		t.Fatalf("SubmitWait after drain: %v", err)
+		t.Fatalf("SubmitWaitTask after drain: %v", err)
 	}
 	p.Close() // drains the landed job
 	if !ran.Load() {
-		t.Error("SubmitWait job never ran")
+		t.Error("SubmitWaitTask job never ran")
 	}
 }
 
@@ -128,17 +129,17 @@ func TestQueueSubmitWaitCanceled(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
 	running := make(chan struct{})
-	if err := p.Submit(func() { close(running); <-gate }); err != nil {
+	if err := p.SubmitTask(context.Background(), func() { close(running); <-gate }, nil); err != nil {
 		t.Fatal(err)
 	}
 	<-running
-	if err := p.Submit(func() {}); err != nil {
+	if err := p.SubmitTask(context.Background(), func() {}, nil); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := p.SubmitWait(ctx, func() {}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SubmitWait with canceled ctx: err = %v, want context.Canceled", err)
+	if err := p.SubmitWaitTask(ctx, func() {}, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SubmitWaitTask with canceled ctx: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -150,7 +151,7 @@ func TestQueuePeakInFlight(t *testing.T) {
 	barrier := make(chan struct{})
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
-		if err := p.Submit(func() { defer wg.Done(); <-barrier }); err != nil {
+		if err := p.SubmitTask(context.Background(), func() { defer wg.Done(); <-barrier }, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -177,9 +178,9 @@ func TestQueueConcurrentSubmitAndClose(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				err := p.Submit(func() {})
+				err := p.SubmitTask(context.Background(), func() {}, nil)
 				if err != nil && !errors.Is(err, ErrQueueFull) && !errors.Is(err, ErrClosed) {
-					t.Errorf("unexpected Submit error: %v", err)
+					t.Errorf("unexpected SubmitTask error: %v", err)
 					return
 				}
 			}
@@ -199,7 +200,7 @@ func TestQueueShedsExpiredAtDequeue(t *testing.T) {
 
 	gate := make(chan struct{})
 	running := make(chan struct{})
-	if err := p.Submit(func() { close(running); <-gate }); err != nil {
+	if err := p.SubmitTask(context.Background(), func() { close(running); <-gate }, nil); err != nil {
 		t.Fatal(err)
 	}
 	<-running
@@ -229,8 +230,8 @@ func TestQueueShedsExpiredAtDequeue(t *testing.T) {
 	}
 }
 
-// TestQueueLiveTaskRuns: SubmitTask with a live context behaves exactly
-// like Submit.
+// TestQueueLiveTaskRuns: SubmitTask with a live context runs the job and
+// never calls expired.
 func TestQueueLiveTaskRuns(t *testing.T) {
 	p := newWorkerPool(1, 4)
 	defer p.Close()

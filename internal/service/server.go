@@ -7,10 +7,10 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"halotis/api"
+	"halotis/internal/fanout"
 	"halotis/internal/node"
 	"halotis/internal/obs"
 	"halotis/internal/obs/flight"
@@ -122,12 +122,12 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, 
 	s.node.WriteError(w, r, status, resp)
 }
 
-// writeBusy maps queue admission failures to 503, typed as ErrOverloaded
-// on the wire. The Retry-After hint is the live queue-drain estimate —
-// how long the backlog needs at the observed service rate — not a fixed
+// overloaded types a queue admission failure as ErrOverloaded, a 503 on
+// the wire. The Retry-After hint is the live queue-drain estimate — how
+// long the backlog needs at the observed service rate — not a fixed
 // constant, so clients back off proportionally to the actual overload.
-func (s *Server) writeBusy(w http.ResponseWriter, r *http.Request, err error) {
-	s.writeError(w, r, http.StatusServiceUnavailable, &api.OverloadedError{RetryAfter: retryAfterHint(s.drainEstimate()), Cause: err})
+func (s *Server) overloaded(err error) error {
+	return &api.OverloadedError{RetryAfter: retryAfterHint(s.drainEstimate()), Cause: err}
 }
 
 // simStatus maps a run error to an HTTP status via the error taxonomy:
@@ -182,19 +182,22 @@ func shedError(cause error, when string) error {
 	return api.Canceled(cause)
 }
 
-// submitAndWait admits a job to the worker queue and writes its outcome:
-// 503 with Retry-After when the queue refuses it, the job's own status and
-// error otherwise. A job whose request context dies while queued is shed at
-// dequeue (never run) and reported as 504. If the client disconnects first,
-// the handler returns and the buffered channel lets the job finish into the
-// void (simulation jobs observe the canceled request context and abort
-// quickly).
-func (s *Server) submitAndWait(w http.ResponseWriter, r *http.Request, job func() (any, int, error)) {
+// runJob admits job to the worker queue, waits for it and returns its
+// value; job returns the HTTP status that goes with a non-nil error. On
+// any failure runJob writes the response itself and reports false: 503
+// with Retry-After when the queue refuses the job, the job's own status
+// and error when it fails, and 504 when the request's deadline budget
+// expires while the job is queued (shed at dequeue, never run) or running.
+// If the client disconnects first, nothing is written — nobody reads it —
+// and the buffered channel lets the job finish into the void (simulation
+// jobs observe the canceled request context and abort quickly).
+func runJob[T any](s *Server, w http.ResponseWriter, r *http.Request, job func() (T, int, error)) (T, bool) {
 	type out struct {
-		v      any
+		v      T
 		status int
 		err    error
 	}
+	var o out
 	ch := make(chan out, 1)
 	submitted := time.Now()
 	if err := s.queue.SubmitTask(r.Context(), func() {
@@ -207,21 +210,16 @@ func (s *Server) submitAndWait(w http.ResponseWriter, r *http.Request, job func(
 		v, status, err := job()
 		ch <- out{v, status, err}
 	}, func(cause error) {
-		ch <- out{nil, http.StatusGatewayTimeout, shedError(cause, "while queued")}
+		ch <- out{status: http.StatusGatewayTimeout, err: shedError(cause, "while queued")}
 	}); err != nil {
-		s.writeBusy(w, r, err)
-		return
+		s.writeError(w, r, http.StatusServiceUnavailable, s.overloaded(err))
+		return o.v, false
 	}
 	select {
-	case o := <-ch:
-		if o.err != nil {
-			s.writeError(w, r, o.status, o.err)
-			return
-		}
-		node.WriteJSON(w, http.StatusOK, o.v)
+	case o = <-ch:
 	case <-r.Context().Done():
 		if !errors.Is(r.Context().Err(), context.DeadlineExceeded) {
-			return // client went away; nobody reads a response
+			return o.v, false // client went away; nobody reads a response
 		}
 		// The propagated budget expired with the job queued or running.
 		// Prefer the job's own typed outcome if it has already landed
@@ -229,17 +227,16 @@ func (s *Server) submitAndWait(w http.ResponseWriter, r *http.Request, job func(
 		// otherwise report the shed now rather than waiting for dequeue.
 		s.node.DeadlineShed.Add(1)
 		select {
-		case o := <-ch:
-			if o.err != nil {
-				s.writeError(w, r, o.status, o.err)
-				return
-			}
-			node.WriteJSON(w, http.StatusOK, o.v)
+		case o = <-ch:
 		default:
-			s.writeError(w, r, http.StatusGatewayTimeout,
-				shedError(r.Context().Err(), "before the job finished"))
+			o = out{status: http.StatusGatewayTimeout, err: shedError(r.Context().Err(), "before the job finished")}
 		}
 	}
+	if o.err != nil {
+		s.writeError(w, r, o.status, o.err)
+		return o.v, false
+	}
+	return o.v, true
 }
 
 // resolve finds the target circuit: by cached ID, or by registering inline
@@ -280,13 +277,15 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	s.submitAndWait(w, r, func() (any, int, error) {
+	if resp, ok := runJob(s, w, r, func() (*UploadResponse, int, error) {
 		ent, cached, err := s.cache.Add(req.Netlist, req.Format, req.Name)
 		if err != nil {
 			return nil, http.StatusUnprocessableEntity, api.InvalidRequestf("parse netlist: %v", err)
 		}
-		return UploadResponse{CircuitInfo: ent.info, Cached: cached}, http.StatusOK, nil
-	})
+		return &UploadResponse{CircuitInfo: ent.info, Cached: cached}, 0, nil
+	}); ok {
+		node.WriteJSON(w, http.StatusOK, resp)
+	}
 }
 
 //halotis:noctx lists the in-memory circuit cache; no downstream work
@@ -320,7 +319,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.runCtx(r.Context(), req.TimeoutMs)
 	defer cancel()
 
-	s.submitAndWait(w, r, func() (any, int, error) {
+	if rep, ok := runJob(s, w, r, func() (*Report, int, error) {
 		ent, status, err := s.resolve(ctx, req.Circuit, req.Netlist, req.Format)
 		if err != nil {
 			return nil, status, err
@@ -329,145 +328,98 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, simStatus(err), err
 		}
-		return rep, http.StatusOK, nil
-	})
+		return rep, 0, nil
+	}); ok {
+		noteReports(r.Context(), rep)
+		node.WriteJSON(w, http.StatusOK, rep)
+	}
 }
 
 // handleBatch fans the batch's requests out across the worker queue, so a
 // batch of N jobs on a W-worker daemon takes ~N/W serial job times instead
 // of N. Admission control stays at batch granularity: the resolve step is
 // the one nonblocking queue submit (full queue means fast 503 for the
-// whole batch); once admitted, the remaining jobs enter the queue with a
-// blocking submit — they wait for capacity instead of being dropped
-// midway. The coordinator is the HTTP handler goroutine, never a worker,
-// so waiting cannot deadlock the pool.
+// whole batch); once admitted, the fan-out keeps up to W jobs of the batch
+// in the queue, entering each with a blocking submit — jobs wait for
+// capacity instead of being dropped midway. The fan-out goroutines belong
+// to the HTTP handler, never to a worker, so waiting cannot deadlock the
+// pool.
+//
+// By default the first failure cancels the rest (in-flight runs abort at
+// event-pop granularity) and the response reports the root cause, not a
+// sibling's secondary cancellation. In partial mode
+// (BatchOptions.AllowPartial) failures stay in their own slot: siblings
+// keep running and the response carries per-request errors alongside the
+// finished reports.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	req, err := DecodeBatchRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-
 	// Resolve (and compile, for inline netlists) as the admission job.
-	type resolved struct {
-		ent    *cacheEntry
-		status int
-		err    error
-	}
-	rch := make(chan resolved, 1)
-	submitted := time.Now()
-	if err := s.queue.SubmitTask(r.Context(), func() {
-		wait := time.Since(submitted)
-		s.met.queueWait.Observe(wait.Seconds())
-		obs.Record(r.Context(), "queue.wait", submitted, wait, nil)
-		if n := flight.NoteFrom(r.Context()); n != nil {
-			n.QueueWaitNs = wait.Nanoseconds()
-		}
-		ent, status, err := s.resolve(r.Context(), req.Circuit, req.Netlist, req.Format)
-		rch <- resolved{ent, status, err}
-	}, func(cause error) {
-		rch <- resolved{nil, http.StatusGatewayTimeout, shedError(cause, "while queued")}
-	}); err != nil {
-		s.writeBusy(w, r, err)
+	ent, ok := runJob(s, w, r, func() (*cacheEntry, int, error) {
+		return s.resolve(r.Context(), req.Circuit, req.Netlist, req.Format)
+	})
+	if !ok {
 		return
 	}
-	var ent *cacheEntry
-	select {
-	case o := <-rch:
-		if o.err != nil {
-			s.writeError(w, r, o.status, o.err)
+
+	partial := req.Options != nil && req.Options.AllowPartial
+	reports := make([]*Report, len(req.Requests))
+	errs := fanout.Each(r.Context(), len(reports), s.cfg.Workers, !partial, func(ctx context.Context, i int) error {
+		sub := &req.Requests[i]
+		done := make(chan error, 1)
+		err := s.queue.SubmitWaitTask(ctx, func() {
+			jobCtx, cancel := s.runCtx(ctx, sub.TimeoutMs)
+			defer cancel()
+			var err error
+			reports[i], err = s.runOne(jobCtx, ent, sub)
+			done <- err
+		}, func(cause error) {
+			done <- shedError(cause, "while queued")
+		})
+		if errors.Is(err, ErrClosed) {
+			// Shutdown mid-fan-out is an availability condition, reported
+			// like any other admission refusal.
+			return s.overloaded(err)
+		}
+		if err != nil {
+			return err // ctx died while waiting for queue space
+		}
+		return <-done
+	})
+	for i, err := range errs {
+		errs[i] = api.MapRunError(err) // a never-started slot holds the bare context error
+	}
+	if !partial {
+		if idx, err := api.FirstFailure(errs); err != nil {
+			s.writeError(w, r, simStatus(err), fmt.Errorf("requests[%d]: %w", idx, err))
 			return
 		}
-		ent = o.ent
-	case <-r.Context().Done():
+	}
+	noteReports(r.Context(), reports...)
+	node.WriteJSON(w, http.StatusOK, BatchResponseOf(r.Context(), ent.info.ID, reports, errs))
+}
+
+// noteReports files served reports on the request's flight note: a
+// result-cache answer marks the request cached, a kernel run adds its
+// events. Handlers call it once the runs are done, so a batch's parallel
+// jobs never write the shared note.
+func noteReports(ctx context.Context, reps ...*Report) {
+	n := flight.NoteFrom(ctx)
+	if n == nil {
 		return
 	}
-
-	// Fan out: one queue job per request. By default the first failure
-	// cancels the rest (in-flight runs abort at event-pop granularity) and
-	// the response reports the root cause, not a sibling's secondary
-	// cancellation. In partial mode (BatchOptions.AllowPartial) failures
-	// stay in their own slot: siblings keep running and the response
-	// carries per-request errors alongside the finished reports.
-	partial := req.Options != nil && req.Options.AllowPartial
-	n := len(req.Requests)
-	reports := make([]*Report, n)
-	errs := make([]error, n)
-	fanCtx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	var wg sync.WaitGroup
-	for i := range req.Requests {
-		sub := &req.Requests[i]
-		wg.Add(1)
-		job := func() {
-			defer wg.Done()
-			if fanCtx.Err() != nil {
-				errs[i] = api.Canceled(fanCtx.Err())
-				return
-			}
-			jobCtx, jobCancel := s.runCtx(fanCtx, sub.TimeoutMs)
-			defer jobCancel()
-			rep, err := s.runOne(jobCtx, ent, sub)
-			if err != nil {
-				errs[i] = err
-				if !partial {
-					cancel()
-				}
-				return
-			}
-			reports[i] = rep
-		}
-		expired := func(cause error) {
-			defer wg.Done()
-			errs[i] = shedError(cause, "while queued")
-		}
-		if err := s.queue.SubmitWaitTask(fanCtx, job, expired); err != nil {
-			wg.Done()
-			if errors.Is(err, ErrClosed) || errors.Is(err, ErrQueueFull) {
-				// Shutdown/backpressure mid-fan-out is an availability
-				// condition, reported like any other admission refusal.
-				err = &api.OverloadedError{RetryAfter: retryAfterHint(s.drainEstimate()), Cause: err}
-			}
-			errs[i] = api.MapRunError(err)
-			if partial {
-				continue
-			}
-			cancel()
-			break
+	for _, rep := range reps {
+		switch {
+		case rep == nil:
+		case rep.Cached:
+			n.Cached = true
+		default:
+			n.KernelEvents += rep.Stats.EventsProcessed
 		}
 	}
-	wg.Wait()
-
-	if partial {
-		resp := &BatchResponse{Circuit: ent.info.ID, Reports: make([]Report, n)}
-		for i, rep := range reports {
-			if errs[i] != nil {
-				if resp.Errors == nil {
-					resp.Errors = make([]*api.ErrorResponse, n)
-				}
-				resp.Errors[i] = api.ErrorResponseOf(errs[i])
-				continue
-			}
-			resp.Reports[i] = *rep
-		}
-		if resp.Errors != nil {
-			if fn := flight.NoteFrom(r.Context()); fn != nil {
-				fn.Partial = true
-			}
-		}
-		node.WriteJSON(w, http.StatusOK, resp)
-		return
-	}
-
-	if idx, err := api.FirstFailure(errs); err != nil {
-		s.writeError(w, r, simStatus(err), fmt.Errorf("requests[%d]: %w", idx, err))
-		return
-	}
-	resp := &BatchResponse{Circuit: ent.info.ID, Reports: make([]Report, n)}
-	for i, rep := range reports {
-		resp.Reports[i] = *rep
-	}
-	node.WriteJSON(w, http.StatusOK, resp)
 }
 
 //halotis:noctx renders local gauges; no downstream work
@@ -510,9 +462,6 @@ func (s *Server) runOne(ctx context.Context, ent *cacheEntry, req *Request) (*Re
 	}
 	ck := resultKey(ent.info.ID, st, req, key)
 	if rep, ok := s.results.Get(ck); ok {
-		if n := flight.NoteFrom(ctx); n != nil {
-			n.Cached = true
-		}
 		rep.TraceID = traceID // Get returned a copy; the cached entry stays clean
 		return rep, nil
 	}
@@ -545,9 +494,6 @@ func (s *Server) runOne(ctx context.Context, ent *cacheEntry, req *Request) (*Re
 	if spRun != nil {
 		spRun.SetAttr("events", strconv.FormatUint(res.Stats.EventsProcessed, 10))
 		spRun.End()
-	}
-	if n := flight.NoteFrom(ctx); n != nil {
-		n.KernelEvents = res.Stats.EventsProcessed
 	}
 	s.met.recordRun(0, res.Elapsed, nil)
 	s.met.kernelRun.Observe(res.Elapsed.Seconds())

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -211,8 +213,14 @@ func TestServiceInlineNetlistAndModels(t *testing.T) {
 	}
 }
 
+// TestServiceBatchMatchesSingles: every slot of a batch reports exactly
+// what a single /v1/simulate run of the same request reports — a batch
+// equals a sequence of single runs. The result cache is off, so each
+// report comes from its own kernel run. An allow_partial batch keeps that
+// for its good slots while its bad slot carries a typed error, and the
+// flight recorder files it partial and pinned.
 func TestServiceBatchMatchesSingles(t *testing.T) {
-	_, c := newTestService(t, service.Config{})
+	_, c := newTestService(t, service.Config{ResultCacheSize: -1})
 	ctx := context.Background()
 	up, err := c.UploadCircuit(ctx, client.UploadRequest{Netlist: netfmt.C17Bench(), Format: "bench"})
 	if err != nil {
@@ -228,21 +236,60 @@ func TestServiceBatchMatchesSingles(t *testing.T) {
 		st["1"] = w
 		reqs[i] = c17Request(st, 40)
 	}
-	batch, err := c.SimulateBatch(ctx, client.BatchRequest{Circuit: up.ID, Requests: reqs})
+	withBad := slices.Clone(reqs)
+	withBad[2].Waveforms = []string{"no_such_net"}
+
+	for _, batchReq := range []client.BatchRequest{
+		{Circuit: up.ID, Requests: reqs},
+		{Circuit: up.ID, Requests: withBad, Options: &api.BatchOptions{AllowPartial: true}},
+	} {
+		partial := batchReq.Options != nil
+		batch, err := c.SimulateBatch(ctx, batchReq)
+		if err != nil {
+			t.Fatalf("partial=%v: %v", partial, err)
+		}
+		if len(batch.Reports) != len(reqs) {
+			t.Fatalf("partial=%v: batch returned %d reports, want %d", partial, len(batch.Reports), len(reqs))
+		}
+		if partial != (batch.Errors != nil) {
+			t.Fatalf("partial=%v: batch errors = %+v", partial, batch.Errors)
+		}
+		for i, req := range batchReq.Requests {
+			if partial && i == 2 {
+				if e := batch.Errors[2]; e == nil || e.Code != api.CodeInvalidRequest {
+					t.Errorf("slot 2 error = %+v, want code %q", e, api.CodeInvalidRequest)
+				}
+				continue
+			}
+			if partial && batch.Errors[i] != nil {
+				t.Errorf("slot %d failed: %+v", i, batch.Errors[i])
+				continue
+			}
+			single, err := c.Simulate(ctx, client.SimRequest{Circuit: up.ID, Request: req})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := batch.Reports[i]
+			got.ElapsedNs = single.ElapsedNs // wall time of two separate runs
+			if !reflect.DeepEqual(got, *single) {
+				t.Errorf("partial=%v request %d: batch report %+v != single report %+v", partial, i, got, *single)
+			}
+		}
+	}
+
+	fr, err := c.FlightRecords(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(batch.Reports) != len(reqs) {
-		t.Fatalf("batch returned %d reports, want %d", len(batch.Reports), len(reqs))
+	var batches []api.FlightRecord
+	for _, rec := range fr.Records {
+		if rec.Route == "batch" {
+			batches = append(batches, rec)
+		}
 	}
-	for i, req := range reqs {
-		single, err := c.Simulate(ctx, client.SimRequest{Circuit: up.ID, Request: req})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if batch.Reports[i].Stats != single.Stats {
-			t.Errorf("request %d: batch stats %+v != single stats %+v", i, batch.Reports[i].Stats, single.Stats)
-		}
+	// Newest first: the allow_partial batch, then the clean one.
+	if len(batches) != 2 || !batches[0].Partial || !batches[0].Pinned || batches[1].Partial {
+		t.Errorf("batch flight records = %+v, want the allow_partial batch filed partial+pinned and the clean one not partial", batches)
 	}
 }
 

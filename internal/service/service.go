@@ -30,9 +30,13 @@
 //   - A bounded job queue with a configurable worker pool (queue.go): all
 //     compile and simulation work is admitted through it, so concurrency is
 //     capped, overload surfaces as fast 503s instead of collapse, and
-//     shutdown drains in-flight jobs. Batch requests fan their jobs out
-//     across the queue (one admission, N parallel jobs) instead of
-//     pinning one worker for the whole batch.
+//     shutdown drains in-flight jobs. Simulate, upload and a batch's
+//     admission step share one path (runJob): submit, wait, shed at
+//     dequeue with 504 when the deadline budget expires in the backlog,
+//     and 503 with a drain-estimate Retry-After when the queue is full.
+//     An admitted batch then fans its runs out across the queue with
+//     internal/fanout, up to one queued job per worker at a time, instead
+//     of pinning one worker for the whole batch.
 //
 // Endpoints (see server.go): POST /v1/circuits (upload+compile), GET
 // /v1/circuits[/{id}] (list/inspect), DELETE /v1/circuits/{id} (evict),

@@ -106,9 +106,9 @@ func TestRunBatchContextCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunBatchContext(ctx, ckt, sts, tEnd, Options{Workers: 2})
+	_, err := RunBatch(ckt, sts, tEnd, Options{Workers: 2, Ctx: ctx})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunBatchContext on canceled ctx: err = %v, want context.Canceled", err)
+		t.Fatalf("RunBatch on canceled ctx: err = %v, want context.Canceled", err)
 	}
 }
 

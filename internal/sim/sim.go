@@ -71,8 +71,8 @@ type Options struct {
 	Partitions int
 	// Ctx, when non-nil, cancels runs: Engine.Run and RunBatch abort at
 	// event-pop granularity once the context is done, returning an error
-	// wrapping ctx.Err(). The explicit-context entry points
-	// (Engine.RunContext, RunBatchContext) override it.
+	// wrapping ctx.Err(). Engine.RunContext's explicit context overrides
+	// it.
 	Ctx context.Context
 	// Profile enables per-run kernel profiling: Result.Profile carries
 	// per-worker counters (events popped, horizon-stall waits, mailbox

@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"halotis/api"
 	"halotis/internal/circ"
+	"halotis/internal/fanout"
 	"halotis/internal/sim"
 )
 
@@ -185,44 +185,13 @@ func (s *localSession) RunBatch(ctx context.Context, reqs []Request) ([]*Report,
 	}
 
 	reports := make([]*Report, len(reqs))
-	if len(reqs) == 0 {
-		return reports, nil
+	errs := fanout.Each(ctx, len(reqs), runtime.GOMAXPROCS(0), true, func(ctx context.Context, i int) (err error) {
+		reports[i], err = s.runOne(ctx, &reqs[i])
+		return err
+	})
+	for i, err := range errs {
+		errs[i] = api.MapRunError(err) // a never-started slot holds the bare context error
 	}
-	errs := make([]error, len(reqs))
-	fanCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(reqs) {
-					return
-				}
-				if err := fanCtx.Err(); err != nil {
-					errs[i] = api.Canceled(err)
-					continue
-				}
-				rep, err := s.runOne(fanCtx, &reqs[i])
-				if err != nil {
-					errs[i] = err
-					cancel()
-					continue
-				}
-				reports[i] = rep
-			}
-		}()
-	}
-	wg.Wait()
-
 	if i, err := api.FirstFailure(errs); err != nil {
 		return nil, fmt.Errorf("requests[%d]: %w", i, err)
 	}
