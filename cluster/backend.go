@@ -39,7 +39,7 @@ func (c *Cluster) Open(ctx context.Context, ckt *halotis.Circuit) (halotis.Sessi
 	}
 	ir := circ.Compile(ckt)
 	t := &circuitText{id: ir.Hash, text: text.String(), format: "net", name: ckt.Name}
-	c.texts.put(t)
+	c.texts.Put(t.id, t)
 	if _, err := c.place(ctx, t); err != nil {
 		return nil, err
 	}

@@ -34,7 +34,6 @@
 package cluster
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"log/slog"
@@ -47,6 +46,7 @@ import (
 	"halotis/client"
 	"halotis/internal/cellib"
 	"halotis/internal/fanout"
+	"halotis/internal/lru"
 	"halotis/internal/node"
 )
 
@@ -58,7 +58,6 @@ type Cluster struct {
 	replicas []*replica
 	rf       int
 	lib      *cellib.Library
-	maxBody  int64
 
 	probeEvery   time.Duration
 	probeTimeout time.Duration
@@ -66,8 +65,8 @@ type Cluster struct {
 	hedge   HedgePolicy
 	hbudget *hedgeBudget
 
-	texts   *textStore
-	results *resultCache
+	texts   *lru.Cache[string, *circuitText] // by circuit ID, for upload-on-miss repair
+	results *lru.Cache[string, *api.Report]  // by service.ResultKey, for degraded serves
 	met     routerMetrics
 	log     *slog.Logger
 	// node is the HTTP shell shared with the replicas: middleware,
@@ -96,8 +95,6 @@ type config struct {
 	retry        client.RetryPolicy
 	clientOpts   []client.Option
 	ids          []string
-	textCap      int
-	maxBody      int64
 	breaker      BreakerPolicy
 	hedge        HedgePolicy
 	listener     func(ReplicaEvent)
@@ -184,8 +181,6 @@ func New(replicas []string, opts ...Option) (*Cluster, error) {
 		probeEvery:   2 * time.Second,
 		probeTimeout: 2 * time.Second,
 		lib:          cellib.Default06(),
-		textCap:      256,
-		maxBody:      8 << 20,
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -214,13 +209,12 @@ func New(replicas []string, opts ...Option) (*Cluster, error) {
 	c := &Cluster{
 		rf:           cfg.replication,
 		lib:          cfg.lib,
-		maxBody:      cfg.maxBody,
 		probeEvery:   cfg.probeEvery,
 		probeTimeout: cfg.probeTimeout,
 		hedge:        cfg.hedge,
 		hbudget:      newHedgeBudget(cfg.hedge.MaxRatio),
-		texts:        newTextStore(cfg.textCap),
-		results:      newResultCache(resultCacheCap),
+		texts:        lru.New[string, *circuitText](textCap, nil),
+		results:      lru.New[string, *api.Report](resultCacheCap, nil),
 		log:          cfg.logger,
 		rollupEvery:  cfg.slo.RollupInterval,
 		stop:         make(chan struct{}),
@@ -439,60 +433,12 @@ func (c *Cluster) ProbeNow() {
 }
 
 // circuitText is the serialized form of a circuit the cluster has seen —
-// what makes upload-on-miss possible after a failover.
+// what makes upload-on-miss possible after a failover. Losing one to the
+// texts bound costs only the ability to repair that circuit: replicas
+// re-parse and re-compile on upload.
 type circuitText struct {
 	id     string
 	text   string
 	format string
 	name   string
-}
-
-// textStore is a bounded LRU of serialized netlists by circuit ID. The
-// texts only repair caches (replicas re-parse and re-compile on upload),
-// so eviction costs nothing but the ability to repair that circuit.
-type textStore struct {
-	mu  sync.Mutex
-	cap int
-	m   map[string]*list.Element
-	lru *list.List // of *circuitText; front = most recent
-}
-
-func newTextStore(capacity int) *textStore {
-	return &textStore{cap: capacity, m: make(map[string]*list.Element), lru: list.New()}
-}
-
-func (s *textStore) put(t *circuitText) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.m[t.id]; ok {
-		el.Value = t
-		s.lru.MoveToFront(el)
-		return
-	}
-	s.m[t.id] = s.lru.PushFront(t)
-	for s.lru.Len() > s.cap {
-		back := s.lru.Back()
-		delete(s.m, back.Value.(*circuitText).id)
-		s.lru.Remove(back)
-	}
-}
-
-func (s *textStore) get(id string) *circuitText {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.m[id]
-	if !ok {
-		return nil
-	}
-	s.lru.MoveToFront(el)
-	return el.Value.(*circuitText)
-}
-
-func (s *textStore) drop(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.m[id]; ok {
-		delete(s.m, id)
-		s.lru.Remove(el)
-	}
 }

@@ -365,6 +365,11 @@ func TestDegradedServeFromResultCache(t *testing.T) {
 	if fresh.Degraded {
 		t.Fatal("fresh report flagged degraded")
 	}
+	profiled := req
+	profiled.Request.Profile = true
+	if _, err := cl.Simulate(ctx, profiled); err != nil {
+		t.Fatal(err)
+	}
 
 	for _, r := range reps {
 		r.kill()
@@ -374,8 +379,8 @@ func TestDegradedServeFromResultCache(t *testing.T) {
 	if err != nil {
 		t.Fatalf("simulate with all replicas down: %v (want degraded cache hit)", err)
 	}
-	if !stale.Degraded {
-		t.Fatal("cache-served report not flagged Degraded")
+	if !stale.Degraded || !stale.Cached {
+		t.Fatalf("cache-served report flagged degraded=%v cached=%v, want both", stale.Degraded, stale.Cached)
 	}
 	if fmt.Sprint(stale.Outputs) != fmt.Sprint(fresh.Outputs) {
 		t.Fatalf("degraded outputs %v != fresh outputs %v", stale.Outputs, fresh.Outputs)
@@ -384,11 +389,24 @@ func TestDegradedServeFromResultCache(t *testing.T) {
 		t.Fatal("degraded_serves_total not incremented")
 	}
 
-	// A request the cache never saw has nothing to degrade to.
+	// The stale store keys like the replicas' result caches: a deadline or
+	// a partition count does not change a result.
+	same := req
+	same.Request.TimeoutMs = 5000
+	same.Request.Partitions = 2
+	if rep, err := cl.Simulate(ctx, same); err != nil || !rep.Degraded {
+		t.Fatalf("request differing only in timeout_ms and partitions: %v (want a degraded serve)", err)
+	}
+
+	// A request the cache never saw has nothing to degrade to, and a
+	// profile describes one execution, so no profiled report is stored.
 	other := req
 	other.Request.TEnd = 40
 	if _, err := cl.Simulate(ctx, other); err == nil {
 		t.Fatal("unseen request served with every replica down")
+	}
+	if _, err := cl.Simulate(ctx, profiled); err == nil {
+		t.Fatal("profiled request served from the stale store")
 	}
 }
 

@@ -89,7 +89,8 @@ func (c *Cluster) resolveTarget(ctx context.Context, circuit, netlistText, forma
 	defer sp.End()
 	if circuit != "" {
 		sp.SetAttr("source", "id")
-		return circuit, c.texts.get(circuit), nil
+		t, _ := c.texts.Get(circuit)
+		return circuit, t, nil
 	}
 	ckt, err := netfmt.ParseText(netlistText, format, c.lib, name)
 	if err != nil {
@@ -99,9 +100,9 @@ func (c *Cluster) resolveTarget(ctx context.Context, circuit, netlistText, forma
 	}
 	id := circ.ContentHash(ckt)
 	t := &circuitText{id: id, text: netlistText, format: format, name: name}
-	if known := c.texts.get(id); known == nil {
+	if _, known := c.texts.Get(id); !known {
 		sp.SetAttr("source", "inline-placed")
-		c.texts.put(t)
+		c.texts.Put(id, t)
 		if _, err := c.place(ctx, t); err != nil {
 			sp.Fail(err)
 			return "", nil, err
@@ -118,7 +119,7 @@ func (c *Cluster) badRequest(w http.ResponseWriter, r *http.Request, status int,
 }
 
 func (c *Cluster) handleUpload(w http.ResponseWriter, r *http.Request) {
-	req, err := service.DecodeUploadRequest(http.MaxBytesReader(w, r.Body, c.maxBody))
+	req, err := service.DecodeUploadRequest(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
 		c.badRequest(w, r, http.StatusBadRequest, err.Error())
 		return
@@ -129,7 +130,7 @@ func (c *Cluster) handleUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t := &circuitText{id: circ.ContentHash(ckt), text: req.Netlist, format: req.Format, name: req.Name}
-	c.texts.put(t)
+	c.texts.Put(t.id, t)
 	resp, err := c.place(r.Context(), t)
 	if err != nil {
 		c.writeError(w, r, err)
@@ -139,7 +140,7 @@ func (c *Cluster) handleUpload(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Cluster) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	req, err := service.DecodeSimRequest(http.MaxBytesReader(w, r.Body, c.maxBody))
+	req, err := service.DecodeSimRequest(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
 		c.badRequest(w, r, http.StatusBadRequest, err.Error())
 		return
@@ -149,7 +150,7 @@ func (c *Cluster) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		c.writeError(w, r, err)
 		return
 	}
-	key, kerr := resultKeyOf(id, req.Request)
+	key, cacheable := service.ResultKey(id, req.Stimulus.ToSim(), &req.Request, req.Options().PoolKey())
 	var mu sync.Mutex
 	var rep *api.Report
 	err = c.withFailover(r.Context(), id, t, nil, func(ctx context.Context, rp *replica) error {
@@ -163,34 +164,35 @@ func (c *Cluster) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	if err != nil {
-		// Graceful degradation: with every holder unreachable, a cached
-		// report for this exact (circuit, request) is still a correct
-		// answer — simulations are deterministic — just not a fresh one.
-		// Terminal failures and genuine misses keep their errors.
-		if kerr == nil && isAvailability(err) && !errors.Is(err, api.ErrCircuitNotFound) {
-			if cached, ok := c.results.get(key); ok {
-				cached.Degraded = true
-				cached.TraceID, _, _ = obs.ContextTrace(r.Context())
+		// Graceful degradation: with every holder unreachable, a stored
+		// report for the same result key is still a correct answer —
+		// simulations are deterministic — just not a fresh one. Terminal
+		// failures and genuine misses keep their errors.
+		if cacheable && isAvailability(err) && !errors.Is(err, api.ErrCircuitNotFound) {
+			if stored, ok := c.results.Get(key); ok {
+				stale := *stored // shared with the store; mark a copy
+				stale.Cached, stale.Degraded = true, true
+				stale.TraceID, _, _ = obs.ContextTrace(r.Context())
 				c.met.degradedServes.Add(1)
 				if n := flight.NoteFrom(r.Context()); n != nil {
 					n.Degraded = true
 					n.Cached = true
 				}
-				node.WriteJSON(w, http.StatusOK, &cached)
+				node.WriteJSON(w, http.StatusOK, &stale)
 				return
 			}
 		}
 		c.writeError(w, r, err)
 		return
 	}
-	if kerr == nil {
-		c.results.put(key, *rep)
+	if cacheable {
+		c.results.Put(key, rep)
 	}
 	node.WriteJSON(w, http.StatusOK, rep)
 }
 
 func (c *Cluster) handleBatch(w http.ResponseWriter, r *http.Request) {
-	req, err := service.DecodeBatchRequest(http.MaxBytesReader(w, r.Body, c.maxBody))
+	req, err := service.DecodeBatchRequest(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
 		c.badRequest(w, r, http.StatusBadRequest, err.Error())
 		return
@@ -238,7 +240,8 @@ func (c *Cluster) handleGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var mu sync.Mutex
 	var info *api.CircuitInfo
-	err := c.withFailover(r.Context(), id, c.texts.get(id), nil, func(ctx context.Context, rep *replica) error {
+	t, _ := c.texts.Get(id)
+	err := c.withFailover(r.Context(), id, t, nil, func(ctx context.Context, rep *replica) error {
 		got, err := rep.c.Circuit(ctx, id)
 		if err != nil {
 			return err
@@ -263,7 +266,7 @@ func (c *Cluster) handleGet(w http.ResponseWriter, r *http.Request) {
 // and may serve the ID again after it revives.
 func (c *Cluster) handleEvict(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	c.texts.drop(id)
+	c.texts.Remove(id)
 	evicted := false
 	for _, rep := range c.replicas {
 		if err := rep.c.Evict(r.Context(), id); err == nil {

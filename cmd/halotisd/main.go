@@ -89,7 +89,7 @@ func main() {
 	cacheSize := flag.Int("cache", 64, "compiled-circuit cache capacity")
 	resultCache := flag.Int("result-cache", 0, "result cache capacity: repeated identical simulate requests skip the kernel (0 = default 1024, negative = disabled)")
 	poolSize := flag.Int("pool", 0, "free engines retained per circuit and options (0 = workers)")
-	maxBody := flag.Int64("max-body", 8<<20, "maximum request body, bytes")
+	maxBody := flag.Int64("max-body", 8<<20, "maximum request body, bytes (replica mode only: the -cluster router caps bodies at 8 MiB)")
 	maxTimeout := flag.Duration("max-timeout", 0, "ceiling on per-request run time, capping timeout_ms and applying when it is omitted (0 = uncapped)")
 	maxEvents := flag.Uint64("max-events", 0, "cap on per-request max_events (0 = engine default only)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown bound for in-flight requests")

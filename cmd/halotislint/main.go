@@ -13,8 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -22,23 +24,36 @@ import (
 	"halotis/internal/buildinfo"
 )
 
-func main() {
-	list := flag.Bool("list", false, "list the analyzers and exit")
-	run := flag.String("run", "", "comma-separated analyzer names to run (default all)")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: halotislint [-list] [-run name,name] [pattern ...]\n\nAnalyzers:\n")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it parses args, runs the selected analyzers over the
+// module in the working directory and prints every finding to stdout. It
+// returns the exit status: 0 when clean, 1 on findings, 2 on a usage or
+// load error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("halotislint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list the analyzers and exit")
+	runNames := fs.String("run", "", "comma-separated analyzer names to run (default all)")
+	version := fs.Bool("version", false, "print version and exit")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: halotislint [-list] [-run name,name] [pattern ...]\n\nAnalyzers:\n")
 		for _, s := range analysis.Suite() {
-			fmt.Fprintf(os.Stderr, "  %-12s %s\n", s.Name, s.Doc)
+			fmt.Fprintf(stderr, "  %-12s %s\n", s.Name, s.Doc)
 		}
-		flag.PrintDefaults()
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *version {
 		v, rev, goVersion := buildinfo.Info()
-		fmt.Printf("halotislint %s (%s, %s)\n", v, rev, goVersion)
-		return
+		fmt.Fprintf(stdout, "halotislint %s (%s, %s)\n", v, rev, goVersion)
+		return 0
 	}
 	if *list {
 		for _, s := range analysis.Suite() {
@@ -46,40 +61,39 @@ func main() {
 			if len(s.Paths) > 0 {
 				scope = strings.Join(s.Paths, ", ")
 			}
-			fmt.Printf("%-12s %s\n%14s scope: %s\n", s.Name, s.Doc, "", scope)
+			fmt.Fprintf(stdout, "%-12s %s\n%14s scope: %s\n", s.Name, s.Doc, "", scope)
 		}
-		return
+		return 0
 	}
 
 	suite := analysis.Suite()
-	if *run != "" {
-		names := strings.Split(*run, ",")
+	if *runNames != "" {
 		var sel []analysis.Scoped
-		for _, name := range names {
+		for _, name := range strings.Split(*runNames, ",") {
 			s := analysis.ByName(strings.TrimSpace(name))
 			if s == nil {
-				fmt.Fprintf(os.Stderr, "halotislint: unknown analyzer %q\n", name)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "halotislint: unknown analyzer %q\n", name)
+				return 2
 			}
 			sel = append(sel, *s)
 		}
 		suite = sel
 	}
 
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 
 	wd, err := os.Getwd()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "halotislint:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "halotislint:", err)
+		return 2
 	}
 	pkgs, err := analysis.Load(wd)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "halotislint:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "halotislint:", err)
+		return 2
 	}
 
 	var all []analysis.Diagnostic
@@ -93,20 +107,21 @@ func main() {
 			}
 			diags, err := analysis.Run(s.Analyzer, pkg)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "halotislint:", err)
-				os.Exit(2)
+				fmt.Fprintln(stderr, "halotislint:", err)
+				return 2
 			}
 			all = append(all, diags...)
 		}
 	}
 	analysis.SortDiagnostics(all)
 	for _, d := range all {
-		fmt.Println(d)
+		fmt.Fprintln(stdout, d)
 	}
 	if len(all) > 0 {
-		fmt.Fprintf(os.Stderr, "halotislint: %d finding(s)\n", len(all))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "halotislint: %d finding(s)\n", len(all))
+		return 1
 	}
+	return 0
 }
 
 // selected reports whether an import path matches any pattern. ./... and

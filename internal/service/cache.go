@@ -1,7 +1,6 @@
 package service
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -11,6 +10,7 @@ import (
 	"halotis/api"
 	"halotis/internal/cellib"
 	"halotis/internal/circ"
+	"halotis/internal/lru"
 	"halotis/internal/netfmt"
 	"halotis/internal/sim"
 )
@@ -40,12 +40,14 @@ type CacheStats struct {
 }
 
 // HitRate is Hits / (Hits + Misses), or 0 before any lookup.
-func (s CacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
+func (s CacheStats) HitRate() float64 { return hitRate(s.Hits, s.Misses) }
+
+// hitRate is hits / (hits + misses), or 0 before any lookup.
+func hitRate(hits, misses uint64) float64 {
+	if hits+misses == 0 {
 		return 0
 	}
-	return float64(s.Hits) / float64(total)
+	return float64(hits) / float64(hits+misses)
 }
 
 // maxRawKeysPerEntry bounds the raw-text index entries one circuit may
@@ -63,7 +65,6 @@ type cacheEntry struct {
 	// rawKeys are the raw-text index keys pointing at this entry (oldest
 	// first, bounded by maxRawKeysPerEntry), removed with it on eviction.
 	rawKeys []string
-	elem    *list.Element
 }
 
 // compileFlight collapses concurrent uploads of identical text into one
@@ -80,32 +81,43 @@ type compileFlight struct {
 // Two indexes reach an entry: the content hash of the parsed circuit (the
 // public circuit ID, stable across whitespace-equivalent netlist texts) and
 // a raw-text index that lets byte-identical re-uploads skip even the parse.
+// mu guards the raw index and the singleflight table. The entries LRU locks
+// itself; its eviction hook runs under mu, because only Add, which holds
+// mu, puts.
 type circuitCache struct {
 	mu       sync.Mutex
-	capacity int
 	lib      *cellib.Library
 	poolSize int
 	replica  string // stamped into every entry's CircuitInfo
 
-	entries  map[string]*cacheEntry // by content hash (circuit ID)
-	lru      *list.List             // of *cacheEntry; front = most recent
-	rawIndex map[string]string      // raw text key -> circuit ID
+	entries  *lru.Cache[string, *cacheEntry] // by content hash (circuit ID)
+	rawIndex map[string]string               // raw text key -> circuit ID
 	inflight map[string]*compileFlight
 
-	hits, misses, notFound, compiles, evictions uint64
-	enginesCreated                              atomic.Uint64 // incremented by pools, outside mu
+	hits, misses, notFound, compiles, evictions atomic.Uint64
+	enginesCreated                              atomic.Uint64 // incremented by pools
 }
 
 func newCircuitCache(lib *cellib.Library, capacity, poolSize int, replica string) *circuitCache {
-	return &circuitCache{
-		capacity: capacity,
+	c := &circuitCache{
 		lib:      lib,
 		poolSize: poolSize,
 		replica:  replica,
-		entries:  make(map[string]*cacheEntry),
-		lru:      list.New(),
 		rawIndex: make(map[string]string),
 		inflight: make(map[string]*compileFlight),
+	}
+	c.entries = lru.New(capacity, func(_ string, e *cacheEntry) {
+		c.dropRawKeys(e)
+		c.evictions.Add(1)
+	})
+	return c
+}
+
+// dropRawKeys removes an entry's raw-text index keys as it leaves the
+// cache, so no raw key resolves to a departed ID. Callers hold mu.
+func (c *circuitCache) dropRawKeys(e *cacheEntry) {
+	for _, k := range e.rawKeys {
+		delete(c.rawIndex, k)
 	}
 }
 
@@ -138,9 +150,8 @@ func (c *circuitCache) Add(text, format, name string) (*cacheEntry, bool, error)
 
 	c.mu.Lock()
 	if id, ok := c.rawIndex[key]; ok {
-		e := c.entries[id]
-		c.lru.MoveToFront(e.elem)
-		c.hits++
+		e, _ := c.entries.Get(id) // present: raw keys leave with their entry
+		c.hits.Add(1)
 		c.mu.Unlock()
 		return e, true, nil
 	}
@@ -169,17 +180,16 @@ func (c *circuitCache) Add(text, format, name string) (*cacheEntry, bool, error)
 		close(f.done)
 		return nil, false, err
 	}
-	c.compiles++
-	e, existed := c.entries[ir.Hash]
+	c.compiles.Add(1)
+	e, existed := c.entries.Get(ir.Hash)
 	if existed {
 		// Structurally equivalent content already cached: keep the
 		// existing entry and its warm engine pools.
-		c.hits++
+		c.hits.Add(1)
 	} else {
 		e = c.newEntry(ir)
-		e.elem = c.lru.PushFront(e)
-		c.entries[ir.Hash] = e
-		c.misses++
+		c.entries.Put(ir.Hash, e)
+		c.misses.Add(1)
 	}
 	if len(e.rawKeys) >= maxRawKeysPerEntry {
 		delete(c.rawIndex, e.rawKeys[0])
@@ -187,8 +197,6 @@ func (c *circuitCache) Add(text, format, name string) (*cacheEntry, bool, error)
 	}
 	e.rawKeys = append(e.rawKeys, key)
 	c.rawIndex[key] = e.info.ID
-	c.lru.MoveToFront(e.elem)
-	c.evictLocked()
 	c.mu.Unlock()
 
 	f.ent, f.cached = e, existed
@@ -198,15 +206,12 @@ func (c *circuitCache) Add(text, format, name string) (*cacheEntry, bool, error)
 
 // Get looks a circuit up by ID, refreshing its LRU position.
 func (c *circuitCache) Get(id string) (*cacheEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[id]
+	e, ok := c.entries.Get(id)
 	if !ok {
-		c.notFound++
+		c.notFound.Add(1)
 		return nil, false
 	}
-	c.hits++
-	c.lru.MoveToFront(e.elem)
+	c.hits.Add(1)
 	return e, true
 }
 
@@ -214,55 +219,32 @@ func (c *circuitCache) Get(id string) (*cacheEntry, bool) {
 func (c *circuitCache) Evict(id string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[id]
-	if !ok {
-		return false
+	e, ok := c.entries.Remove(id)
+	if ok {
+		c.dropRawKeys(e)
 	}
-	c.removeLocked(e)
-	return true
-}
-
-func (c *circuitCache) removeLocked(e *cacheEntry) {
-	delete(c.entries, e.info.ID)
-	for _, k := range e.rawKeys {
-		delete(c.rawIndex, k)
-	}
-	c.lru.Remove(e.elem)
-}
-
-func (c *circuitCache) evictLocked() {
-	for c.lru.Len() > c.capacity {
-		back := c.lru.Back()
-		if back == nil {
-			return
-		}
-		c.removeLocked(back.Value.(*cacheEntry))
-		c.evictions++
-	}
+	return ok
 }
 
 // List returns the cached circuits in most-recently-used order.
 func (c *circuitCache) List() []CircuitInfo {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]CircuitInfo, 0, c.lru.Len())
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*cacheEntry).info)
+	entries := c.entries.Values()
+	out := make([]CircuitInfo, len(entries))
+	for i, e := range entries {
+		out[i] = e.info
 	}
 	return out
 }
 
 // Stats snapshots the cache counters.
 func (c *circuitCache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return CacheStats{
-		Entries:        len(c.entries),
-		Hits:           c.hits,
-		Misses:         c.misses,
-		NotFound:       c.notFound,
-		Compiles:       c.compiles,
-		Evictions:      c.evictions,
+		Entries:        c.entries.Len(),
+		Hits:           c.hits.Load(),
+		Misses:         c.misses.Load(),
+		NotFound:       c.notFound.Load(),
+		Compiles:       c.compiles.Load(),
+		Evictions:      c.evictions.Load(),
 		EnginesCreated: c.enginesCreated.Load(),
 	}
 }

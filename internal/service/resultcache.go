@@ -1,12 +1,12 @@
 package service
 
 import (
-	"container/list"
 	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 
 	"halotis/api"
+	"halotis/internal/lru"
 	"halotis/internal/sim"
 )
 
@@ -23,36 +23,28 @@ type ResultCacheStats struct {
 }
 
 // HitRate is Hits / (Hits + Misses), or 0 before any lookup.
-func (s ResultCacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
+func (s ResultCacheStats) HitRate() float64 { return hitRate(s.Hits, s.Misses) }
 
-// resultKey identifies one deterministic simulation outcome: the circuit's
+// ResultKey identifies one deterministic simulation outcome: the circuit's
 // content hash, the stimulus's content hash, and the fingerprint of every
 // request knob that shapes the report. Simulation is a pure function of
 // this key, which is what makes caching sound: a repeat of the key repeats
-// the result bit for bit. TimeoutMs is deliberately excluded — a deadline
-// changes whether a run finishes, never what it computes. Partitions is
-// excluded for the same reason: the partitioned kernel is bit-identical to
-// the sequential one, so the count changes how fast a result arrives, never
-// what it is — requests differing only in partition count share a cache
-// entry (they do get distinct engine pools; see sim.PoolKey). Profile IS
-// included, despite not changing the simulation outcome: it changes the
-// report's shape (Report.Profile), and the profile is execution-specific —
-// a profile-asking request must not be answered by a profile-less cached
-// report or vice versa.
-func resultKey(circuitID string, st sim.Stimulus, req *api.Request, key sim.PoolKey) string {
-	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	b := func(v bool) string {
-		if v {
-			return "1"
-		}
-		return "0"
+// the result bit for bit. The replica's result cache and the router's
+// stale-serve store both key on it, so they agree on what a repeat is.
+//
+// TimeoutMs is excluded: a deadline changes whether a run finishes, never
+// what it computes. Partitions is excluded for the same reason: the
+// partitioned kernel is bit-identical to the sequential one, so requests
+// differing only in partition count share an entry (they do get distinct
+// engine pools; see sim.PoolKey).
+//
+// ok is false for a profiled request: its profile describes one execution,
+// not the result, so it is never answered from a cache or stored in one.
+func ResultKey(circuitID string, st sim.Stimulus, req *api.Request, key sim.PoolKey) (k string, ok bool) {
+	if req.Profile {
+		return "", false
 	}
+	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	parts := []string{
 		circuitID,
 		st.ContentHash(),
@@ -60,92 +52,63 @@ func resultKey(circuitID string, st sim.Stimulus, req *api.Request, key sim.Pool
 		g(key.MinPulse),
 		strconv.FormatUint(key.MaxEvents, 10),
 		g(req.TEnd),
-		b(req.Activity), b(req.Power), b(req.VCD), b(req.Profile),
+		strconv.FormatBool(req.Activity), strconv.FormatBool(req.Power), strconv.FormatBool(req.VCD),
 		strconv.Itoa(len(req.Waveforms)),
 	}
 	parts = append(parts, req.Waveforms...)
-	return strings.Join(parts, "\x00")
+	return strings.Join(parts, "\x00"), true
 }
 
-// resultCache is the bounded LRU of finished reports, keyed by resultKey.
+// resultCache is the bounded LRU of finished reports, keyed by ResultKey.
 // Cached *api.Report values are shared and must be treated as immutable;
 // hits are served as shallow copies with Cached set (the copy shares the
 // underlying maps and slices, which nothing mutates after construction).
 type resultCache struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[string]*list.Element
-	lru      *list.List // of resultEntry; front = most recent
-
-	hits, misses, evictions uint64
-}
-
-type resultEntry struct {
-	key string
-	rep *api.Report
+	lru                     *lru.Cache[string, *api.Report] // nil when disabled
+	hits, misses, evictions atomic.Uint64
 }
 
 // newResultCache builds a cache holding at most capacity reports;
 // capacity <= 0 disables caching (every lookup misses, nothing stores).
 func newResultCache(capacity int) *resultCache {
-	return &resultCache{
-		capacity: capacity,
-		entries:  make(map[string]*list.Element),
-		lru:      list.New(),
+	c := &resultCache{}
+	if capacity > 0 {
+		c.lru = lru.New(capacity, func(string, *api.Report) { c.evictions.Add(1) })
 	}
+	return c
 }
 
 // Get returns the cached report for the key, marked Cached, refreshing its
 // LRU position.
 func (c *resultCache) Get(key string) (*api.Report, bool) {
-	if c.capacity <= 0 {
+	if c.lru == nil {
 		return nil, false
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
+	rep, ok := c.lru.Get(key)
 	if !ok {
-		c.misses++
+		c.misses.Add(1)
 		return nil, false
 	}
-	c.hits++
-	c.lru.MoveToFront(el)
-	rep := *el.Value.(resultEntry).rep
-	rep.Cached = true
-	return &rep, true
+	c.hits.Add(1)
+	cp := *rep
+	cp.Cached = true
+	return &cp, true
 }
 
-// Put stores a finished report under the key, evicting LRU entries beyond
+// Put stores a finished report under the key, evicting the LRU entry beyond
 // capacity. Concurrent identical runs may both Put; the second simply
 // refreshes the entry.
 func (c *resultCache) Put(key string, rep *api.Report) {
-	if c.capacity <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		el.Value = resultEntry{key: key, rep: rep}
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.lru.PushFront(resultEntry{key: key, rep: rep})
-	for c.lru.Len() > c.capacity {
-		back := c.lru.Back()
-		delete(c.entries, back.Value.(resultEntry).key)
-		c.lru.Remove(back)
-		c.evictions++
+	if c.lru != nil {
+		c.lru.Put(key, rep)
 	}
 }
 
 // Stats snapshots the cache counters.
 func (c *resultCache) Stats() ResultCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return ResultCacheStats{
-		Entries:   len(c.entries),
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
+	st := ResultCacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Evictions: c.evictions.Load()}
+	if c.lru != nil {
+		st.Entries = c.lru.Len()
 	}
+	return st
 }

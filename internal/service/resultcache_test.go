@@ -56,12 +56,19 @@ func TestResultCacheDisabled(t *testing.T) {
 }
 
 // TestResultKeyFingerprint pins which request knobs participate in the
-// result key.
+// result key, and which requests have none.
 func TestResultKeyFingerprint(t *testing.T) {
 	st := sim.Stimulus{"a": {Edges: []sim.InputEdge{{Time: 1, Rising: true, Slew: 0.2}}}}
 	base := func() (*api.Request, sim.PoolKey) {
 		req := &api.Request{TEnd: 30}
 		return req, req.Options().PoolKey()
+	}
+	resultKey := func(id string, st sim.Stimulus, req *api.Request, key sim.PoolKey) string {
+		k, ok := ResultKey(id, st, req, key)
+		if !ok {
+			t.Fatalf("request %+v reported uncacheable", req)
+		}
+		return k
 	}
 	req, key := base()
 	ref := resultKey("cid", st, req, key)
@@ -93,11 +100,20 @@ func TestResultKeyFingerprint(t *testing.T) {
 		}
 	}
 
-	// TimeoutMs is excluded by design: it cannot change the outcome.
-	req, key = base()
+	// TimeoutMs and Partitions are excluded by design: neither can change
+	// the outcome.
+	req, _ = base()
 	req.TimeoutMs = 5000
-	if got := resultKey("cid", st, req, key); got != ref {
-		t.Error("timeout_ms leaked into the result key")
+	req.Partitions = 4
+	if got := resultKey("cid", st, req, req.Options().PoolKey()); got != ref {
+		t.Error("timeout_ms or partitions leaked into the result key")
+	}
+
+	// A profile describes one execution, so a profiled request has no key.
+	req, key = base()
+	req.Profile = true
+	if k, ok := ResultKey("cid", st, req, key); ok {
+		t.Errorf("profiled request keyed as %q, want uncacheable", k)
 	}
 
 	// Waveform name lists must not be separator-ambiguous.

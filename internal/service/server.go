@@ -445,7 +445,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // result cache (simulation is a pure function of circuit + stimulus +
 // options, so a repeated key is answered without a kernel run), otherwise
 // by acquiring a warm engine from the circuit's pool, running, and caching
-// the materialized report. Steady-state cache misses still perform no
+// the materialized report. A request ResultKey calls uncacheable always
+// runs and is never stored. Steady-state cache misses still perform no
 // engine setup work: the pool hands back a buffer-grown engine and Run
 // reuses it in place.
 func (s *Server) runOne(ctx context.Context, ent *cacheEntry, req *Request) (*Report, error) {
@@ -460,10 +461,12 @@ func (s *Server) runOne(ctx context.Context, ent *cacheEntry, req *Request) (*Re
 	if s.cfg.MaxEvents > 0 && key.MaxEvents > s.cfg.MaxEvents {
 		key.MaxEvents = s.cfg.MaxEvents
 	}
-	ck := resultKey(ent.info.ID, st, req, key)
-	if rep, ok := s.results.Get(ck); ok {
-		rep.TraceID = traceID // Get returned a copy; the cached entry stays clean
-		return rep, nil
+	ck, cacheable := ResultKey(ent.info.ID, st, req, key)
+	if cacheable {
+		if rep, ok := s.results.Get(ck); ok {
+			rep.TraceID = traceID // Get returned a copy; the cached entry stays clean
+			return rep, nil
+		}
 	}
 
 	_, spAcq := obs.Start(ctx, "engine.acquire")
@@ -505,7 +508,9 @@ func (s *Server) runOne(ctx context.Context, ent *cacheEntry, req *Request) (*Re
 	eng.SetProfiling(false)
 	eng.SetProgress(nil)
 	ent.pools.Release(key, eng)
-	s.results.Put(ck, rep)
+	if cacheable {
+		s.results.Put(ck, rep)
+	}
 	if !traced {
 		return rep, nil
 	}

@@ -3,6 +3,7 @@ package service_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
@@ -173,6 +174,53 @@ func TestServiceResultCacheKeying(t *testing.T) {
 	}
 	if !rep.Cached {
 		t.Error("timeout_ms variation missed the result cache")
+	}
+}
+
+// TestServiceProfiledRequestsBypassResultCache: a profile describes one
+// execution, so a profiled request neither reads nor fills the result
+// cache. Two requests that differ only in partition count share a result
+// key; in either order, each must come back with its own profile.
+func TestServiceProfiledRequestsBypassResultCache(t *testing.T) {
+	mult, err := circuits.Multiplier(cellib.Default06(), 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text strings.Builder
+	if err := netfmt.WriteCircuit(&text, mult); err != nil {
+		t.Fatal(err)
+	}
+	pairs := []stimuli.MultiplierPair{{A: 0xb7, B: 0x5d}, {A: 0x3c, B: 0xe1}}
+	st, err := stimuli.MultiplierSequence(pairs, 8, 8, 5.0, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, order := range [][]int{{1, 4}, {4, 1}} {
+		t.Run(fmt.Sprintf("partitions %d then %d", order[0], order[1]), func(t *testing.T) {
+			s, c := newTestService(t, service.Config{})
+			ctx := context.Background()
+			up, err := c.UploadCircuit(ctx, client.UploadRequest{Netlist: text.String(), Format: "net"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, parts := range order {
+				rep, err := c.Simulate(ctx, client.SimRequest{Circuit: up.ID, Request: client.Request{
+					TEnd: 20, Stimulus: api.FromSim(st), Profile: true, Partitions: parts,
+				}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Cached {
+					t.Errorf("partitions %d: profiled request served from the result cache", parts)
+				}
+				if rep.Profile == nil || rep.Profile.Partitions != parts {
+					t.Errorf("partitions %d: report carries profile %+v, want one of %d partitions", parts, rep.Profile, parts)
+				}
+			}
+			if rs := s.ResultCacheStats(); rs.Entries != 0 || rs.Hits != 0 || rs.Misses != 0 {
+				t.Errorf("profiled requests touched the result cache: %+v", rs)
+			}
+		})
 	}
 }
 

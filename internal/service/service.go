@@ -18,9 +18,12 @@
 //     one compile (singleflight).
 //
 //   - A bounded LRU result cache (resultcache.go): finished reports keyed
-//     by (circuit content hash, stimulus content hash, options
-//     fingerprint). Simulation is a pure function of that key, so a
-//     repeated identical request is answered without a kernel run.
+//     by ResultKey (circuit content hash, stimulus content hash, options
+//     fingerprint), the key the cluster router's stale-serve store uses
+//     too. Simulation is a pure function of that key, so a repeated
+//     identical request is answered without a kernel run. A profiled
+//     request is never cached: its profile describes its own run. Both
+//     caches are internal/lru maps.
 //
 //   - Per-(circuit, options) engine pools (sim.EnginePool, shared with the
 //     Local backend): each cached circuit keeps warm sim.Engine instances
