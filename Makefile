@@ -60,7 +60,7 @@ bench:
 # bench-smoke is the quick check of the root kernel benchmarks and the
 # halobench scale sweep: few iterations each.
 bench-smoke:
-	$(GO) test -run=NONE -bench='Table2Seq1DDM|EngineReuseSeq1DDM' -benchmem -benchtime=100x .
+	$(GO) test -run=NONE -bench='Table2Seq1DDM|EngineReuseSeq1DDM|Batch64Seq1WorkersMax' -benchmem -benchtime=100x .
 	$(GO) run ./cmd/halobench -exp scale -scaleruns 1 -scalesizes 500
 
 # fleet-smoke and kernel-smoke are 3 s runs of the repository benchmark,

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"halotis"
@@ -78,24 +77,7 @@ func (s *session) Run(ctx context.Context, req api.Request) (*api.Report, error)
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// The closure may run twice concurrently when the request is hedged;
-	// the mutex keeps the winner's write from racing the loser's.
-	var mu sync.Mutex
-	var rep *api.Report
-	err := s.cl.withFailover(ctx, s.info.ID, s.t, nil, func(ctx context.Context, r *replica) error {
-		got, err := r.c.Simulate(ctx, api.SimRequest{Circuit: s.info.ID, Request: req})
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		rep = got
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rep, nil
+	return s.cl.simulate(ctx, s.info.ID, s.t, req)
 }
 
 // RunBatch scatters the requests across the healthy replicas holding the

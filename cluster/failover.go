@@ -11,7 +11,14 @@ import (
 	"halotis/client"
 	"halotis/internal/fanout"
 	"halotis/internal/obs"
+	"halotis/internal/obs/flight"
 )
+
+// Routing is one attempt loop, route. Reports are deterministic, so the
+// first success from any replica is the answer, and the first attempt, a
+// hedge and each failover are the same kind of attempt. Simulate, circuit
+// lookup and each scatter chunk go through route; place does not, since
+// it needs R successes, not the first.
 
 // Error classification for routing. Three classes matter:
 //
@@ -75,26 +82,26 @@ func shortID(id string) string {
 	return id
 }
 
-// replicaFn is one attempt of a routed request against one replica. The
-// context is the attempt's own (a child of the caller's): hedged requests
-// run two attempts concurrently and cancel the loser, so implementations
-// must use the passed context — not a captured one — and guard writes to
-// shared result state with a lock.
-type replicaFn func(ctx context.Context, r *replica) error
-
-// withFailover runs fn against the circuit's candidate replicas until one
-// succeeds. Candidates whose breaker refuses admission are skipped (with
-// one forced attempt on the best-ranked candidate when every breaker
-// refuses — availability beats strictness when there is nowhere else to
-// go). The first candidate may be hedged: if it has latency history and
-// does not answer within its own tail quantile, the next candidate is
-// raced against it and the first success wins. ErrCircuitNotFound
-// triggers a content-addressed re-upload and one retry when the
-// serialized text is known (t != nil); transport failures open the
-// replica's breaker; availability failures advance to the next candidate;
-// terminal failures return as-is. prefer, when non-nil, is tried first
-// and disables hedging (scatter chunks pin their assigned replica).
-func (c *Cluster) withFailover(ctx context.Context, id string, t *circuitText, prefer *replica, fn replicaFn) error {
+// route is one routed call: it runs fn against the circuit's candidate
+// replicas and returns the value of the first attempt that succeeds. All
+// attempts run under one child of ctx and report to one channel, which
+// route reads alongside the hedge timer; losers are canceled and awaited
+// before route returns, so fn's value is the caller's alone.
+//
+// Candidates whose breaker refuses admission are skipped (with one forced
+// attempt on the first candidate when every breaker refuses — availability
+// beats strictness when there is nowhere else to go). prefer, when
+// non-nil, is tried first and disables hedging (scatter chunks pin their
+// assigned replica). Otherwise, when the first candidate has latency
+// history and a budget token is free, a hedge is armed: if the first
+// attempt has not answered within its replica's own tail quantile, the
+// next candidate is raced against it, once.
+//
+// A terminal failure returns as-is (ErrCanceled once ctx is dead), and an
+// availability failure advances to the next candidate — each only once no
+// other attempt is in flight, since an in-flight hedge may still succeed.
+// Transport failures open the replica's breaker.
+func route[T any](c *Cluster, ctx context.Context, id string, t *circuitText, prefer *replica, fn func(context.Context, *replica) (T, error)) (T, error) {
 	c.hbudget.earn()
 	cands := c.candidates(id)
 	if prefer != nil {
@@ -126,54 +133,104 @@ func (c *Cluster) withFailover(ctx context.Context, id string, t *circuitText, p
 		tryList = cands[:1]
 	}
 
-	start := 0
-	var lastErr error
+	var hedge <-chan time.Time
 	if !c.hedge.Disabled && prefer == nil && len(tryList) >= 2 {
 		if delay, ok := tryList[0].lat.hedgeDelay(c.hedge); ok && c.hbudget.take() {
-			err, hedged := c.tryHedged(ctx, tryList[0], tryList[1], id, t, fn, delay)
-			if err == nil {
-				return nil
-			}
-			if cerr := ctx.Err(); cerr != nil {
-				return api.Canceled(cerr)
-			}
-			if !isAvailability(err) {
-				return err
-			}
-			lastErr = err
-			start = 1
-			if hedged {
-				start = 2
-			}
-			if start < len(tryList) && !errors.Is(err, api.ErrCircuitNotFound) {
-				c.met.failovers.Add(1)
-			}
+			timer := time.NewTimer(delay)
+			defer timer.Stop()
+			hedge = timer.C
 		}
 	}
 
-	for i := start; i < len(tryList); i++ {
-		r := tryList[i]
-		err := c.tryReplica(ctx, r, id, t, fn)
-		if err == nil {
-			return nil
+	type attempt struct {
+		v      T
+		err    error
+		r      *replica
+		ctx    context.Context
+		hedged bool
+	}
+	// Every candidate is launched at most once, so the buffer holds every
+	// send: no attempt blocks on its result after route stops reading.
+	results := make(chan attempt, len(tryList))
+	actx, cancel := context.WithCancel(ctx)
+	next, inflight := 0, 0
+	defer func() {
+		cancel()
+		for ; inflight > 0; inflight-- {
+			<-results
+		}
+	}()
+	launch := func(hedged bool) {
+		r := tryList[next]
+		next++
+		inflight++
+		ctx := actx
+		var hsp *obs.Span
+		if hedged {
+			ctx, hsp = obs.Start(ctx, "router.hedge")
+			hsp.SetAttr("replica", r.id)
+		}
+		go func() {
+			v, err := tryReplica(c, ctx, r, t, fn)
+			hsp.Fail(err)
+			hsp.End()
+			results <- attempt{v, err, r, ctx, hedged}
+		}()
+	}
+
+	launch(false)
+	var zero T
+	var lastErr, terminal error
+	for {
+		var a attempt
+		select {
+		case <-hedge:
+			// The first attempt is slower than its replica's tail
+			// estimate: race the next candidate against it.
+			hedge = nil
+			c.met.hedges.Add(1)
+			if n := flight.NoteFrom(ctx); n != nil {
+				// Single writer: the request's own goroutine, which the
+				// node shell reads the note from once the handler returns.
+				n.Hedged = true
+			}
+			launch(true)
+			continue
+		case a = <-results:
+		}
+		inflight--
+		hedge = nil // a hedge races only the first attempt
+		if a.err == nil {
+			if a.hedged {
+				c.met.hedgeWins.Add(1)
+			}
+			return a.v, nil
 		}
 		if cerr := ctx.Err(); cerr != nil {
-			return api.Canceled(cerr)
+			return zero, api.Canceled(cerr)
 		}
-		if !isAvailability(err) {
-			return err
+		if isAvailability(a.err) {
+			c.noteFailure(a.ctx, a.r, a.err)
+			lastErr = a.err
+		} else {
+			terminal = a.err
 		}
-		c.noteFailure(ctx, r, err)
-		lastErr = err
-		// Count a failover only when the replica itself failed (transport
-		// or overload) and another candidate exists. A not-found advance is
-		// an ordinary miss — an unknown ID probing N replicas is not N-1
-		// node failures.
-		if i < len(tryList)-1 && !errors.Is(err, api.ErrCircuitNotFound) {
+		if inflight > 0 {
+			continue
+		}
+		if terminal != nil {
+			return zero, terminal
+		}
+		if next == len(tryList) {
+			return zero, fmt.Errorf("cluster: all %d replicas failed for circuit %s: %w", len(cands), shortID(id), lastErr)
+		}
+		// A not-found advance is an ordinary miss, not a failover: an
+		// unknown ID probing N replicas is not N-1 node failures.
+		if !errors.Is(lastErr, api.ErrCircuitNotFound) {
 			c.met.failovers.Add(1)
 		}
+		launch(false)
 	}
-	return fmt.Errorf("cluster: all %d replicas failed for circuit %s: %w", len(cands), shortID(id), lastErr)
 }
 
 // tryReplica is one candidate attempt, including the upload-on-miss
@@ -182,19 +239,19 @@ func (c *Cluster) withFailover(ctx context.Context, id string, t *circuitText, p
 // netlist re-uploaded — content-addressed, so the repaired ID is
 // guaranteed identical — and one retry. A success feeds the replica's
 // latency tracker (the hedge trigger) and closes its breaker.
-func (c *Cluster) tryReplica(ctx context.Context, r *replica, id string, t *circuitText, fn replicaFn) error {
+func tryReplica[T any](c *Cluster, ctx context.Context, r *replica, t *circuitText, fn func(context.Context, *replica) (T, error)) (T, error) {
 	// One attempt = one span; the replica client's client.send (and the
 	// replica's own server spans, via the propagated header) nest under it.
 	ctx, sp := obs.Start(ctx, "router.attempt")
 	sp.SetAttr("replica", r.id)
 	begin := time.Now()
-	err := fn(ctx, r)
+	v, err := fn(ctx, r)
 	if err != nil && errors.Is(err, api.ErrCircuitNotFound) && t != nil {
 		c.met.reuploads.Add(1)
 		sp.SetAttr("reupload", "true")
 		if _, uerr := c.uploadTo(ctx, r, t); uerr == nil {
 			begin = time.Now()
-			err = fn(ctx, r)
+			v, err = fn(ctx, r)
 		} else {
 			err = uerr
 		}
@@ -206,7 +263,15 @@ func (c *Cluster) tryReplica(ctx context.Context, r *replica, id string, t *circ
 	}
 	sp.Fail(err)
 	sp.End()
-	return err
+	return v, err
+}
+
+// simulate routes one simulation run: the call the router's
+// /v1/simulate and the Backend face's session.Run share.
+func (c *Cluster) simulate(ctx context.Context, id string, t *circuitText, req api.Request) (*api.Report, error) {
+	return route(c, ctx, id, t, nil, func(ctx context.Context, r *replica) (*api.Report, error) {
+		return r.c.Simulate(ctx, api.SimRequest{Circuit: id, Request: req})
+	})
 }
 
 // uploadTo uploads a circuit's text to one replica and checks the replica
@@ -297,23 +362,24 @@ func (c *Cluster) scatterBatch(ctx context.Context, id string, t *circuitText, r
 	chunkErrs := fanout.Each(ctx, k, k, !partial, func(ctx context.Context, ci int) error {
 		lo, hi := span(ci)
 		chunk := reqs[lo:hi]
-		return c.withFailover(ctx, id, t, targets[ci], func(ctx context.Context, r *replica) error {
+		resp, err := route(c, ctx, id, t, targets[ci], func(ctx context.Context, r *replica) (*api.BatchResponse, error) {
 			resp, err := r.c.SimulateBatch(ctx, api.BatchRequest{Circuit: id, Requests: chunk, Options: opts})
-			if err != nil {
-				return err
+			if err == nil && len(resp.Reports) != len(chunk) {
+				return nil, fmt.Errorf("replica %s returned %d reports for %d requests", r.id, len(resp.Reports), len(chunk))
 			}
-			if len(resp.Reports) != len(chunk) {
-				return fmt.Errorf("replica %s returned %d reports for %d requests", r.id, len(resp.Reports), len(chunk))
-			}
-			for j := range resp.Reports {
-				if j < len(resp.Errors) && resp.Errors[j] != nil {
-					errs[lo+j] = resp.Errors[j].Err()
-				} else {
-					reports[lo+j] = &resp.Reports[j]
-				}
-			}
-			return nil
+			return resp, err
 		})
+		if err != nil {
+			return err
+		}
+		for j := range resp.Reports {
+			if j < len(resp.Errors) && resp.Errors[j] != nil {
+				errs[lo+j] = resp.Errors[j].Err()
+			} else {
+				reports[lo+j] = &resp.Reports[j]
+			}
+		}
+		return nil
 	})
 	for ci, err := range chunkErrs {
 		if err == nil {

@@ -1,23 +1,19 @@
 package cluster
 
 import (
-	"context"
-	"errors"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"halotis/api"
-	"halotis/internal/obs"
-	"halotis/internal/obs/flight"
 )
 
 // Hedged requests: tail latency on a replicated read is dominated by the
 // occasional slow replica (GC pause, queue spike, packet loss), not the
 // median one. When the first-ranked replica has not answered within its
 // own observed p95, a second attempt is fired at the next-ranked holder
-// and the first success wins. Hedges are bounded by a token budget (a
+// and the first success wins. The hedge is one more attempt of route's
+// loop (failover.go), raced against the first; this file holds what arms
+// it: the policy, each replica's latency history, and a token budget (a
 // fixed fraction of request volume) so a globally slow fleet degrades to
 // plain serial behavior instead of doubling its own load — the classic
 // "tied requests" guardrails.
@@ -154,88 +150,4 @@ func (b *hedgeBudget) take() bool {
 			return true
 		}
 	}
-}
-
-// tryHedged races one attempt on r0 against a delayed hedge on r1 and
-// returns the first success. hedged reports whether the hedge was actually
-// fired (in which case r1 must not be retried by the serial failover
-// loop). Both attempts run fn under their own child context; when one
-// side wins, the loser is canceled and awaited before returning, so fn's
-// writes into caller state never race with the caller reading it.
-func (c *Cluster) tryHedged(ctx context.Context, r0, r1 *replica, id string, t *circuitText, fn replicaFn, delay time.Duration) (err error, hedged bool) {
-	type res struct {
-		r   *replica
-		ctx context.Context
-		err error
-	}
-	ch := make(chan res, 2)
-	ctx0, cancel0 := context.WithCancel(ctx)
-	defer cancel0()
-	go func() { ch <- res{r0, ctx0, c.tryReplica(ctx0, r0, id, t, fn)} }()
-
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	var first res
-	select {
-	case first = <-ch:
-		if first.err != nil {
-			c.noteFailure(ctx0, r0, first.err)
-		}
-		return first.err, false
-	case <-timer.C:
-	}
-
-	// The primary is slower than its own tail estimate: fire the hedge.
-	c.met.hedges.Add(1)
-	if n := flight.NoteFrom(ctx); n != nil {
-		// Single writer: the request's own goroutine, before the hedge
-		// goroutine starts and before the route boundary reads the note.
-		n.Hedged = true
-	}
-	hctx, hsp := obs.Start(ctx, "router.hedge")
-	hsp.SetAttr("replica", r1.id)
-	ctx1, cancel1 := context.WithCancel(hctx)
-	defer cancel1()
-	go func() {
-		err := c.tryReplica(ctx1, r1, id, t, fn)
-		hsp.Fail(err)
-		hsp.End()
-		ch <- res{r1, ctx1, err}
-	}()
-
-	a := <-ch
-	if a.err == nil {
-		// Cancel the loser and wait for its fn to unwind before handing
-		// the (shared) result back to the caller.
-		cancel0()
-		cancel1()
-		<-ch
-		if a.r == r1 {
-			c.met.hedgeWins.Add(1)
-		}
-		return nil, true
-	}
-	c.noteFailure(a.ctx, a.r, a.err)
-	b := <-ch
-	if b.err == nil {
-		if b.r == r1 {
-			c.met.hedgeWins.Add(1)
-		}
-		return nil, true
-	}
-	c.noteFailure(b.ctx, b.r, b.err)
-
-	// Both failed. Prefer a terminal error (it decides the request), then
-	// the primary's error (classification parity with the serial path).
-	e0, e1 := a.err, b.err
-	if a.r != r0 {
-		e0, e1 = b.err, a.err
-	}
-	if !isAvailability(e0) || errors.Is(e0, api.ErrCanceled) {
-		return e0, true
-	}
-	if !isAvailability(e1) || errors.Is(e1, api.ErrCanceled) {
-		return e1, true
-	}
-	return e0, true
 }

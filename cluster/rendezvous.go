@@ -26,32 +26,31 @@ func score(replicaID, circuitID string) uint64 {
 	return h.Sum64()
 }
 
+// outranks is the one ranking rule Rank and ranked share — placement must
+// agree on every node: replica a ranks before replica b for the circuit
+// when its score is higher, ties to the smaller ID.
+func outranks(circuitID, a, b string) bool {
+	sa, sb := score(a, circuitID), score(b, circuitID)
+	if sa != sb {
+		return sa > sb
+	}
+	return a < b
+}
+
 // Rank orders replica IDs for a circuit by rendezvous hashing, best first.
 // It is deterministic and independent of the input order; ties (which
 // would need an FNV-64 collision) break toward the lexicographically
 // smaller ID so the order stays total.
 func Rank(circuitID string, replicaIDs []string) []string {
 	out := append([]string(nil), replicaIDs...)
-	sort.SliceStable(out, func(i, j int) bool {
-		si, sj := score(out[i], circuitID), score(out[j], circuitID)
-		if si != sj {
-			return si > sj
-		}
-		return out[i] < out[j]
-	})
+	sort.SliceStable(out, func(i, j int) bool { return outranks(circuitID, out[i], out[j]) })
 	return out
 }
 
 // ranked orders the cluster's replicas for a circuit, best first.
 func (c *Cluster) ranked(circuitID string) []*replica {
 	out := append([]*replica(nil), c.replicas...)
-	sort.SliceStable(out, func(i, j int) bool {
-		si, sj := score(out[i].id, circuitID), score(out[j].id, circuitID)
-		if si != sj {
-			return si > sj
-		}
-		return out[i].id < out[j].id
-	})
+	sort.SliceStable(out, func(i, j int) bool { return outranks(circuitID, out[i].id, out[j].id) })
 	return out
 }
 

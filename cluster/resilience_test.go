@@ -24,11 +24,13 @@ import (
 // flakyReplica is a testReplica whose frontend can be degraded at runtime:
 // down aborts every connection (what a crashed node looks like) and can be
 // cleared again to model a restart; delayMs adds latency to simulate
-// routes (what an overloaded node looks like).
+// routes (what an overloaded node looks like); abortSim aborts a simulate
+// after its delay (a node that dies mid-request).
 type flakyReplica struct {
 	*testReplica
-	down    atomic.Bool
-	delayMs atomic.Int64
+	down     atomic.Bool
+	delayMs  atomic.Int64
+	abortSim atomic.Bool
 }
 
 func startFlakyReplicas(t *testing.T, n int) []*flakyReplica {
@@ -43,12 +45,16 @@ func startFlakyReplicas(t *testing.T, n int) []*flakyReplica {
 			if fr.down.Load() {
 				panic(http.ErrAbortHandler)
 			}
-			if d := fr.delayMs.Load(); d > 0 && strings.HasPrefix(r.URL.Path, "/v1/simulate") {
+			sim := strings.HasPrefix(r.URL.Path, "/v1/simulate")
+			if d := fr.delayMs.Load(); d > 0 && sim {
 				select {
 				case <-time.After(time.Duration(d) * time.Millisecond):
 				case <-r.Context().Done():
 					return
 				}
+			}
+			if sim && fr.abortSim.Load() {
+				panic(http.ErrAbortHandler)
 			}
 			h.ServeHTTP(w, r)
 		}))
@@ -271,6 +277,140 @@ func TestHedgedReadBeatsSlowReplica(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("12 runs took %v; hedging did not mask the slow replica", elapsed)
 	}
+}
+
+// hedgeSoon is TestHedgedReadBeatsSlowReplica's policy: one latency
+// sample arms a hedge, which fires after 5ms or the primary's median.
+var hedgeSoon = WithHedgePolicy(HedgePolicy{Quantile: 0.5, MinDelay: 5 * time.Millisecond, MaxRatio: 1, Warmup: 1})
+
+// TestFailoverAroundHedge pins where failover and hedging meet in the
+// routing loop. R=1, so candidates come in rendezvous order and only the
+// primary holds the circuit: every other server is repaired by re-upload.
+// A primary that fails before its armed hedge fires fails over without
+// hedging, even to a target slower than the hedge delay: a hedge races
+// only the first attempt. A hedge that fails while the primary is in
+// flight waits for the primary, whose failure then launches the third
+// candidate; the hedge wins nothing.
+func TestFailoverAroundHedge(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		primaryDelayMs int64
+		secondDelayMs  int64
+		abortSecond    bool
+		servedByRank   int
+		hedges         uint64
+	}{
+		{name: "primary fails before the hedge timer", secondDelayMs: 60, servedByRank: 1},
+		{name: "hedge fails, then the primary", primaryDelayMs: 60, abortSecond: true, servedByRank: 2, hedges: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			frs := startFlakyReplicas(t, 3)
+			c := newTestCluster(t, plainReplicas(frs), WithReplication(1), hedgeSoon)
+			sess, req := c17Session(t, c)
+			// One run gives the primary the latency sample that arms the hedge.
+			if _, err := sess.Run(ctx, req); err != nil {
+				t.Fatal(err)
+			}
+			ranked := c.ranked(sess.Circuit().ID)
+			for _, fr := range frs {
+				switch fr.id {
+				case ranked[0].id:
+					fr.delayMs.Store(tc.primaryDelayMs)
+					fr.abortSim.Store(true)
+				case ranked[1].id:
+					fr.delayMs.Store(tc.secondDelayMs)
+					fr.abortSim.Store(tc.abortSecond)
+				}
+			}
+			met := &c.met
+			before := [4]uint64{met.hedges.Load(), met.hedgeWins.Load(), met.failovers.Load(), met.reuploads.Load()}
+			rep, err := sess.Run(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := ranked[tc.servedByRank].id; rep.Replica != want {
+				t.Errorf("served by %s, want %s", rep.Replica, want)
+			}
+			after := [4]uint64{met.hedges.Load(), met.hedgeWins.Load(), met.failovers.Load(), met.reuploads.Load()}
+			got := [4]uint64{after[0] - before[0], after[1] - before[1], after[2] - before[2], after[3] - before[3]}
+			if want := [4]uint64{tc.hedges, 0, 1, 1}; got != want {
+				t.Errorf("hedges, hedge wins, failovers, reuploads = %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// TestRouterHedgeFlightRecordAndTrace: through the router face, a run the
+// hedge target wins is filed in the flight recorder flagged hedged and
+// pinned, and its trace shows the hedge as a router.hedge span whose
+// router.attempt child names the hedge target.
+func TestRouterHedgeFlightRecordAndTrace(t *testing.T) {
+	ctx := context.Background()
+	frs := startFlakyReplicas(t, 3)
+	c := newTestCluster(t, plainReplicas(frs), WithReplication(1), hedgeSoon)
+	rts := httptest.NewServer(c.Handler())
+	t.Cleanup(rts.Close)
+	cl := client.New(rts.URL)
+
+	up, err := cl.UploadCircuit(ctx, api.UploadRequest{Netlist: halotis.C17BenchText(), Format: "bench", Name: "c17"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := api.SimRequest{Circuit: up.ID, Request: api.Request{
+		TEnd:     30,
+		Stimulus: api.Stimulus{"1": {Edges: []api.Edge{{T: 2, Rising: true, Slew: 0.2}}}},
+	}}
+	if _, err := cl.Simulate(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	ranked := c.ranked(up.ID)
+	for _, fr := range frs {
+		if fr.id == ranked[0].id {
+			fr.delayMs.Store(300)
+		}
+	}
+	rep, err := cl.Simulate(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := ranked[1].id
+	if rep.Replica != target {
+		t.Fatalf("served by %s, want the hedge target %s", rep.Replica, target)
+	}
+
+	recs, err := cl.FlightRecords(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hedged *api.FlightRecord
+	for i, rec := range recs.Records {
+		if rec.Route == "simulate" && rec.Hedged {
+			hedged = &recs.Records[i]
+		}
+	}
+	if hedged == nil || !hedged.Pinned {
+		t.Fatalf("no simulate filed hedged and pinned: %+v", recs.Records)
+	}
+	tr, err := cl.Trace(ctx, hedged.TraceID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hedge *api.SpanInfo
+	for i, sp := range tr.Spans {
+		if sp.Name == "router.hedge" {
+			hedge = &tr.Spans[i]
+		}
+	}
+	if hedge == nil {
+		t.Fatalf("hedged trace has no router.hedge span: %+v", tr.Spans)
+	}
+	for _, sp := range tr.Spans {
+		if sp.Name == "router.attempt" && sp.ParentID == hedge.SpanID && sp.Attrs["replica"] == target {
+			return
+		}
+	}
+	t.Fatalf("router.hedge has no router.attempt child on %s: %+v", target, tr.Spans)
 }
 
 // TestPartialBatchIsolatesFailures: AllowPartial turns a poisoned batch

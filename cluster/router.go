@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"sync"
 
 	"halotis/api"
 	"halotis/client"
@@ -151,18 +150,7 @@ func (c *Cluster) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key, cacheable := service.ResultKey(id, req.Stimulus.ToSim(), &req.Request, req.Options().PoolKey())
-	var mu sync.Mutex
-	var rep *api.Report
-	err = c.withFailover(r.Context(), id, t, nil, func(ctx context.Context, rp *replica) error {
-		got, err := rp.c.Simulate(ctx, api.SimRequest{Circuit: id, Request: req.Request})
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		rep = got
-		mu.Unlock()
-		return nil
-	})
+	rep, err := c.simulate(r.Context(), id, t, req.Request)
 	if err != nil {
 		// Graceful degradation: with every holder unreachable, a stored
 		// report for the same result key is still a correct answer —
@@ -238,18 +226,9 @@ func (c *Cluster) handleList(w http.ResponseWriter, r *http.Request) {
 
 func (c *Cluster) handleGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	var mu sync.Mutex
-	var info *api.CircuitInfo
 	t, _ := c.texts.Get(id)
-	err := c.withFailover(r.Context(), id, t, nil, func(ctx context.Context, rep *replica) error {
-		got, err := rep.c.Circuit(ctx, id)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		info = got
-		mu.Unlock()
-		return nil
+	info, err := route(c, r.Context(), id, t, nil, func(ctx context.Context, rep *replica) (*api.CircuitInfo, error) {
+		return rep.c.Circuit(ctx, id)
 	})
 	if err != nil {
 		c.writeError(w, r, err)

@@ -190,12 +190,16 @@ func shedError(cause error, when string) error {
 // expires while the job is queued (shed at dequeue, never run) or running.
 // If the client disconnects first, nothing is written — nobody reads it —
 // and the buffered channel lets the job finish into the void (simulation
-// jobs observe the canceled request context and abort quickly).
+// jobs observe the canceled request context and abort quickly). The job's
+// queue wait reaches the flight note here, on the handler goroutine, once
+// the job reports back: the node shell reads the note as soon as the
+// handler returns, so a worker must never write it.
 func runJob[T any](s *Server, w http.ResponseWriter, r *http.Request, job func() (T, int, error)) (T, bool) {
 	type out struct {
 		v      T
 		status int
 		err    error
+		wait   time.Duration
 	}
 	var o out
 	ch := make(chan out, 1)
@@ -204,11 +208,8 @@ func runJob[T any](s *Server, w http.ResponseWriter, r *http.Request, job func()
 		wait := time.Since(submitted)
 		s.met.queueWait.Observe(wait.Seconds())
 		obs.Record(r.Context(), "queue.wait", submitted, wait, nil)
-		if n := flight.NoteFrom(r.Context()); n != nil {
-			n.QueueWaitNs = wait.Nanoseconds()
-		}
 		v, status, err := job()
-		ch <- out{v, status, err}
+		ch <- out{v, status, err, wait}
 	}, func(cause error) {
 		ch <- out{status: http.StatusGatewayTimeout, err: shedError(cause, "while queued")}
 	}); err != nil {
@@ -231,6 +232,9 @@ func runJob[T any](s *Server, w http.ResponseWriter, r *http.Request, job func()
 		default:
 			o = out{status: http.StatusGatewayTimeout, err: shedError(r.Context().Err(), "before the job finished")}
 		}
+	}
+	if n := flight.NoteFrom(r.Context()); n != nil {
+		n.QueueWaitNs = o.wait.Nanoseconds()
 	}
 	if o.err != nil {
 		s.writeError(w, r, o.status, o.err)
