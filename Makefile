@@ -58,9 +58,10 @@ bench:
 	bash perfbench/run.sh --workload serve-fleet
 
 # bench-smoke is the quick check of the root kernel benchmarks and the
-# halobench scale sweep: few iterations each.
+# halobench scale sweep: few iterations each. EngineReuseC17DDM is a run of
+# a few microseconds, where the kernel's fixed per-run cost shows.
 bench-smoke:
-	$(GO) test -run=NONE -bench='Table2Seq1DDM|EngineReuseSeq1DDM|Batch64Seq1WorkersMax' -benchmem -benchtime=100x .
+	$(GO) test -run=NONE -bench='Table2Seq1DDM|EngineReuseSeq1DDM|EngineReuseC17DDM|Batch64Seq1WorkersMax' -benchmem -benchtime=100x .
 	$(GO) run ./cmd/halobench -exp scale -scaleruns 1 -scalesizes 500
 
 # fleet-smoke and kernel-smoke are 3 s runs of the repository benchmark,
@@ -85,10 +86,11 @@ chaos-smoke:
 	$(GO) run ./cmd/halobench -exp chaos -chaosdur 4s -chaosclients 4
 
 # partition-smoke is the quick CI variant of the partitioned-kernel sweep:
-# one 100k-gate circuit at P=1 and P=4. The experiment aborts unless the
-# partitioned run is bit-identical (stats and every net's transitions) to
-# the sequential baseline, making this a large-circuit differential gate,
-# not just a benchmark.
+# one 100k-gate circuit at P=1 (one lane on the caller's goroutine) and
+# P=4. Both run the same event loop; the experiment aborts unless the P=4
+# run is bit-identical (stats and every net's transitions) to the P=1
+# baseline, making this a large-circuit self-consistency gate, not just a
+# benchmark.
 partition-smoke:
 	$(GO) run ./cmd/halobench -exp partition -partsizes 100000 -partcounts 1,4 -partfam random-dag -partruns 1
 

@@ -55,21 +55,19 @@ func benchLogic(b *testing.B, pairs []halotis.MultiplierPair, m halotis.Model) {
 	}
 }
 
-// benchEngineReuse times the same workload through a reused Engine: after
-// the warm-up run, iterations must report 0 allocs/op — the steady-state
-// event loop is allocation-free.
-func benchEngineReuse(b *testing.B, pairs []halotis.MultiplierPair, m halotis.Model) {
-	ckt := mulCircuit(b)
-	st := mulStimulus(b, pairs)
+// benchEngineReuse times one workload through a reused Engine: after the
+// warm-up run, iterations must report 0 allocs/op — the steady-state event
+// loop is allocation-free.
+func benchEngineReuse(b *testing.B, ckt *halotis.Circuit, st halotis.Stimulus, tEnd float64, m halotis.Model) {
 	eng := halotis.NewEngine(ckt, halotis.WithModel(m))
-	if _, err := eng.Run(st, 28); err != nil { // warm-up grows all buffers
+	if _, err := eng.Run(st, tEnd); err != nil { // warm-up grows all buffers
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		res, err := eng.Run(st, 28)
+		res, err := eng.Run(st, tEnd)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -127,17 +125,39 @@ func BenchmarkTable2Seq2Analog(b *testing.B) { benchAnalog(b, halotis.PaperSeque
 
 // --- Engine reuse: Table 2 workloads without per-run setup ---
 
+// benchEngineReuseMul runs benchEngineReuse on one paper sequence through
+// the 4x4 multiplier.
+func benchEngineReuseMul(b *testing.B, pairs []halotis.MultiplierPair, m halotis.Model) {
+	benchEngineReuse(b, mulCircuit(b), mulStimulus(b, pairs), 28, m)
+}
+
 func BenchmarkEngineReuseSeq1DDM(b *testing.B) {
-	benchEngineReuse(b, halotis.PaperSequence1(), halotis.DDM)
+	benchEngineReuseMul(b, halotis.PaperSequence1(), halotis.DDM)
 }
 func BenchmarkEngineReuseSeq1CDM(b *testing.B) {
-	benchEngineReuse(b, halotis.PaperSequence1(), halotis.CDM)
+	benchEngineReuseMul(b, halotis.PaperSequence1(), halotis.CDM)
 }
 func BenchmarkEngineReuseSeq2DDM(b *testing.B) {
-	benchEngineReuse(b, halotis.PaperSequence2(), halotis.DDM)
+	benchEngineReuseMul(b, halotis.PaperSequence2(), halotis.DDM)
 }
 func BenchmarkEngineReuseSeq2CDM(b *testing.B) {
-	benchEngineReuse(b, halotis.PaperSequence2(), halotis.CDM)
+	benchEngineReuseMul(b, halotis.PaperSequence2(), halotis.CDM)
+}
+
+// BenchmarkEngineReuseC17DDM runs two random vectors through c17, a run of
+// a few microseconds, where the kernel's fixed per-run cost (engine and
+// lane reset, stimulus application, result assembly) is visible next to
+// the event loop; the multiplier sequences above hide it.
+func BenchmarkEngineReuseC17DDM(b *testing.B) {
+	ckt, err := halotis.C17(benchLib)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := halotis.RandomStimulus(ckt, 2, halotis.PaperPeriod, 0.2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchEngineReuse(b, ckt, st, 3*halotis.PaperPeriod, halotis.DDM)
 }
 
 // --- Batch runner: 64-stimulus sweeps, sequential vs parallel ---

@@ -266,7 +266,7 @@ func (c *Client) doOnce(ctx context.Context, method, path string, data []byte, o
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		sp.Fail(err)
+		sp.FailOrCancel(ctx, err)
 		sp.End()
 		// A transport failure caused by the caller's context maps onto
 		// the taxonomy like a server-side cancellation would.

@@ -437,3 +437,49 @@ func TestClusterErrorTaxonomy(t *testing.T) {
 		t.Errorf("dead-cluster error took %v", time.Since(start))
 	}
 }
+
+// TestRouterStatusMatchesReplica sends one unparsable netlist through each
+// route that parses netlist text, to a replica and to the router: the
+// router must answer with the replica's status and taxonomy code.
+func TestRouterStatusMatchesReplica(t *testing.T) {
+	ctx := context.Background()
+	reps := startReplicas(t, 1, service.Config{})
+	rts := httptest.NewServer(newTestCluster(t, reps).Handler())
+	t.Cleanup(rts.Close)
+
+	const bad = "OUTPUT(y)\ny = NOSUCHGATE(a, b\n"
+	run := api.Request{TEnd: 30}
+	calls := []struct {
+		name string
+		do   func(*client.Client) error
+	}{
+		{"inline simulate", func(cl *client.Client) error {
+			_, err := cl.Simulate(ctx, api.SimRequest{Netlist: bad, Format: "bench", Request: run})
+			return err
+		}},
+		{"inline batch", func(cl *client.Client) error {
+			_, err := cl.SimulateBatch(ctx, api.BatchRequest{Netlist: bad, Format: "bench", Requests: []api.Request{run}})
+			return err
+		}},
+		{"upload", func(cl *client.Client) error {
+			_, err := cl.UploadCircuit(ctx, api.UploadRequest{Netlist: bad, Format: "bench"})
+			return err
+		}},
+	}
+	for _, call := range calls {
+		answer := func(url string) (int, string) {
+			var ae *client.APIError
+			if err := call.do(client.New(url)); !errors.As(err, &ae) {
+				t.Fatalf("%s to %s: err = %v, want an API error", call.name, url, err)
+			}
+			return ae.StatusCode, ae.Code
+		}
+		wantStatus, wantCode := answer(reps[0].ts.URL)
+		if wantCode != api.CodeInvalidRequest {
+			t.Fatalf("%s: replica answered code %q, want %q", call.name, wantCode, api.CodeInvalidRequest)
+		}
+		if gotStatus, gotCode := answer(rts.URL); gotStatus != wantStatus || gotCode != wantCode {
+			t.Errorf("%s: router answered %d %s, replica %d %s", call.name, gotStatus, gotCode, wantStatus, wantCode)
+		}
+	}
+}

@@ -172,7 +172,7 @@ func route[T any](c *Cluster, ctx context.Context, id string, t *circuitText, pr
 		}
 		go func() {
 			v, err := tryReplica(c, ctx, r, t, fn)
-			hsp.Fail(err)
+			hsp.FailOrCancel(ctx, err)
 			hsp.End()
 			results <- attempt{v, err, r, ctx, hedged}
 		}()
@@ -261,7 +261,7 @@ func tryReplica[T any](c *Cluster, ctx context.Context, r *replica, t *circuitTe
 		r.lat.record(time.Since(begin))
 		r.markUp("request ok")
 	}
-	sp.Fail(err)
+	sp.FailOrCancel(ctx, err) // a canceled loser did not fail
 	sp.End()
 	return v, err
 }

@@ -405,12 +405,41 @@ func TestRouterHedgeFlightRecordAndTrace(t *testing.T) {
 	if hedge == nil {
 		t.Fatalf("hedged trace has no router.hedge span: %+v", tr.Spans)
 	}
-	for _, sp := range tr.Spans {
-		if sp.Name == "router.attempt" && sp.ParentID == hedge.SpanID && sp.Attrs["replica"] == target {
-			return
+	hedgeAttempt := false
+	var loser *api.SpanInfo
+	for i, sp := range tr.Spans {
+		if sp.Name != "router.attempt" {
+			continue
+		}
+		if sp.ParentID == hedge.SpanID && sp.Attrs["replica"] == target {
+			hedgeAttempt = true
+		}
+		if sp.Attrs["replica"] == ranked[0].id {
+			loser = &tr.Spans[i]
 		}
 	}
-	t.Fatalf("router.hedge has no router.attempt child on %s: %+v", target, tr.Spans)
+	if !hedgeAttempt {
+		t.Fatalf("router.hedge has no router.attempt child on %s: %+v", target, tr.Spans)
+	}
+	// The primary lost the race and was canceled on purpose: its attempt
+	// and the attempt's client.send read as canceled, not failed.
+	if loser == nil {
+		t.Fatalf("hedged trace has no router.attempt on the primary %s: %+v", ranked[0].id, tr.Spans)
+	}
+	spans := []api.SpanInfo{*loser}
+	for _, sp := range tr.Spans {
+		if sp.Name == "client.send" && sp.ParentID == loser.SpanID {
+			spans = append(spans, sp)
+		}
+	}
+	if len(spans) != 2 {
+		t.Fatalf("primary's router.attempt has %d client.send children, want 1: %+v", len(spans)-1, tr.Spans)
+	}
+	for _, sp := range spans {
+		if sp.Error != "" || sp.Attrs["canceled"] != "true" {
+			t.Errorf("hedge loser's %s span: error %q, attrs %v; want no error and canceled=true", sp.Name, sp.Error, sp.Attrs)
+		}
+	}
 }
 
 // TestPartialBatchIsolatesFailures: AllowPartial turns a poisoned batch

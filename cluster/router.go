@@ -65,7 +65,7 @@ func (c *Cluster) writeError(w http.ResponseWriter, r *http.Request, err error) 
 	} else {
 		switch resp.Code {
 		case api.CodeInvalidRequest:
-			status = http.StatusBadRequest
+			status = http.StatusUnprocessableEntity // a replica's status for the same failure
 		case api.CodeNotFound:
 			status = http.StatusNotFound
 		case api.CodeOverloaded:
@@ -112,20 +112,20 @@ func (c *Cluster) resolveTarget(ctx context.Context, circuit, netlistText, forma
 	return id, t, nil
 }
 
-// badRequest writes a decode/parse failure.
-func (c *Cluster) badRequest(w http.ResponseWriter, r *http.Request, status int, msg string) {
-	c.node.WriteError(w, r, status, &api.ErrorResponse{Error: msg, Code: api.CodeInvalidRequest})
+// badRequest writes a request body decode failure.
+func (c *Cluster) badRequest(w http.ResponseWriter, r *http.Request, msg string) {
+	c.node.WriteError(w, r, http.StatusBadRequest, &api.ErrorResponse{Error: msg, Code: api.CodeInvalidRequest})
 }
 
 func (c *Cluster) handleUpload(w http.ResponseWriter, r *http.Request) {
 	req, err := service.DecodeUploadRequest(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
-		c.badRequest(w, r, http.StatusBadRequest, err.Error())
+		c.badRequest(w, r, err.Error())
 		return
 	}
 	ckt, err := netfmt.ParseText(req.Netlist, req.Format, c.lib, req.Name)
 	if err != nil {
-		c.badRequest(w, r, http.StatusUnprocessableEntity, "parse netlist: "+err.Error())
+		c.writeError(w, r, api.InvalidRequestf("parse netlist: %v", err))
 		return
 	}
 	t := &circuitText{id: circ.ContentHash(ckt), text: req.Netlist, format: req.Format, name: req.Name}
@@ -141,7 +141,7 @@ func (c *Cluster) handleUpload(w http.ResponseWriter, r *http.Request) {
 func (c *Cluster) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	req, err := service.DecodeSimRequest(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
-		c.badRequest(w, r, http.StatusBadRequest, err.Error())
+		c.badRequest(w, r, err.Error())
 		return
 	}
 	id, t, err := c.resolveTarget(r.Context(), req.Circuit, req.Netlist, req.Format, "")
@@ -182,7 +182,7 @@ func (c *Cluster) handleSimulate(w http.ResponseWriter, r *http.Request) {
 func (c *Cluster) handleBatch(w http.ResponseWriter, r *http.Request) {
 	req, err := service.DecodeBatchRequest(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
-		c.badRequest(w, r, http.StatusBadRequest, err.Error())
+		c.badRequest(w, r, err.Error())
 		return
 	}
 	id, t, err := c.resolveTarget(r.Context(), req.Circuit, req.Netlist, req.Format, "")

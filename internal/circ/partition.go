@@ -37,6 +37,9 @@ type Partitioning struct {
 	Incoming [][]int32
 	// Counts[p] is the number of gates assigned to partition p.
 	Counts []int
+	// Cross[net] marks nets with at least one off-partition listener;
+	// transitions on every other net reconcile locally.
+	Cross []bool
 	// BoundaryNets counts nets with at least one off-partition listener;
 	// BoundaryEdges counts distinct (net, destination partition) pairs —
 	// the number of mailbox messages one transition on every net would
@@ -81,6 +84,7 @@ func (c *Compiled) partition(k int) *Partitioning {
 		K:        k,
 		GatePart: make([]int32, n),
 		NetPart:  make([]int32, c.NumNets()),
+		Cross:    make([]bool, c.NumNets()),
 		Counts:   make([]int, k),
 	}
 
@@ -147,6 +151,7 @@ func (c *Compiled) partition(k int) *Partitioning {
 			}
 		}
 		if cross {
+			p.Cross[net] = true
 			p.BoundaryNets++
 		}
 	}

@@ -336,6 +336,20 @@ func (s *Span) Fail(err error) {
 	s.info.Error = err.Error()
 }
 
+// FailOrCancel records how work run under ctx ended in err: as canceled
+// (attribute canceled=true, no error) when ctx is done — abandoned work,
+// such as a hedge's loser, did not fail — and as Fail(err) otherwise.
+func (s *Span) FailOrCancel(ctx context.Context, err error) {
+	if s == nil || err == nil {
+		return
+	}
+	if ctx.Err() != nil {
+		s.SetAttr("canceled", "true")
+		return
+	}
+	s.Fail(err)
+}
+
 // End finishes the span and files it with the recorder.
 func (s *Span) End() {
 	if s == nil {

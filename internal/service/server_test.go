@@ -393,6 +393,13 @@ func TestServiceBatchFansOut(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The upload ran as a queue job too, and the executed counter bumps
+		// after a job's result is delivered: wait until the fresh daemon
+		// counts it, or the baseline misses it and the batch is charged
+		// for it.
+		for wait := time.Millisecond; s.QueueStats().Executed < 1 && wait < time.Second; wait *= 2 {
+			time.Sleep(wait)
+		}
 		executedBefore := s.QueueStats().Executed
 		batch, err := c.SimulateBatch(ctx, client.BatchRequest{Circuit: up.ID, Requests: reqs})
 		if err != nil {

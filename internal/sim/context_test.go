@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -69,15 +70,18 @@ func TestRunContextDeadlineAbortsMidRun(t *testing.T) {
 	}
 
 	// An already-expired deadline must abort promptly, long before the
-	// run's full event count.
+	// run's full event count; the progress counter reports how far the
+	// aborted run got.
+	var progress atomic.Uint64
+	eng.SetProgress(&progress)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	_, err = eng.RunContext(ctx, st, tEnd)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
-	if eng.st.EventsProcessed >= total {
-		t.Fatalf("aborted run processed %d events, full run takes %d", eng.st.EventsProcessed, total)
+	if got := progress.Load(); got >= total {
+		t.Fatalf("aborted run processed %d events, full run takes %d", got, total)
 	}
 }
 

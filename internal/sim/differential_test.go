@@ -79,10 +79,14 @@ const (
 	refSlew   = 0.2
 )
 
+// refPartitions are the partition counts the engine is held to the
+// reference kernel at: one lane, and two and four partition workers.
+var refPartitions = []int{1, 2, 4}
+
 // TestFamiliesMatchReference is the refactor's differential guard: every
 // scalable circuit family, simulated through the compiled-IR engine, must
 // be bit-identical — waveforms and kernel counters — to the pointer-chasing
-// reference kernel for both delay models.
+// reference kernel for both delay models and every partition count.
 func TestFamiliesMatchReference(t *testing.T) {
 	const (
 		vectors = 6
@@ -94,21 +98,23 @@ func TestFamiliesMatchReference(t *testing.T) {
 			t.Fatalf("%s: stimulus: %v", wl.name, err)
 		}
 		for _, m := range []sim.Model{sim.DDM, sim.CDM} {
-			label := fmt.Sprintf("%s/%v", wl.name, m)
-			got, err := sim.New(wl.ckt, sim.Options{Model: m}).Run(st, tEnd)
-			if err != nil {
-				t.Fatalf("%s: engine: %v", label, err)
+			for _, p := range refPartitions {
+				label := fmt.Sprintf("%s/%v/P=%d", wl.name, m, p)
+				got, err := sim.New(wl.ckt, sim.Options{Model: m, Partitions: p}).Run(st, tEnd)
+				if err != nil {
+					t.Fatalf("%s: engine: %v", label, err)
+				}
+				matchReference(t, label, wl.ckt, st, tEnd, m, got)
 			}
-			matchReference(t, label, wl.ckt, st, tEnd, m, got)
 		}
 	}
 }
 
 // TestReusedEngineMatchesReference runs two different stimuli back to back
-// on one engine per workload and model, and holds both runs to the
-// reference kernel. The second stimulus is longer, so nets that stayed
-// within their slab chunk on the first run outgrow it on a warmed engine —
-// the reuse path of the engine's contiguous transition storage.
+// on one engine per workload, model and partition count, and holds both
+// runs to the reference kernel. The second stimulus is longer, so nets that
+// stayed within their slab chunk on the first run outgrow it on a warmed
+// engine — the reuse path of the engine's contiguous transition storage.
 func TestReusedEngineMatchesReference(t *testing.T) {
 	runs := []struct {
 		vectors int
@@ -116,24 +122,26 @@ func TestReusedEngineMatchesReference(t *testing.T) {
 	}{{4, 7}, {16, 8}}
 	for _, wl := range referenceWorkloads(t) {
 		for _, m := range []sim.Model{sim.DDM, sim.CDM} {
-			eng := sim.NewEngine(wl.ckt, sim.Options{Model: m})
-			most := 0
-			for i, r := range runs {
-				label := fmt.Sprintf("%s/%v/run%d", wl.name, m, i)
-				st, err := stimuli.RandomStimulusFor(wl.ckt, r.vectors, refPeriod, refSlew, r.seed)
-				if err != nil {
-					t.Fatalf("%s: stimulus: %v", label, err)
+			for _, p := range refPartitions {
+				eng := sim.NewEngine(wl.ckt, sim.Options{Model: m, Partitions: p})
+				most := 0
+				for i, r := range runs {
+					label := fmt.Sprintf("%s/%v/P=%d/run%d", wl.name, m, p, i)
+					st, err := stimuli.RandomStimulusFor(wl.ckt, r.vectors, refPeriod, refSlew, r.seed)
+					if err != nil {
+						t.Fatalf("%s: stimulus: %v", label, err)
+					}
+					tEnd := refPeriod * float64(r.vectors+1)
+					got, err := eng.Run(st, tEnd)
+					if err != nil {
+						t.Fatalf("%s: engine: %v", label, err)
+					}
+					most = matchReference(t, label, wl.ckt, st, tEnd, m, got)
 				}
-				tEnd := refPeriod * float64(r.vectors+1)
-				got, err := eng.Run(st, tEnd)
-				if err != nil {
-					t.Fatalf("%s: engine: %v", label, err)
+				if most <= sim.TransitionChunk {
+					t.Errorf("%s/%v/P=%d: no net outgrew its %d-slot chunk on the warmed engine (most %d transitions)",
+						wl.name, m, p, sim.TransitionChunk, most)
 				}
-				most = matchReference(t, label, wl.ckt, st, tEnd, m, got)
-			}
-			if most <= sim.TransitionChunk {
-				t.Errorf("%s/%v: no net outgrew its %d-slot chunk on the warmed engine (most %d transitions)",
-					wl.name, m, sim.TransitionChunk, most)
 			}
 		}
 	}

@@ -2,11 +2,8 @@ package sim
 
 import (
 	"context"
-	"fmt"
 	"math"
-	"slices"
 	"sync/atomic"
-	"time"
 
 	"halotis/internal/circ"
 	"halotis/internal/delay"
@@ -23,9 +20,9 @@ import (
 // sequence, breaks time ties. The order is total because two live crossings
 // never share a pin (the engine keeps at most one pending event per pin),
 // and it is structural: a property of the scheduled set alone, independent
-// of scheduling order. That is what lets the partitioned kernel, whose
-// partitions schedule concurrently into separate queues, reproduce the
-// sequential kernel's event order bit-for-bit.
+// of scheduling order. That is what keeps a run bit-identical across
+// partition counts, although partitions schedule concurrently into separate
+// queues (see partition.go).
 type event struct {
 	pin    int32
 	rising bool
@@ -36,10 +33,12 @@ type event struct {
 
 // Engine is the reusable HALOTIS simulation kernel. Unlike the one-shot
 // Simulator, an Engine may run any number of stimuli over its circuit: each
-// Run (or explicit Reset) reinitializes the mutable state — waveforms, gate
-// records, the event queue — in place, retaining all storage capacity. After
-// a warm-up run has grown the buffers to a workload's high-water mark,
-// subsequent runs of comparable workloads perform zero heap allocations.
+// Run reinitializes the mutable state — waveforms, gate records, the lanes'
+// event queues — in place, retaining all storage capacity. After a warm-up
+// run has grown the buffers to a workload's high-water mark, subsequent
+// runs of comparable workloads perform zero heap allocations. Every run
+// goes through one event loop (partition.go): Partitions = 1 is one lane on
+// the caller's goroutine.
 //
 // An Engine is not safe for concurrent use; for parallel workloads run one
 // engine per goroutine over a shared circuit (see RunBatch).
@@ -49,8 +48,6 @@ type event struct {
 type Engine struct {
 	ir  *circ.Compiled
 	opt Options
-
-	lane // the sequential kernel's queue, clock and counters
 
 	// wfs holds one waveform per net ID, their transitions carved from one
 	// slab (see wave.NewSlab), reset in place.
@@ -67,17 +64,15 @@ type Engine struct {
 
 	res Result // reused result storage returned by Run
 
-	part      *partRun // partitioned-execution state, built on first use
-	profiling bool     // materialize Result.Profile (see SetProfiling)
-
-	progress    *atomic.Uint64 // live event counter, published every 64 pops (see SetProgress)
-	progressPub uint64         // events already published to progress this run
+	part      *partRun       // the lanes of the last run's partition count, built on first use
+	profiling bool           // materialize Result.Profile (see SetProfiling)
+	progress  *atomic.Uint64 // live event counter, published every 64 pops (see SetProgress)
 }
 
-// lane is the state one event loop owns: its event queue, its simulated
-// clock and its counters. The sequential kernel runs one lane, the
-// partitioned kernel one per worker; both drive the same Fig. 4 body
-// (Engine.reconcile and Engine.fire) against their lane.
+// lane is the state one partition worker owns: its event queue, its
+// simulated clock and its counters. A run drives one lane per partition —
+// Partitions = 1 is one lane on the caller's goroutine — through the one
+// Fig. 4 body (Engine.reconcile and Engine.fire).
 type lane struct {
 	q   eventq.ArenaQueue[event]
 	now float64
@@ -132,10 +127,11 @@ func (e *Engine) Circuit() *netlist.Circuit { return e.ir.Circuit }
 // IR returns the compiled circuit representation the engine runs against.
 func (e *Engine) IR() *circ.Compiled { return e.ir }
 
-// Reset reinitializes the engine for a new run of the given stimulus without
-// reallocating: waveforms are rewound to the settled boolean solution of the
-// stimulus's initial input levels, gate records are refilled, the event queue
-// is emptied with its arena intact, and all counters restart.
+// Reset reinitializes the engine's shared state for a new run of the given
+// stimulus without reallocating: waveforms are rewound to the settled
+// boolean solution of the stimulus's initial input levels, gate records are
+// refilled and every pin's pending handle is cleared. The lanes — event
+// queues, clocks and counters — are reset by each run itself.
 //
 //halotis:noalloc
 func (e *Engine) Reset(st Stimulus) {
@@ -169,11 +165,6 @@ func (e *Engine) Reset(st Stimulus) {
 	for p := range e.pending {
 		e.pending[p] = eventq.NoHandle
 	}
-
-	e.q.Reset()
-	e.now = 0
-	e.st = Stats{}
-	e.progressPub = 0
 }
 
 // ctxCheckMask batches the cancellation check of RunContext: the context is
@@ -203,120 +194,12 @@ func (e *Engine) RunContext(ctx context.Context, st Stimulus, tEnd float64) (*Re
 	if err := st.Validate(e.ir.InputSet); err != nil {
 		return nil, err
 	}
-	if k := resolvePartitions(e.opt.Partitions, e.ir.NumGates()); k > 1 {
-		if pt := e.ir.Partition(k); pt.K > 1 {
-			return e.runPartitioned(ctx, st, tEnd, pt)
-		}
-	}
-	//halotis:wallclock Result.Elapsed measures the run for stats; it never feeds simulated time
-	start := time.Now()
-	e.Reset(st)
-	e.applyStimulus(st)
-
-	for {
-		if e.st.EventsProcessed&ctxCheckMask == 0 {
-			e.publishProgress()
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return nil, fmt.Errorf("sim: run aborted at t=%g ns after %d events: %w",
-						e.now, e.st.EventsProcessed, err)
-				}
-			}
-		}
-		tNext, ok := e.q.PeekTime()
-		if !ok || tNext > tEnd {
-			break
-		}
-		h, t, ev, _ := e.q.Pop()
-		if t < e.now {
-			e.publishProgress()
-			return nil, fmt.Errorf("sim: causality violation: event at %g before now %g", t, e.now)
-		}
-		e.now = t
-		e.st.EventsProcessed++
-		if e.st.EventsProcessed > e.opt.MaxEvents {
-			e.publishProgress()
-			return nil, fmt.Errorf("sim: event limit %d exceeded at t=%g ns (oscillation?)", e.opt.MaxEvents, e.now)
-		}
-		if out, start, slew, rising, ok := e.fire(&e.lane, h, ev); ok {
-			e.emit(out, start, slew, rising)
-		}
-	}
-	e.publishProgress()
-
-	//halotis:wallclock Result.Elapsed measures the run for stats; it never feeds simulated time
-	elapsed := time.Since(start)
-	queued, _, removed := e.q.Stats()
-	e.st.EventsQueued = queued
-	if e.st.EventsFiltered != removed {
-		// The two counters track the same deletions through different
-		// paths; disagreement means an engine bug.
-		return nil, fmt.Errorf("sim: filtered-event accounting mismatch: %d vs %d", e.st.EventsFiltered, removed)
-	}
-	e.res = Result{
-		Model:   e.opt.Model,
-		Stats:   e.st,
-		Elapsed: elapsed,
-		EndTime: tEnd,
-		ir:      e.ir,
-		wfs:     e.wfs,
-	}
-	if e.profiling {
-		// The sequential kernel is one "worker" with no partition
-		// boundaries to stall on or message across.
-		//halotis:alloc profiling is opt-in; the pinned zero-alloc steady state runs with it off
-		e.res.Profile = &Profile{
-			Partitions: 1,
-			Workers: []WorkerProfile{{
-				Partition:       0,
-				EventsProcessed: e.st.EventsProcessed,
-			}},
-		}
-	}
-	return &e.res, nil
-}
-
-// applyStimulus emits the externally driven transitions onto the primary
-// input nets in deterministic (sorted-name) order, scheduling receiver
-// events through the same reconciliation path gate outputs use.
-//
-//halotis:noalloc
-func (e *Engine) applyStimulus(st Stimulus) {
-	e.names = e.names[:0]
-	for name := range st {
-		e.names = append(e.names, name)
-	}
-	slices.Sort(e.names)
-	for _, name := range e.names {
-		w := st[name]
-		net := e.ir.NetID(name)
-		for _, edge := range w.Edges {
-			slew := edge.Slew
-			if slew <= 0 {
-				slew = DefaultInputSlew
-			}
-			e.emit(net, edge.Time, slew, edge.Rising)
-		}
-	}
-}
-
-// emit appends a transition to a net's waveform and reconciles every fanout
-// pin's pending event, implementing the insertion/deletion rule of the
-// paper's Fig. 4 algorithm.
-//
-//halotis:noalloc
-func (e *Engine) emit(net int32, start, slew float64, rising bool) {
-	tr := e.wfs[net].Add(start, slew, rising)
-	e.st.Transitions++
-	for _, pin := range e.ir.Fanout(net) {
-		e.reconcile(&e.lane, pin, tr)
-	}
+	return e.run(ctx, st, tEnd, resolvePartitions(e.opt.Partitions, e.ir.NumGates()))
 }
 
 // reconcile applies a new transition tr on a pin's net to the pin's pending
-// event in lane l's queue: rules 1 and 2 of the paper's Fig. 4. Both
-// kernels call it — the sequential one for every fanout pin, the
-// partitioned one for the pins its worker owns.
+// event in lane l's queue: rules 1 and 2 of the paper's Fig. 4. Each
+// worker calls it for the pins its partition owns.
 //
 //halotis:noalloc
 func (e *Engine) reconcile(l *lane, pin int32, tr *wave.Transition) {
@@ -358,11 +241,9 @@ func (e *Engine) reconcile(l *lane, pin int32, tr *wave.Transition) {
 // fire consumes one event popped from lane l at l.now: it updates the pin's
 // logic value, re-evaluates the gate, and when the output target flips
 // evaluates the configured delay model and clamps the result to a causal,
-// per-net monotonic start time. ok reports a flip; the caller then emits
-// the returned output transition on net out (Engine.emit or the partitioned
-// worker's emit). h is the popped event's (stale) handle, used to reconcile
-// the per-pin pending record. It is the one copy of the per-event body both
-// kernels run.
+// per-net monotonic start time. ok reports a flip; the worker then emits
+// the returned output transition on net out. h is the popped event's
+// (stale) handle, used to reconcile the per-pin pending record.
 //
 //halotis:noalloc
 func (e *Engine) fire(l *lane, h eventq.Handle, ev event) (out int32, start, slew float64, rising, ok bool) {
@@ -423,25 +304,13 @@ func (e *Engine) fire(l *lane, h eventq.Handle, ev event) (out int32, start, sle
 // performs zero allocations, exactly as without the feature.
 func (e *Engine) SetProfiling(on bool) { e.profiling = on }
 
-// SetProgress attaches a live event counter: during a run the kernel adds
+// SetProgress attaches a live event counter: during a run each lane adds
 // exact event deltas into c every ctxCheckMask+1 pops (and a final
 // remainder when the run ends, normally or not), so an external sampler
 // can derive kernel events/sec while a long run is still in flight. Like
 // profiling, progress is run state, not identity — pooled engines share
 // the node-wide counter. A nil counter (the default) restores the
 // unobserved path at the cost of one predicted branch per check batch.
-// Both the sequential and partitioned kernels honor it; partitioned
-// workers publish their deltas concurrently.
+// With Partitions = 1 the one lane publishes on the caller's goroutine;
+// with more, the partition workers publish their deltas concurrently.
 func (e *Engine) SetProgress(c *atomic.Uint64) { e.progress = c }
-
-// publishProgress flushes the events processed since the last publish
-// into the attached progress counter.
-//
-//halotis:noalloc
-func (e *Engine) publishProgress() {
-	if e.progress == nil {
-		return
-	}
-	e.progress.Add(e.st.EventsProcessed - e.progressPub)
-	e.progressPub = e.st.EventsProcessed
-}

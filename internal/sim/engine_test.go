@@ -138,7 +138,7 @@ func TestEngineSteadyStateZeroAllocsAfterChunkOverflow(t *testing.T) {
 				t.Fatalf("%v: net %s recorded %d transitions, want more than the %d-slot chunk", m, n.Name, got, transitionChunk)
 			}
 		}
-		//halotis:pins Run emit reconcile fire
+		//halotis:pins Run RunContext run applyStimulus emit reconcile fire
 		allocs := testing.AllocsPerRun(20, func() {
 			if _, err := eng.Run(st, 100); err != nil {
 				t.Fatal(err)

@@ -14,16 +14,18 @@ import (
 	"halotis/internal/wave"
 )
 
-// This file is the partitioned parallel kernel: the same Fig. 4 algorithm as
-// engine.go, executed by one worker goroutine per circuit partition (see
-// circ.Partition), bit-identical to the sequential kernel for any partition
-// count. Three properties combine to make that possible:
+// This file is the kernel's one event loop: every run executes the Fig. 4
+// algorithm of engine.go through one worker per circuit partition (see
+// circ.Partition), each owning a lane. Partitions = 1 is one worker running
+// inline on the caller's goroutine, with no goroutine and no mailbox; two or
+// more run one goroutine per partition. Results are bit-identical for every
+// partition count. Three properties combine to make that possible:
 //
 //   - Structural event order. Events are keyed by (time, global pin id), a
 //     total order over live events that does not depend on which goroutine
 //     scheduled them (see the event type in engine.go). Firing events in
 //     that global order — regardless of which per-partition queue they sit
-//     in — reproduces the sequential kernel exactly.
+//     in — gives one result for every partition count.
 //
 //   - Acyclic boundary flow. circ.Partition guarantees every boundary net is
 //     driven in a lower-numbered partition than all of its off-partition
@@ -37,18 +39,19 @@ import (
 //     horizon), so no message can retroactively affect anything it already
 //     committed. The clock is published as two atomics (pin first, then
 //     time; read time first, then pin), which a double-width read may only
-//     ever under-estimate — stale reads are conservative, never unsafe.
+//     ever under-estimate — stale reads are conservative, never unsafe. A
+//     worker without upstreams (every one-lane run) has no horizon.
 //
 // Boundary messages carry {net, start, slew, v0, rising} — every field of
 // wave.Transition that Crossing reads — so the receiving partition
-// recomputes threshold-crossing times bit-identically to the sequential
-// kernel's in-place computation. Messages for one net originate in exactly
-// one partition and mailboxes preserve send order, so per-net truncation
-// order is preserved too; pins of different nets carry disjoint state, so
-// cross-net apply order is immaterial.
+// recomputes threshold-crossing times bit-identically to the driving
+// partition's in-place computation. Messages for one net originate in
+// exactly one partition and mailboxes preserve send order, so per-net
+// truncation order is preserved too; pins of different nets carry disjoint
+// state, so cross-net apply order is immaterial.
 //
 // Applying an incoming message eagerly (before local time reaches it) is
-// equivalent to the sequential interleaving: a message sent from an upstream
+// equivalent to the one-lane interleaving: a message sent from an upstream
 // fire at time t has start > t, can only cancel pending crossings at or
 // after start, and can only schedule crossings after start — all strictly
 // above the receiver's horizon, hence above anything it has fired.
@@ -62,10 +65,10 @@ import (
 const MaxPartitions = 64
 
 // Auto-partitioning policy for Options.Partitions == 0: circuits below
-// autoPartitionMinGates stay on the sequential kernel (its 0-alloc steady
-// state is already the fastest path for circuits whose working set fits low
-// cache levels), larger ones get one partition per autoPartitionGatesPer
-// gates, bounded by GOMAXPROCS and autoPartitionMax.
+// autoPartitionMinGates run one lane (its 0-alloc steady state is already
+// the fastest path for circuits whose working set fits low cache levels),
+// larger ones get one partition per autoPartitionGatesPer gates, bounded by
+// GOMAXPROCS and autoPartitionMax.
 const (
 	autoPartitionMinGates = 50_000
 	autoPartitionGatesPer = 25_000
@@ -139,12 +142,13 @@ func (m *mailbox) swap(spare []boundaryMsg) []boundaryMsg {
 	return out
 }
 
-// partWorker runs one partition: its own event queue, published clock and
-// inbound mailboxes, over the parent engine's shared (index-disjoint) slabs.
+// partWorker runs one partition: its own lane, published clock and inbound
+// mailboxes, over the parent engine's shared (index-disjoint) slabs.
 type partWorker struct {
 	e    *Engine
 	pt   *circ.Partitioning
 	part int32
+	name string // "run" for one lane, "partition N" otherwise; names the worker in errors
 
 	lane // this partition's queue, clock and counters
 
@@ -152,9 +156,11 @@ type partWorker struct {
 	// patterns compare like the floats themselves, so the time is stored as
 	// raw bits. Writers store pin then time; readers load time then pin —
 	// every torn read then under-estimates the (monotone) clock, which is
-	// conservative. See the file comment.
+	// conservative. See the file comment. watched marks a worker with a
+	// downstream partition, the only kind whose clock anyone reads.
 	clockTime atomic.Uint64
 	clockPin  atomic.Uint64
+	watched   bool
 
 	ups    []*partWorker // upstream workers, parallel to pt.Incoming[part]
 	inbox  []*mailbox    // inbound edge mailboxes, parallel to ups
@@ -185,9 +191,11 @@ func (w *partWorker) pubProgress() {
 	}
 }
 
-// partRun is an engine's reusable partitioned-execution state for one
-// partition count; rebuilt only when the requested count changes.
+// partRun is an engine's reusable execution state for one requested
+// partition count k: one worker per partition of pt. It is rebuilt only
+// when the requested count changes.
 type partRun struct {
+	k       int
 	pt      *circ.Partitioning
 	workers []*partWorker
 	pre     Stats         // stimulus-phase counters (applied single-threaded)
@@ -195,19 +203,23 @@ type partRun struct {
 	abort   atomic.Bool
 }
 
-func newPartRun(e *Engine, pt *circ.Partitioning) *partRun {
-	k := pt.K
-	pr := &partRun{pt: pt, workers: make([]*partWorker, k)}
-	for i := 0; i < k; i++ {
+func newPartRun(e *Engine, k int) *partRun {
+	pt := e.ir.Partition(k)
+	pr := &partRun{k: k, pt: pt, workers: make([]*partWorker, pt.K)}
+	for i := range pr.workers {
+		name := "run"
+		if pt.K > 1 {
+			name = fmt.Sprintf("partition %d", i)
+		}
 		pr.workers[i] = &partWorker{
 			e:      e,
 			pt:     pt,
 			part:   int32(i),
-			outbox: make([]*mailbox, k),
+			name:   name,
+			outbox: make([]*mailbox, pt.K),
 		}
 	}
-	for dst := 0; dst < k; dst++ {
-		w := pr.workers[dst]
+	for dst, w := range pr.workers {
 		ins := pt.Incoming[dst]
 		w.ups = make([]*partWorker, len(ins))
 		w.inbox = make([]*mailbox, len(ins))
@@ -217,6 +229,7 @@ func newPartRun(e *Engine, pt *circ.Partitioning) *partRun {
 			w.ups[j] = pr.workers[src]
 			w.inbox[j] = mb
 			pr.workers[src].outbox[dst] = mb
+			pr.workers[src].watched = true
 		}
 	}
 	return pr
@@ -235,8 +248,10 @@ func (pr *partRun) reset() {
 		w.mailboxSends = 0
 		w.pub = 0
 		w.charged = 0
-		w.clockPin.Store(0)
-		w.clockTime.Store(0)
+		if w.watched {
+			w.clockPin.Store(0)
+			w.clockTime.Store(0)
+		}
 		for _, mb := range w.inbox {
 			mb.buf = mb.buf[:0] // no workers are running between runs
 			mb.hw = 0
@@ -244,37 +259,43 @@ func (pr *partRun) reset() {
 	}
 }
 
-// runPartitioned is RunContext's parallel path; the caller already resolved
-// pt with K > 1.
-func (e *Engine) runPartitioned(ctx context.Context, st Stimulus, tEnd float64, pt *circ.Partitioning) (*Result, error) {
+// run is every run's body, for every partition count: reset the engine and
+// its lanes, apply the stimulus, run the workers — one lane inline on the
+// caller's goroutine, more as one goroutine each — and assemble Stats,
+// Result and Profile.
+//
+//halotis:noalloc
+func (e *Engine) run(ctx context.Context, st Stimulus, tEnd float64, k int) (*Result, error) {
 	//halotis:wallclock Result.Elapsed measures the run for stats; it never feeds simulated time
 	start := time.Now()
 	e.Reset(st)
-	if e.part == nil || e.part.pt != pt {
-		e.part = newPartRun(e, pt)
+	if e.part == nil || e.part.k != k {
+		e.part = newPartRun(e, k)
 	}
 	pr := e.part
 	pr.reset()
-	e.applyStimulusPartitioned(st, pr)
+	e.applyStimulus(st, pr)
 
-	var wg sync.WaitGroup
-	for _, w := range pr.workers {
-		wg.Add(1)
-		go func(w *partWorker) {
-			defer wg.Done()
-			w.run(ctx, pr, tEnd)
-		}(w)
+	if len(pr.workers) == 1 {
+		w := pr.workers[0]
+		w.err = w.run(ctx, pr, tEnd)
+	} else {
+		pr.runWorkers(ctx, tEnd)
 	}
-	wg.Wait()
 
 	total := pr.pre
 	last := 0.0
 	for _, w := range pr.workers {
+		if w.err != nil {
+			return nil, w.err
+		}
 		last = max(last, w.now)
 		queued, _, removed := w.q.Stats()
-		if w.err == nil && w.st.EventsFiltered != removed {
-			w.err = fmt.Errorf("sim: partition %d filtered-event accounting mismatch: %d vs %d",
-				w.part, w.st.EventsFiltered, removed)
+		if w.st.EventsFiltered != removed {
+			// The two counters track the same deletions through different
+			// paths; disagreement means an engine bug.
+			return nil, fmt.Errorf("sim: filtered-event accounting mismatch in %s: %d vs %d",
+				w.name, w.st.EventsFiltered, removed)
 		}
 		total.EventsQueued += queued
 		total.EventsProcessed += w.st.EventsProcessed
@@ -284,22 +305,16 @@ func (e *Engine) runPartitioned(ctx context.Context, st Stimulus, tEnd float64, 
 		total.DegradedTransitions += w.st.DegradedTransitions
 		total.FullyDegraded += w.st.FullyDegraded
 	}
-	for _, w := range pr.workers {
-		if w.err != nil {
-			return nil, w.err
-		}
-	}
-	// Workers charge the shared budget in batches, so together they can
-	// overrun the limit by up to a batch each unnoticed; the exact total
-	// decides, as it does in the sequential kernel.
+	// Workers charge the shared budget in batches, so a run can overrun
+	// the limit by up to a batch per worker unnoticed; the exact total
+	// decides.
 	if total.EventsProcessed > e.opt.MaxEvents {
 		return nil, fmt.Errorf("sim: event limit %d exceeded at t=%g ns (oscillation?)", e.opt.MaxEvents, last)
 	}
 
-	e.st = total
 	e.res = Result{
 		Model: e.opt.Model,
-		Stats: e.st,
+		Stats: total,
 		//halotis:wallclock Result.Elapsed measures the run for stats; it never feeds simulated time
 		Elapsed: time.Since(start),
 		EndTime: tEnd,
@@ -307,33 +322,56 @@ func (e *Engine) runPartitioned(ctx context.Context, st Stimulus, tEnd float64, 
 		wfs:     e.wfs,
 	}
 	if e.profiling {
-		prof := &Profile{Partitions: pt.K, Workers: make([]WorkerProfile, len(pr.workers))}
-		for i, w := range pr.workers {
-			hw := 0
-			for _, mb := range w.inbox {
-				if mb.hw > hw { // workers have joined; no locks needed
-					hw = mb.hw
-				}
-			}
-			prof.Workers[i] = WorkerProfile{
-				Partition:        int(w.part),
-				EventsProcessed:  w.st.EventsProcessed,
-				StallWaits:       w.stallWaits,
-				MailboxSends:     w.mailboxSends,
-				MailboxHighWater: hw,
-			}
-		}
-		e.res.Profile = prof
+		e.res.Profile = pr.profile()
 	}
 	return &e.res, nil
 }
 
-// applyStimulusPartitioned mirrors applyStimulus, routing each scheduled
-// crossing to its owning partition's queue. It runs single-threaded before
-// the workers start, so every partition begins with its externally driven
-// events already in place and primary-input nets never generate boundary
-// traffic.
-func (e *Engine) applyStimulusPartitioned(st Stimulus, pr *partRun) {
+// runWorkers runs each worker on its own goroutine and waits for all of
+// them; a failing worker aborts the others.
+func (pr *partRun) runWorkers(ctx context.Context, tEnd float64) {
+	var wg sync.WaitGroup
+	for _, w := range pr.workers {
+		wg.Add(1)
+		go func(w *partWorker) {
+			defer wg.Done()
+			if w.err = w.run(ctx, pr, tEnd); w.err != nil {
+				pr.abort.Store(true)
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// profile materializes the workers' counters; the workers have joined, so
+// no locks are needed.
+func (pr *partRun) profile() *Profile {
+	prof := &Profile{Partitions: pr.pt.K, Workers: make([]WorkerProfile, len(pr.workers))}
+	for i, w := range pr.workers {
+		hw := 0
+		for _, mb := range w.inbox {
+			hw = max(hw, mb.hw)
+		}
+		prof.Workers[i] = WorkerProfile{
+			Partition:        int(w.part),
+			EventsProcessed:  w.st.EventsProcessed,
+			StallWaits:       w.stallWaits,
+			MailboxSends:     w.mailboxSends,
+			MailboxHighWater: hw,
+		}
+	}
+	return prof
+}
+
+// applyStimulus emits the externally driven transitions onto the primary
+// input nets in deterministic (sorted-name) order, scheduling each receiver
+// event in its owning partition's lane through the same reconciliation path
+// gate outputs use. It runs single-threaded before the workers start, so
+// every partition begins with its externally driven events already in place
+// and primary-input nets never generate boundary traffic.
+//
+//halotis:noalloc
+func (e *Engine) applyStimulus(st Stimulus, pr *partRun) {
 	ir := e.ir
 	e.names = e.names[:0]
 	for name := range st {
@@ -371,8 +409,12 @@ func keyLess(t1 float64, p1 uint64, t2 float64, p2 uint64) bool {
 // when blocked. The clock-then-drain order matters: messages from any
 // upstream fire below a clock value are in the mailbox before that clock
 // value is published, so draining after the read leaves nothing unseen
-// below the horizon.
-func (w *partWorker) run(ctx context.Context, pr *partRun, tEnd float64) {
+// below the horizon. A worker without upstreams fires its whole queue up
+// to tEnd in one pass. It returns the worker's own failure; a sibling's
+// abort returns nil.
+//
+//halotis:noalloc
+func (w *partWorker) run(ctx context.Context, pr *partRun, tEnd float64) error {
 	e := w.e
 	// Flush the progress remainder on every exit path (completion, abort,
 	// failure) so the attached counter converges on the exact event total.
@@ -380,7 +422,7 @@ func (w *partWorker) run(ctx context.Context, pr *partRun, tEnd float64) {
 	idle := 0
 	for {
 		if pr.abort.Load() {
-			return
+			return nil
 		}
 		hT, hP := w.horizon()
 		progressed := w.drainInboxes()
@@ -393,13 +435,12 @@ func (w *partWorker) run(ctx context.Context, pr *partRun, tEnd float64) {
 			if w.st.EventsProcessed&ctxCheckMask == 0 {
 				w.pubProgress()
 				if pr.abort.Load() {
-					return
+					return nil
 				}
 				if ctx != nil {
 					if err := ctx.Err(); err != nil {
-						w.fail(pr, fmt.Errorf("sim: partition %d aborted at t=%g ns after %d events: %w",
-							w.part, w.now, w.st.EventsProcessed, err))
-						return
+						return fmt.Errorf("sim: %s aborted at t=%g ns after %d events: %w",
+							w.name, w.now, w.st.EventsProcessed, err)
 					}
 				}
 				// Charge only events already fired: a charge ahead of the
@@ -407,56 +448,51 @@ func (w *partWorker) run(ctx context.Context, pr *partRun, tEnd float64) {
 				total := pr.proc.Add(w.st.EventsProcessed - w.charged)
 				w.charged = w.st.EventsProcessed
 				if total > e.opt.MaxEvents {
-					w.fail(pr, fmt.Errorf("sim: event limit %d exceeded at t=%g ns (oscillation?)",
-						e.opt.MaxEvents, w.now))
-					return
+					return fmt.Errorf("sim: event limit %d exceeded at t=%g ns (oscillation?)",
+						e.opt.MaxEvents, w.now)
 				}
 			}
 			h, t, ev, _ := w.q.Pop()
 			if t < w.now {
-				w.fail(pr, fmt.Errorf("sim: partition %d causality violation: event at %g before now %g",
-					w.part, t, w.now))
-				return
+				return fmt.Errorf("sim: causality violation in %s: event at %g before now %g",
+					w.name, t, w.now)
 			}
 			w.now = t
 			w.st.EventsProcessed++
 			if out, start, slew, rising, ok := e.fire(&w.lane, h, ev); ok {
 				w.emit(out, start, slew, rising)
 			}
-			w.publish(hT, hP)
+			if w.watched {
+				w.publish(hT, hP)
+			}
 			progressed = true
 		}
 
-		w.publish(hT, hP)
+		if w.watched {
+			w.publish(hT, hP)
+		}
 		if hT > tEnd {
 			if t, _, ok := w.q.PeekKey(); !ok || t > tEnd {
 				// Horizon and queue are both past the end of time: no
 				// upstream can send anything <= tEnd anymore (everything
 				// below the horizon read was drained above) and nothing
-				// local remains. Leave the clock at +Inf for downstream.
-				w.clockPin.Store(0)
-				w.clockTime.Store(math.Float64bits(math.Inf(1)))
-				return
+				// local remains. The clock just published is past tEnd
+				// too, so downstream horizons are.
+				return nil
 			}
 		}
 		if progressed {
 			idle = 0
 		} else {
 			if ctx != nil && ctx.Err() != nil {
-				w.fail(pr, fmt.Errorf("sim: partition %d aborted at t=%g ns after %d events: %w",
-					w.part, w.now, w.st.EventsProcessed, ctx.Err()))
-				return
+				return fmt.Errorf("sim: %s aborted at t=%g ns after %d events: %w",
+					w.name, w.now, w.st.EventsProcessed, ctx.Err())
 			}
 			w.stallWaits++
 			backoff(idle)
 			idle++
 		}
 	}
-}
-
-func (w *partWorker) fail(pr *partRun, err error) {
-	w.err = err
-	pr.abort.Store(true)
 }
 
 // horizon returns the minimum published clock over the upstream partitions:
@@ -477,7 +513,9 @@ func (w *partWorker) horizon() (float64, uint64) {
 // publish advances the worker's clock to min(queue head, horizon): the
 // smallest key this partition could still fire — and hence the smallest key
 // any message it has yet to send could carry. Both inputs are monotone, so
-// the published clock never regresses.
+// the published clock never regresses. Only a watched worker publishes: no
+// one reads the clock of the last partition or of a one-lane run, so the
+// callers skip it there.
 func (w *partWorker) publish(hT float64, hP uint64) {
 	t, p, ok := w.q.PeekKey()
 	if !ok {
@@ -521,15 +559,25 @@ func (w *partWorker) drainInboxes() bool {
 	return progressed
 }
 
-// emit is the partitioned counterpart of Engine.emit: append the transition
-// to the net's waveform (the net is owned by this partition), reconcile
-// local fanout pins directly and send one message per off-partition
-// destination.
+// emit appends a transition to a net's waveform (the net is owned by this
+// partition) and reconciles every fanout pin's pending event, implementing
+// the insertion/deletion rule of the paper's Fig. 4 algorithm. A net with
+// off-partition listeners reconciles its local pins and sends one message
+// per off-partition destination instead; every other net (every net of a
+// one-lane run) skips the per-pin partition lookup.
+//
+//halotis:noalloc
 func (w *partWorker) emit(net int32, start, slew float64, rising bool) {
 	e := w.e
 	ir := e.ir
 	tr := e.wfs[net].Add(start, slew, rising)
 	w.st.Transitions++
+	if !w.pt.Cross[net] {
+		for _, pin := range ir.Fanout(net) {
+			e.reconcile(&w.lane, pin, tr)
+		}
+		return
+	}
 	sent := w.sent[:0]
 	for _, pin := range ir.Fanout(net) {
 		dst := w.pt.GatePart[ir.Pins[pin].Gate]
@@ -537,14 +585,7 @@ func (w *partWorker) emit(net int32, start, slew float64, rising bool) {
 			e.reconcile(&w.lane, pin, tr)
 			continue
 		}
-		dup := false
-		for _, s := range sent {
-			if s == dst {
-				dup = true
-				break
-			}
-		}
-		if dup {
+		if slices.Contains(sent, dst) {
 			continue
 		}
 		sent = append(sent, dst)

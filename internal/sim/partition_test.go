@@ -53,9 +53,11 @@ func comparePartitioned(t *testing.T, label string, ckt *netlist.Circuit, st sim
 
 // TestPartitionedMatchesSequential is the parallel kernel's differential
 // guard: every scalable family plus the paper circuits, both delay models,
-// several partition counts — all bit-identical to the sequential kernel
-// (which TestFamiliesMatchReference in turn pins to the reference kernel).
-// The CI race job runs this under -race, making it the data-race proof too.
+// several partition counts — all bit-identical to the one-lane run. P=1
+// runs the same loop as P>1, so this is a self-consistency check; the
+// independent oracle is the reference kernel, which
+// TestFamiliesMatchReference holds P=1, 2 and 4 to directly. The CI race
+// job runs this under -race, making it the data-race proof too.
 func TestPartitionedMatchesSequential(t *testing.T) {
 	lib := cellib.Default06()
 	type workload struct {

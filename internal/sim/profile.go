@@ -1,7 +1,7 @@
 package sim
 
 // Profile is the opt-in per-run kernel execution profile: one entry per
-// partition worker (sequential runs report a single worker). It is
+// partition worker (a one-lane run reports a single worker). It is
 // materialized only when profiling was enabled (Options.Profile or
 // Engine.SetProfiling), so the default path keeps the kernel's
 // zero-allocation steady state. The underlying counters are plain fields
@@ -9,8 +9,8 @@ package sim
 // increments on paths that are not per-event hot (stalls and boundary
 // sends), so profiling costs nothing measurable even when on.
 type Profile struct {
-	// Partitions is the effective partition count of the run (1 for the
-	// sequential kernel).
+	// Partitions is the effective partition count of the run (1 for a
+	// one-lane run).
 	Partitions int
 	// Workers holds per-partition counters, indexed by partition.
 	Workers []WorkerProfile

@@ -9,7 +9,10 @@
 // Two front doors exist over the same kernel: the one-shot Simulator
 // (New + Run, one run per value) and the reusable Engine (NewEngine, any
 // number of Run calls with zero steady-state allocations; see engine.go and
-// the parallel batch runner in batch.go).
+// the parallel batch runner in batch.go). Every run goes through one event
+// loop (partition.go): Partitions = 1 is one lane on the caller's
+// goroutine, more partitions run one goroutine each, and the results are
+// bit-identical for every partition count.
 package sim
 
 import (
@@ -59,15 +62,15 @@ type Options struct {
 	// Workers bounds the parallelism of RunBatch: <= 0 means one worker
 	// per available CPU. Single runs ignore it.
 	Workers int
-	// Partitions selects the partitioned parallel kernel for single runs:
-	// the circuit is split into that many level-ordered partitions (see
-	// circ.Partition), each driven by its own worker goroutine and event
-	// queue, with boundary transitions exchanged through mailboxes under a
-	// conservative horizon protocol. Results are bit-identical to the
-	// sequential kernel for any partition count. 0 (the default) picks
-	// automatically by circuit size and GOMAXPROCS — small circuits run
-	// sequentially; 1 forces the sequential kernel; values are clamped to
-	// [1, MaxPartitions].
+	// Partitions sets how many partitions a single run is split into: that
+	// many level-ordered partitions (see circ.Partition), each driven by its
+	// own worker and event queue, with boundary transitions exchanged
+	// through mailboxes under a conservative horizon protocol. 1 is the
+	// sequential case, one lane on the caller's goroutine with no goroutine
+	// or mailbox; more run one worker goroutine per partition. Results are
+	// bit-identical for any partition count. 0 (the default) picks
+	// automatically by circuit size and GOMAXPROCS — small circuits run one
+	// lane; values are clamped to [1, MaxPartitions].
 	Partitions int
 	// Ctx, when non-nil, cancels runs: Engine.Run and RunBatch abort at
 	// event-pop granularity once the context is done, returning an error
