@@ -311,6 +311,8 @@ type HealthResponse struct {
 // finite rejects NaN and infinities, consistent with the text parsers'
 // parseFinite: JSON cannot encode them literally, but requests are also
 // built programmatically and corrupt every downstream computation silently.
+//
+//halotis:noalloc
 func finite(field string, v float64) error {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return fmt.Errorf("%s: non-finite value", field)
@@ -331,6 +333,8 @@ func (r *UploadRequest) Validate() error {
 
 // Validate checks the run options and stimulus. Failures wrap
 // ErrInvalidRequest.
+//
+//halotis:noalloc
 func (r *Request) Validate() error {
 	if err := finite("t_end", r.TEnd); err != nil {
 		return invalid(err)
@@ -364,24 +368,41 @@ func (r *Request) Validate() error {
 
 // Validate checks every edge of every drive. Failures wrap
 // ErrInvalidRequest.
+//
+//halotis:noalloc
 func (s Stimulus) Validate() error {
+	// Of several bad inputs, the one with the smallest name is reported,
+	// so map iteration order cannot reach the message.
+	var badName string
+	var badErr error
 	for name, w := range s {
-		if name == "" {
-			return invalidf("stimulus: empty input name")
+		if err := validateDrive(name, w); err != nil && (badErr == nil || name < badName) {
+			badName, badErr = name, err
 		}
-		for i, e := range w.Edges {
-			if err := finite(fmt.Sprintf("stimulus %q edge %d t", name, i), e.T); err != nil {
-				return invalid(err)
-			}
-			if e.T < 0 {
-				return invalidf("stimulus %q edge %d: negative time %g", name, i, e.T)
-			}
-			if err := finite(fmt.Sprintf("stimulus %q edge %d slew", name, i), e.Slew); err != nil {
-				return invalid(err)
-			}
-			if e.Slew < 0 {
-				return invalidf("stimulus %q edge %d: negative slew %g", name, i, e.Slew)
-			}
+	}
+	return badErr
+}
+
+// validateDrive checks one input's drive and reports its first bad edge. It
+// formats a message only on failure: a valid stimulus costs no allocation.
+//
+//halotis:noalloc
+func validateDrive(name string, w InputWave) error {
+	if name == "" {
+		return invalidf("stimulus: empty input name")
+	}
+	for i, e := range w.Edges {
+		if err := finite("t", e.T); err != nil {
+			return invalidf("stimulus %q edge %d %v", name, i, err)
+		}
+		if e.T < 0 {
+			return invalidf("stimulus %q edge %d: negative time %g", name, i, e.T)
+		}
+		if err := finite("slew", e.Slew); err != nil {
+			return invalidf("stimulus %q edge %d %v", name, i, err)
+		}
+		if e.Slew < 0 {
+			return invalidf("stimulus %q edge %d: negative slew %g", name, i, e.Slew)
 		}
 	}
 	return nil

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -59,6 +61,55 @@ func TestRequestValidate(t *testing.T) {
 		if !errors.Is(err, ErrInvalidRequest) {
 			t.Errorf("%s: err = %v, want ErrInvalidRequest", name, err)
 		}
+	}
+}
+
+// TestRequestValidateAllocFree: a valid request formats no message, so
+// validating a 64-input stimulus costs no allocation.
+func TestRequestValidateAllocFree(t *testing.T) {
+	st := make(Stimulus, 64)
+	for i := range 64 {
+		st[fmt.Sprintf("in%d", i)] = InputWave{Edges: []Edge{{T: 1, Rising: true, Slew: 0.2}, {T: 4, Slew: 0.3}}}
+	}
+	req := Request{TEnd: 30, Stimulus: st}
+	//halotis:pins Validate validateDrive finite
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := req.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Validate of a valid 64-input request: %g allocs, want 0", allocs)
+	}
+}
+
+// TestStimulusValidateReportsSmallestName: of several bad inputs, every
+// call reports the one with the smallest name, whatever the map order,
+// with each failure kind's message.
+func TestStimulusValidateReportsSmallestName(t *testing.T) {
+	for _, tc := range []struct {
+		edge Edge
+		want string
+	}{
+		{Edge{T: math.NaN()}, `halotis: invalid request: stimulus "b" edge 1 t: non-finite value`},
+		{Edge{T: -1}, `halotis: invalid request: stimulus "b" edge 1: negative time -1`},
+		{Edge{T: 1, Slew: math.Inf(1)}, `halotis: invalid request: stimulus "b" edge 1 slew: non-finite value`},
+		{Edge{T: 1, Slew: -2}, `halotis: invalid request: stimulus "b" edge 1: negative slew -2`},
+	} {
+		st := Stimulus{"a": {Edges: []Edge{{T: 1}}}}
+		for _, name := range []string{"b", "c", "d", "e", "f", "g", "h", "i"} {
+			st[name] = InputWave{Edges: []Edge{{T: 0.5}, tc.edge}}
+		}
+		req := Request{TEnd: 30, Stimulus: st}
+		for range 200 {
+			if err := req.Validate(); err == nil || err.Error() != tc.want {
+				t.Fatalf("Validate = %v, want %s", err, tc.want)
+			}
+		}
+	}
+	st := Stimulus{"": {}, "a": {Edges: []Edge{{T: -1}}}}
+	if err := st.Validate(); err == nil || err.Error() != "halotis: invalid request: stimulus: empty input name" {
+		t.Fatalf("Validate with an empty name = %v", err)
 	}
 }
 

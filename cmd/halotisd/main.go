@@ -1,7 +1,8 @@
 // Command halotisd is the HALOTIS simulation daemon: a long-running
 // HTTP/JSON service over the compiled-IR simulation kernel, with a
-// content-addressed compiled-circuit cache, per-circuit engine pools, and a
-// bounded worker queue (see internal/service).
+// content-addressed compiled-circuit cache, per-circuit engine pools, and an
+// admission gate that bounds the jobs running at once and the jobs waiting
+// (see internal/service).
 //
 // Usage:
 //
@@ -56,7 +57,7 @@
 //
 // On SIGINT/SIGTERM the daemon shuts down gracefully: it stops accepting
 // connections, waits for in-flight requests (bounded by -drain-timeout),
-// and drains the job queue before exiting.
+// and waits for every admitted job before exiting.
 package main
 
 import (
@@ -84,8 +85,8 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	id := flag.String("id", "", "replica identity: stamped into responses and /metrics so multi-node sweeps can attribute work per node")
-	workers := flag.Int("workers", 0, "simulation workers (0 = GOMAXPROCS)")
-	queueDepth := flag.Int("queue", 0, "job queue depth (0 = 4x workers)")
+	workers := flag.Int("workers", 0, "compile and simulation jobs that run at once (0 = GOMAXPROCS)")
+	queueDepth := flag.Int("queue", 0, "jobs that may wait for a running slot before requests are refused with 503 (0 = 4x workers)")
 	cacheSize := flag.Int("cache", 64, "compiled-circuit cache capacity")
 	resultCache := flag.Int("result-cache", 0, "result cache capacity: repeated identical simulate requests skip the kernel (0 = default 1024, negative = disabled)")
 	poolSize := flag.Int("pool", 0, "free engines retained per circuit and options (0 = workers)")
@@ -165,7 +166,8 @@ func main() {
 			SLOTargetAvailability: *sloAvail,
 			Logger:                logger,
 		})
-		// Close drains the jobs still queued once serve has returned.
+		// Close waits, once serve has returned, for the jobs of requests
+		// that a forced close left running.
 		h, closeBackend = svc.Handler(), svc.Close
 	}
 
@@ -187,11 +189,11 @@ func main() {
 
 // serve serves h on ln until ctx is canceled or serving fails. On
 // cancellation it shuts down gracefully: it stops accepting and waits up to
-// drainTimeout for in-flight requests, which themselves wait on their
-// queued jobs. Connections still open after that are force-closed, which
-// cancels their request contexts, so their simulations abort at the
-// kernel's next event-pop check instead of running to completion; serve
-// then returns the shutdown error.
+// drainTimeout for in-flight requests, whose jobs run on the requests' own
+// goroutines. Connections still open after that are force-closed, which
+// cancels their request contexts, so their waiting jobs leave the backlog
+// and their simulations abort at the kernel's next event-pop check instead
+// of running to completion; serve then returns the shutdown error.
 func serve(ctx context.Context, logger *slog.Logger, ln net.Listener, h http.Handler, drainTimeout time.Duration) error {
 	srv := &http.Server{Handler: h}
 	errCh := make(chan error, 1)

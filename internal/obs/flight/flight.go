@@ -29,7 +29,7 @@ const (
 	FlagHedged                     // a hedge fired for this request
 	FlagDegraded                   // served stale under degradation
 	FlagPartial                    // batch completed partially
-	FlagShed                       // refused at admission or dequeue
+	FlagShed                       // refused at admission or shed before its job ran
 	FlagFailed                     // 5xx-class outcome
 	FlagSlow                       // latency above the p99-derived threshold
 	FlagPinned                     // promoted; trace pinned as exemplar

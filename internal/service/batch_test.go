@@ -14,7 +14,7 @@ import (
 )
 
 // TestBatchShedWhileQueued: a batch whose deadline budget runs out while
-// its admission job waits behind a busy worker is answered 504
+// its admission job waits for the held slot is answered 504
 // deadline_exceeded, counted as a deadline shed and as one SLO-bad
 // request, like /v1/simulate under the same load — not an empty 200.
 func TestBatchShedWhileQueued(t *testing.T) {
@@ -24,13 +24,10 @@ func TestBatchShedWhileQueued(t *testing.T) {
 		ts.Close()
 		s.Close()
 	})
-	gate := make(chan struct{})
-	t.Cleanup(func() { close(gate) }) // runs first: Close drains the blocker
-	running := make(chan struct{})
-	if err := s.queue.SubmitTask(context.Background(), func() { close(running); <-gate }, nil); err != nil {
+	if err := s.gate.Enter(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	<-running
+	t.Cleanup(s.gate.Leave) // runs first: Close waits for the slot holder
 	shedBefore := s.node.DeadlineShed.Load()
 
 	body, err := json.Marshal(BatchRequest{Netlist: netfmt.C17Bench(), Format: "bench", Requests: []Request{{

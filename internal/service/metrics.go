@@ -18,8 +18,8 @@ type metrics struct {
 	simEvents atomic.Uint64
 	simBusyNs atomic.Int64
 
-	// Latency distributions (seconds): time spent queued before a job
-	// started, and wall time inside the kernel. Per-endpoint request
+	// Latency distributions (seconds): time a job waited for an
+	// admission slot, and wall time inside the kernel. Per-endpoint request
 	// latency is the node shell's.
 	queueWait *obs.Histogram
 	kernelRun *obs.Histogram
@@ -80,16 +80,16 @@ func (s *Server) writeMetrics(m node.Metrics) {
 	m.Counter("result_cache_evictions_total", results.Evictions, "Result-cache LRU evictions.")
 	m.Gauge("result_cache_hit_rate", results.HitRate(), "Result-cache hits / (hits + misses).")
 
-	queue := s.queue.Stats()
-	m.Gauge("queue_depth", float64(queue.Depth), "Jobs queued but not yet started.")
-	m.Gauge("queue_capacity", float64(queue.Capacity), "Bound of the job queue.")
-	m.Gauge("queue_workers", float64(queue.Workers), "Worker goroutines executing jobs.")
+	queue := s.gate.Stats()
+	m.Gauge("queue_depth", float64(queue.Depth), "Jobs waiting for an admission slot.")
+	m.Gauge("queue_capacity", float64(s.cfg.QueueDepth), "Bound of the admission backlog.")
+	m.Gauge("queue_workers", float64(s.cfg.Workers), "Admission slots: jobs that may run at once.")
 	m.Counter("queue_executed_total", queue.Executed, "Jobs executed to completion.")
-	m.Counter("queue_rejected_total", queue.Rejected, "Jobs rejected because the queue was full.")
-	m.Counter("queue_expired_total", queue.Expired, "Jobs dropped at dequeue because their deadline died while queued.")
-	m.Gauge("queue_in_flight", float64(queue.InFlight), "Jobs currently executing on workers.")
+	m.Counter("queue_rejected_total", queue.Rejected, "Jobs rejected because the admission backlog was full.")
+	m.Counter("queue_expired_total", queue.Expired, "Jobs dropped because their context died before they held a slot.")
+	m.Gauge("queue_in_flight", float64(queue.InFlight), "Admission slots held by executing jobs.")
 	m.Gauge("queue_peak_in_flight", float64(queue.PeakInFlight), "High-water mark of concurrently executing jobs.")
 
-	met.queueWait.Write(m, "halotisd_queue_wait_seconds", "Time jobs spent queued before a worker started them, seconds.")
+	met.queueWait.Write(m, "halotisd_queue_wait_seconds", "Time jobs waited for an admission slot, seconds.")
 	met.kernelRun.Write(m, "halotisd_kernel_run_seconds", "Wall time of individual kernel runs, seconds.")
 }

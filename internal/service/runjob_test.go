@@ -10,19 +10,18 @@ import (
 
 	"halotis/api"
 	"halotis/client"
+	"halotis/internal/admit"
 	"halotis/internal/cellib"
 	"halotis/internal/circuits"
 	"halotis/internal/netfmt"
 )
 
-// TestAbandonedJobNotesNoQueueWait: a client that goes away while its
-// upload job runs makes the handler return before the job reports back.
-// The job's queue wait reaches the flight note only through runJob's
-// result, on the handler goroutine, so the worker never writes the note
-// the node shell reads once the handler returns (the race detector checks
-// that ordering), and the abandoned request files no queue wait — as a job
-// shed at dequeue files none.
-func TestAbandonedJobNotesNoQueueWait(t *testing.T) {
+// TestAbandonedJobNotesQueueWait: a client that goes away while its upload
+// job runs still gets the job's queue wait filed on its flight note. The
+// job runs on the handler goroutine, so the note is written before the
+// handler returns and the node shell reads it (the race detector checks
+// that ordering).
+func TestAbandonedJobNotesQueueWait(t *testing.T) {
 	s := New(Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
@@ -47,7 +46,7 @@ func TestAbandonedJobNotesNoQueueWait(t *testing.T) {
 		_, err := client.New(ts.URL).UploadCircuit(ctx, api.UploadRequest{Netlist: text.String(), Format: "net"})
 		done <- err
 	}()
-	for s.queue.Stats().InFlight != 1 {
+	for s.gate.Stats().InFlight != 1 {
 		select {
 		case err := <-done:
 			t.Fatalf("upload returned (%v) before its job could be abandoned", err)
@@ -57,9 +56,6 @@ func TestAbandonedJobNotesNoQueueWait(t *testing.T) {
 	cancel()
 	if err := <-done; !errors.Is(err, api.ErrCanceled) {
 		t.Fatalf("abandoned upload err = %v, want ErrCanceled", err)
-	}
-	for s.queue.Stats().InFlight != 0 {
-		time.Sleep(time.Millisecond)
 	}
 
 	cl := client.New(ts.URL)
@@ -73,8 +69,8 @@ func TestAbandonedJobNotesNoQueueWait(t *testing.T) {
 			if rec.Route != "upload" {
 				continue
 			}
-			if rec.QueueWaitMs != 0 {
-				t.Fatalf("abandoned upload filed queue wait %gms, want none", rec.QueueWaitMs)
+			if rec.QueueWaitMs <= 0 {
+				t.Fatalf("abandoned upload filed queue wait %gms, want the wait its job had", rec.QueueWaitMs)
 			}
 			return
 		}
@@ -82,5 +78,49 @@ func TestAbandonedJobNotesNoQueueWait(t *testing.T) {
 			t.Fatalf("no upload record in the flight recorder: %+v", fr.Records)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestCanceledWaiterLeavesBacklog: a simulate whose client goes away while
+// it waits for the held slot leaves the backlog at once, before the slot
+// frees, and is counted as expired.
+func TestCanceledWaiterLeavesBacklog(t *testing.T) {
+	s := New(Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	if err := s.gate.Enter(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.gate.Leave) // runs first: Close waits for the slot holder
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := client.New(ts.URL).Simulate(ctx, api.SimRequest{Netlist: netfmt.C17Bench(), Format: "bench", Request: api.Request{TEnd: 30}})
+		done <- err
+	}()
+	waitQueue(t, s, "the simulate to wait", func(qs admit.Stats) bool { return qs.Depth == 1 })
+	cancel()
+	if err := <-done; !errors.Is(err, api.ErrCanceled) {
+		t.Fatalf("abandoned simulate err = %v, want ErrCanceled", err)
+	}
+	waitQueue(t, s, "the abandoned waiter to leave the backlog", func(qs admit.Stats) bool { return qs.Depth == 0 })
+	if qs := s.QueueStats(); qs.InFlight != 1 || qs.Expired != 1 || qs.Executed != 0 {
+		t.Fatalf("queue stats = %+v, want the slot still held, one expired waiter and nothing run", qs)
+	}
+}
+
+// waitQueue waits up to five seconds for the replica's queue stats to
+// satisfy ok.
+func waitQueue(t *testing.T, s *Server, what string, ok func(admit.Stats) bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !ok(s.QueueStats()); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s: queue stats %+v", what, s.QueueStats())
+		}
 	}
 }

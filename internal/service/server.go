@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"halotis/api"
+	"halotis/internal/admit"
 	"halotis/internal/fanout"
 	"halotis/internal/node"
 	"halotis/internal/obs"
@@ -17,13 +18,13 @@ import (
 )
 
 // Server is the simulation service: an http.Handler plus the cache, engine
-// pools and worker queue behind it. Create with New, mount Handler, Close
-// on shutdown (drains in-flight jobs).
+// pools and admission gate behind it. Create with New, mount Handler, Close
+// on shutdown (waits for admitted jobs).
 type Server struct {
 	cfg     Config
 	cache   *circuitCache
 	results *resultCache
-	queue   *workerPool
+	gate    *admit.Gate
 	met     metrics
 	// node is the HTTP shell shared with the cluster router: middleware,
 	// per-endpoint accounting, SLO windows, series sampler, flight
@@ -38,7 +39,7 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		cache:   newCircuitCache(cfg.Lib, cfg.CacheSize, cfg.EnginePoolSize, cfg.ReplicaID),
 		results: newResultCache(cfg.ResultCacheSize),
-		queue:   newWorkerPool(cfg.Workers, cfg.QueueDepth),
+		gate:    admit.New(cfg.Workers, cfg.QueueDepth),
 	}
 	s.met.init()
 	s.node = node.New(node.Role{
@@ -76,12 +77,12 @@ func New(cfg Config) *Server {
 // the SLO.
 func (s *Server) Handler() http.Handler { return s.node.Handler() }
 
-// Close stops job admission and drains: queued and in-flight jobs run to
-// completion before Close returns, and the series sampler stops. Call
+// Close stops job admission and drains: waiting and running jobs finish
+// before Close returns, and the series sampler stops. Call
 // http.Server.Shutdown first so no new requests arrive while draining.
 func (s *Server) Close() {
 	s.node.Close()
-	s.queue.Close()
+	s.gate.Close()
 }
 
 // CacheStats snapshots the compiled-circuit cache counters.
@@ -90,8 +91,8 @@ func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
 // ResultCacheStats snapshots the result-cache counters.
 func (s *Server) ResultCacheStats() ResultCacheStats { return s.results.Stats() }
 
-// QueueStats snapshots the worker-queue counters.
-func (s *Server) QueueStats() QueueStats { return s.queue.Stats() }
+// QueueStats snapshots the admission gate's counters.
+func (s *Server) QueueStats() admit.Stats { return s.gate.Stats() }
 
 // --- response plumbing ---
 
@@ -122,10 +123,10 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, 
 	s.node.WriteError(w, r, status, resp)
 }
 
-// overloaded types a queue admission failure as ErrOverloaded, a 503 on
-// the wire. The Retry-After hint is the live queue-drain estimate — how
-// long the backlog needs at the observed service rate — not a fixed
-// constant, so clients back off proportionally to the actual overload.
+// overloaded types an admission refusal as ErrOverloaded, a 503 on the
+// wire. The Retry-After hint is the live queue-drain estimate — how long
+// the backlog needs at the observed service rate — not a fixed constant,
+// so clients back off proportionally to the actual overload.
 func (s *Server) overloaded(err error) error {
 	return &api.OverloadedError{RetryAfter: retryAfterHint(s.drainEstimate()), Cause: err}
 }
@@ -182,65 +183,49 @@ func shedError(cause error, when string) error {
 	return api.Canceled(cause)
 }
 
-// runJob admits job to the worker queue, waits for it and returns its
-// value; job returns the HTTP status that goes with a non-nil error. On
-// any failure runJob writes the response itself and reports false: 503
-// with Retry-After when the queue refuses the job, the job's own status
-// and error when it fails, and 504 when the request's deadline budget
-// expires while the job is queued (shed at dequeue, never run) or running.
-// If the client disconnects first, nothing is written — nobody reads it —
-// and the buffered channel lets the job finish into the void (simulation
-// jobs observe the canceled request context and abort quickly). The job's
-// queue wait reaches the flight note here, on the handler goroutine, once
-// the job reports back: the node shell reads the note as soon as the
-// handler returns, so a worker must never write it.
-func runJob[T any](s *Server, w http.ResponseWriter, r *http.Request, job func() (T, int, error)) (T, bool) {
-	type out struct {
-		v      T
-		status int
-		err    error
-		wait   time.Duration
-	}
-	var o out
-	ch := make(chan out, 1)
-	submitted := time.Now()
-	if err := s.queue.SubmitTask(r.Context(), func() {
-		wait := time.Since(submitted)
+// runJob runs job on the request's goroutine once the admission gate lets
+// it in, and returns its value; job returns the HTTP status that goes with
+// a non-nil error. On any failure runJob writes the response itself and
+// reports false: 503 with Retry-After when the gate refuses the job, the
+// job's own status and error when it fails, and 504 when the request's
+// deadline budget expires while the job waits (it never runs) or runs. If
+// the client disconnects first, nothing is written: nobody reads it. The
+// job leaves the gate before any response is written.
+func runJob[T any](s *Server, w http.ResponseWriter, r *http.Request, job func() (T, int, error)) (v T, ok bool) {
+	ctx := r.Context()
+	start := time.Now()
+	status, err := http.StatusGatewayTimeout, s.gate.Enter(ctx)
+	switch {
+	case err == nil:
+		wait := time.Since(start)
 		s.met.queueWait.Observe(wait.Seconds())
-		obs.Record(r.Context(), "queue.wait", submitted, wait, nil)
-		v, status, err := job()
-		ch <- out{v, status, err, wait}
-	}, func(cause error) {
-		ch <- out{status: http.StatusGatewayTimeout, err: shedError(cause, "while queued")}
-	}); err != nil {
-		s.writeError(w, r, http.StatusServiceUnavailable, s.overloaded(err))
-		return o.v, false
-	}
-	select {
-	case o = <-ch:
-	case <-r.Context().Done():
-		if !errors.Is(r.Context().Err(), context.DeadlineExceeded) {
-			return o.v, false // client went away; nobody reads a response
+		obs.Record(ctx, "queue.wait", start, wait, nil)
+		if n := flight.NoteFrom(ctx); n != nil {
+			n.QueueWaitNs = wait.Nanoseconds()
 		}
-		// The propagated budget expired with the job queued or running.
-		// Prefer the job's own typed outcome if it has already landed
-		// (mid-run aborts surface as canceled within an event pop);
-		// otherwise report the shed now rather than waiting for dequeue.
+		v, status, err = job()
+		s.gate.Leave()
+	case ctx.Err() == nil:
+		status, err = http.StatusServiceUnavailable, s.overloaded(err)
+	default:
+		err = shedError(ctx.Err(), "while queued")
+	}
+	if cause := ctx.Err(); cause != nil {
+		if !errors.Is(cause, context.DeadlineExceeded) {
+			return v, false // the client went away; nobody reads a response
+		}
+		// The deadline budget expired. Prefer the job's own typed outcome
+		// (mid-run aborts surface as canceled within an event pop).
 		s.node.DeadlineShed.Add(1)
-		select {
-		case o = <-ch:
-		default:
-			o = out{status: http.StatusGatewayTimeout, err: shedError(r.Context().Err(), "before the job finished")}
+		if err == nil {
+			status, err = http.StatusGatewayTimeout, shedError(cause, "before the job finished")
 		}
 	}
-	if n := flight.NoteFrom(r.Context()); n != nil {
-		n.QueueWaitNs = o.wait.Nanoseconds()
+	if err != nil {
+		s.writeError(w, r, status, err)
+		return v, false
 	}
-	if o.err != nil {
-		s.writeError(w, r, o.status, o.err)
-		return o.v, false
-	}
-	return o.v, true
+	return v, true
 }
 
 // resolve finds the target circuit: by cached ID, or by registering inline
@@ -339,15 +324,14 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleBatch fans the batch's requests out across the worker queue, so a
-// batch of N jobs on a W-worker daemon takes ~N/W serial job times instead
-// of N. Admission control stays at batch granularity: the resolve step is
-// the one nonblocking queue submit (full queue means fast 503 for the
-// whole batch); once admitted, the fan-out keeps up to W jobs of the batch
-// in the queue, entering each with a blocking submit — jobs wait for
-// capacity instead of being dropped midway. The fan-out goroutines belong
-// to the HTTP handler, never to a worker, so waiting cannot deadlock the
-// pool.
+// handleBatch fans the batch's requests out across the gate's slots, so a
+// batch of N jobs on a W-slot daemon takes ~N/W serial job times instead
+// of N. Admission control stays at batch granularity: the resolve step
+// enters the gate like a simulate (a full backlog means a fast 503 for the
+// whole batch) and leaves it before the runs enter, so a one-slot daemon
+// cannot deadlock on its own batch. Up to W runs of the batch then wait for
+// a slot each without the depth bound: they wait for capacity instead of
+// being dropped midway.
 //
 // By default the first failure cancels the rest (in-flight runs abort at
 // event-pop granularity) and the response reports the root cause, not a
@@ -371,27 +355,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	partial := req.Options != nil && req.Options.AllowPartial
 	reports := make([]*Report, len(req.Requests))
-	errs := fanout.Each(r.Context(), len(reports), s.cfg.Workers, !partial, func(ctx context.Context, i int) error {
+	errs := fanout.Each(r.Context(), len(reports), s.cfg.Workers, !partial, func(ctx context.Context, i int) (err error) {
+		if err := s.gate.EnterWait(ctx); err != nil {
+			if ctx.Err() == nil {
+				// Shutdown mid-fan-out is an availability condition,
+				// reported like any other admission refusal.
+				return s.overloaded(err)
+			}
+			return shedError(err, "while queued")
+		}
+		defer s.gate.Leave()
 		sub := &req.Requests[i]
-		done := make(chan error, 1)
-		err := s.queue.SubmitWaitTask(ctx, func() {
-			jobCtx, cancel := s.runCtx(ctx, sub.TimeoutMs)
-			defer cancel()
-			var err error
-			reports[i], err = s.runOne(jobCtx, ent, sub)
-			done <- err
-		}, func(cause error) {
-			done <- shedError(cause, "while queued")
-		})
-		if errors.Is(err, ErrClosed) {
-			// Shutdown mid-fan-out is an availability condition, reported
-			// like any other admission refusal.
-			return s.overloaded(err)
-		}
-		if err != nil {
-			return err // ctx died while waiting for queue space
-		}
-		return <-done
+		jobCtx, cancel := s.runCtx(ctx, sub.TimeoutMs)
+		defer cancel()
+		reports[i], err = s.runOne(jobCtx, ent, sub)
+		return err
 	})
 	for i, err := range errs {
 		errs[i] = api.MapRunError(err) // a never-started slot holds the bare context error
@@ -432,7 +410,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Status:        "ok",
 		UptimeSeconds: s.node.Uptime().Seconds(),
 		Circuits:      s.cache.Stats().Entries,
-		QueueDepth:    s.queue.Depth(),
+		QueueDepth:    s.gate.Stats().Depth,
 		Workers:       s.cfg.Workers,
 		Replica:       s.cfg.ReplicaID,
 	})
@@ -460,7 +438,7 @@ func (s *Server) runOne(ctx context.Context, ent *cacheEntry, req *Request) (*Re
 	}
 	traceID, _, traced := obs.ContextTrace(ctx)
 	key := req.Options().PoolKey()
-	// The event guard bounds how long one request pins a worker; the
+	// The event guard bounds how long one request holds a slot; the
 	// operator's cap beats whatever the client asked for.
 	if s.cfg.MaxEvents > 0 && key.MaxEvents > s.cfg.MaxEvents {
 		key.MaxEvents = s.cfg.MaxEvents

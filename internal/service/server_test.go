@@ -15,6 +15,7 @@ import (
 
 	"halotis/api"
 	"halotis/client"
+	"halotis/internal/admit"
 	"halotis/internal/cellib"
 	"halotis/internal/circuits"
 	"halotis/internal/netfmt"
@@ -370,9 +371,9 @@ func multBatch(t *testing.T, jobs, vectors int) (netlistText string, reqs []clie
 }
 
 // TestServiceBatchFansOut pins the batch endpoint's parallel execution:
-// with >= 4 workers, every job of a batch occupies its own queue slot and
-// the jobs overlap on the worker pool (the in-flight high-water mark
-// exceeds one) instead of draining sequentially through one worker slot.
+// with >= 4 workers, every job of a batch holds its own admission slot and
+// the jobs overlap (the in-flight high-water mark exceeds one) instead of
+// draining sequentially through one slot.
 // The same batch on a 1-worker daemon is the control: its high-water mark
 // is exactly one. Both are counts, not wall times, so host load cannot
 // flip the verdict.
@@ -386,19 +387,14 @@ func TestServiceBatchFansOut(t *testing.T) {
 	ctx := context.Background()
 
 	// runBatch drives the batch through a fresh daemon with the given
-	// worker count and returns its queue stats once every job counted.
-	runBatch := func(workers int) service.QueueStats {
+	// worker count and returns its queue stats. Every job leaves the gate
+	// before its response is written, so the counts are exact when the
+	// response arrives.
+	runBatch := func(workers int) admit.Stats {
 		s, c := newTestService(t, service.Config{Workers: workers, QueueDepth: 64})
 		up, err := c.UploadCircuit(ctx, client.UploadRequest{Netlist: text, Format: "net"})
 		if err != nil {
 			t.Fatal(err)
-		}
-		// The upload ran as a queue job too, and the executed counter bumps
-		// after a job's result is delivered: wait until the fresh daemon
-		// counts it, or the baseline misses it and the batch is charged
-		// for it.
-		for wait := time.Millisecond; s.QueueStats().Executed < 1 && wait < time.Second; wait *= 2 {
-			time.Sleep(wait)
 		}
 		executedBefore := s.QueueStats().Executed
 		batch, err := c.SimulateBatch(ctx, client.BatchRequest{Circuit: up.ID, Requests: reqs})
@@ -408,15 +404,8 @@ func TestServiceBatchFansOut(t *testing.T) {
 		if len(batch.Reports) != jobs {
 			t.Fatalf("%d workers: batch returned %d reports, want %d", workers, len(batch.Reports), jobs)
 		}
-		// resolve job + one job per request, every one through the queue.
-		// The executed counter bumps after the job's result is delivered,
-		// so the response can arrive a beat before the final increment —
-		// poll briefly.
+		// resolve job + one job per request, every one through the gate.
 		qs := s.QueueStats()
-		for wait := time.Millisecond; qs.Executed-executedBefore < jobs+1 && wait < time.Second; wait *= 2 {
-			time.Sleep(wait)
-			qs = s.QueueStats()
-		}
 		if got := qs.Executed - executedBefore; got != jobs+1 {
 			t.Errorf("%d workers: batch executed %d queue jobs, want %d (1 resolve + %d runs)", workers, got, jobs+1, jobs)
 		}
@@ -702,9 +691,8 @@ func TestServiceConcurrentTrafficAndDrain(t *testing.T) {
 		t.Errorf("created %d engines for 4 workers (pool size 4), want <= 8", cs.EnginesCreated)
 	}
 
-	// Graceful shutdown: Close drains and returns; afterwards the queue
-	// rejects with ErrClosed semantics (503 via HTTP, tested at the queue
-	// level in queue_test.go).
+	// Graceful shutdown: Close drains and returns; afterwards the gate
+	// refuses with ErrClosed (503 via HTTP, TestBusyRetryAfterFromDrainEstimate).
 	s.Close()
 	qs := s.QueueStats()
 	if qs.Depth != 0 {

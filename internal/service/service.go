@@ -30,16 +30,17 @@
 //     per delay-model configuration; repeated requests acquire a warmed
 //     engine, run with zero steady-state heap allocations, and return it.
 //
-//   - A bounded job queue with a configurable worker pool (queue.go): all
-//     compile and simulation work is admitted through it, so concurrency is
-//     capped, overload surfaces as fast 503s instead of collapse, and
-//     shutdown drains in-flight jobs. Simulate, upload and a batch's
-//     admission step share one path (runJob): submit, wait, shed at
-//     dequeue with 504 when the deadline budget expires in the backlog,
-//     and 503 with a drain-estimate Retry-After when the queue is full.
-//     An admitted batch then fans its runs out across the queue with
-//     internal/fanout, up to one queued job per worker at a time, instead
-//     of pinning one worker for the whole batch.
+//   - An admission gate (internal/admit) of Workers slots and a backlog of
+//     QueueDepth waiters: all compile and simulation work enters it and
+//     then runs on the request's own goroutine, so concurrency is capped,
+//     overload surfaces as fast 503s instead of collapse, and shutdown
+//     waits for admitted jobs. Simulate, upload and a batch's admission
+//     step share one path (runJob): enter, run, leave. A full backlog is a
+//     503 with a drain-estimate Retry-After; a deadline budget that expires
+//     while the job waits or runs is a 504, and a waiter whose client goes
+//     away leaves the backlog at once. An admitted batch releases its slot,
+//     then fans its runs out with internal/fanout, each run waiting for a
+//     slot of its own, instead of pinning one slot for the whole batch.
 //
 // Endpoints (see server.go): POST /v1/circuits (upload+compile), GET
 // /v1/circuits[/{id}] (list/inspect), DELETE /v1/circuits/{id} (evict),
@@ -50,7 +51,7 @@
 // /v1/status (SLO burn rates), GET /v1/series (in-process time-series) and
 // GET /v1/flightrecorder (anomaly flight recorder) — are served by the node
 // shell in internal/node, which the cluster router shares; the replica
-// hooks its queue and cache series and its drain estimate into them
+// hooks its admission and cache series and its drain estimate into them
 // (status.go). The shell also owns the tracing and deadline-budget
 // middleware and the wire error writer.
 package service
@@ -75,10 +76,11 @@ type Config struct {
 	// halotisd_build_info with it, so multi-node sweeps can attribute
 	// work per node. Empty (the default) omits it everywhere.
 	ReplicaID string
-	// Workers is the simulation/compile worker count. Default: GOMAXPROCS.
+	// Workers is the number of compile and simulation jobs that run at
+	// once: the admission gate's slots. Default: GOMAXPROCS.
 	Workers int
-	// QueueDepth bounds the number of queued-but-unstarted jobs; submits
-	// beyond it fail fast with 503. Default: 4x Workers.
+	// QueueDepth bounds the jobs waiting for a slot; a job past it is
+	// refused at once with 503. Default: 4x Workers.
 	QueueDepth int
 	// CacheSize bounds the compiled-circuit cache (LRU eviction).
 	// Default 64.
@@ -95,12 +97,12 @@ type Config struct {
 	MaxBodyBytes int64
 	// MaxTimeout is the ceiling on any single request's run time: it caps
 	// client-supplied timeout_ms and applies as the deadline when a
-	// request omits one, so no request can pin a worker longer than the
+	// request omits one, so no request can hold a slot longer than the
 	// operator allows. 0 means uncapped.
 	MaxTimeout time.Duration
 	// MaxEvents caps the per-request max_events clients may ask for (the
 	// kernel's oscillation guard, i.e. the bound on how long one request
-	// can pin a worker); 0 means uncapped beyond the engine default.
+	// can hold a slot); 0 means uncapped beyond the engine default.
 	MaxEvents uint64
 	// Logger receives the server's structured request and error logs,
 	// stamped with trace IDs when the request was traced. Default: a

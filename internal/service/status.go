@@ -16,7 +16,7 @@ import (
 
 // drainEstimate predicts how long the current queue needs to drain at the
 // observed service rate: average kernel-run wall time × queue depth ÷
-// workers, floored at one average run (a full pool still finishes the
+// slots, floored at one average run (full slots still finish the
 // in-flight work). Before any run completes, a conservative prior stands
 // in. This is what 503s stamp into Retry-After and /v1/status exposes.
 func (s *Server) drainEstimate() time.Duration {
@@ -27,12 +27,7 @@ func (s *Server) drainEstimate() time.Duration {
 			avg = time.Millisecond
 		}
 	}
-	qs := s.queue.Stats()
-	workers := qs.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	est := avg * time.Duration(qs.Depth+1) / time.Duration(workers)
+	est := avg * time.Duration(s.gate.Stats().Depth+1) / time.Duration(s.cfg.Workers)
 	if est < avg {
 		est = avg
 	}
@@ -49,7 +44,7 @@ func retryAfterHint(est time.Duration) time.Duration {
 // sample writes the replica's own series on every sampler tick.
 func (s *Server) sample(smp *node.Sampler) {
 	smp.Rate("kernel_events_per_second", s.met.simEvents.Load())
-	smp.Set("queue_depth", float64(s.queue.Depth()))
+	smp.Set("queue_depth", float64(s.gate.Stats().Depth))
 	smp.Set("queue_drain_estimate_ms", float64(s.drainEstimate())/float64(time.Millisecond))
 	smp.Set("cache_hit_rate", s.cache.Stats().HitRate())
 	smp.Set("result_cache_hit_rate", s.results.Stats().HitRate())
@@ -57,6 +52,6 @@ func (s *Server) sample(smp *node.Sampler) {
 
 // status adds the replica's queue pressure to /v1/status.
 func (s *Server) status(resp *api.StatusResponse) {
-	resp.QueueDepth = s.queue.Depth()
+	resp.QueueDepth = s.gate.Stats().Depth
 	resp.QueueDrainEstimateMs = float64(s.drainEstimate()) / float64(time.Millisecond)
 }

@@ -59,8 +59,7 @@ type Engine struct {
 
 	gates []gateState // mutable per-gate record, indexed by IR gate index
 
-	netVals []bool   // scratch for the settled initial-state evaluation
-	names   []string // scratch for deterministic stimulus ordering
+	netVals []bool // scratch for the settled initial-state evaluation
 
 	res Result // reused result storage returned by Run
 

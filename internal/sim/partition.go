@@ -364,24 +364,19 @@ func (pr *partRun) profile() *Profile {
 }
 
 // applyStimulus emits the externally driven transitions onto the primary
-// input nets in deterministic (sorted-name) order, scheduling each receiver
-// event in its owning partition's lane through the same reconciliation path
-// gate outputs use. It runs single-threaded before the workers start, so
-// every partition begins with its externally driven events already in place
-// and primary-input nets never generate boundary traffic.
+// input nets in input-ID order, scheduling each receiver event in its
+// owning partition's lane through the same reconciliation path gate outputs
+// use. The order across inputs does not reach the result: events pop in
+// (time, pin) order and no two input nets share a pin. It runs
+// single-threaded before the workers start, so every partition begins with
+// its externally driven events already in place and primary-input nets
+// never generate boundary traffic.
 //
 //halotis:noalloc
 func (e *Engine) applyStimulus(st Stimulus, pr *partRun) {
 	ir := e.ir
-	e.names = e.names[:0]
-	for name := range st {
-		e.names = append(e.names, name)
-	}
-	slices.Sort(e.names)
-	for _, name := range e.names {
-		w := st[name]
-		net := ir.NetID(name)
-		for _, edge := range w.Edges {
+	for _, net := range ir.Inputs {
+		for _, edge := range st[ir.NetName[net]].Edges {
 			slew := edge.Slew
 			if slew <= 0 {
 				slew = DefaultInputSlew

@@ -2,6 +2,7 @@ package halotis
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"halotis/api"
+	"halotis/internal/admit"
 	"halotis/internal/circ"
 	"halotis/internal/fanout"
 	"halotis/internal/sim"
@@ -22,7 +24,7 @@ import (
 type LocalBackend struct {
 	poolSize      int
 	maxConcurrent int
-	sem           chan struct{}
+	gate          *admit.Gate // nil when unbounded
 }
 
 // LocalOption configures NewLocal.
@@ -48,7 +50,7 @@ func NewLocal(opts ...LocalOption) *LocalBackend {
 		b.poolSize = runtime.GOMAXPROCS(0)
 	}
 	if b.maxConcurrent > 0 {
-		b.sem = make(chan struct{}, b.maxConcurrent)
+		b.gate = admit.New(b.maxConcurrent, 0)
 	}
 	return b
 }
@@ -92,24 +94,31 @@ func (s *localSession) Close() error {
 	return nil
 }
 
-// acquireSlot enforces the backend's concurrency bound.
-func (s *localSession) acquireSlot() (release func(), err error) {
-	if s.b.sem == nil {
+// acquireSlot enforces the backend's concurrency bound: a gate of
+// maxConcurrent slots with no backlog, so a run that finds every slot held
+// is refused at once.
+func (s *localSession) acquireSlot(ctx context.Context) (release func(), err error) {
+	g := s.b.gate
+	if g == nil {
 		return func() {}, nil
 	}
-	select {
-	case s.b.sem <- struct{}{}:
-		return func() { <-s.b.sem }, nil
-	default:
-		return nil, &api.OverloadedError{Cause: fmt.Errorf("local backend at max concurrency %d", s.b.maxConcurrent)}
+	if err := g.Enter(ctx); err != nil {
+		if errors.Is(err, admit.ErrFull) {
+			return nil, &api.OverloadedError{Cause: fmt.Errorf("local backend at max concurrency %d", s.b.maxConcurrent)}
+		}
+		return nil, api.MapRunError(err) // ctx was dead when the slot came
 	}
+	return g.Leave, nil
 }
 
 func (s *localSession) Run(ctx context.Context, req Request) (*Report, error) {
 	if s.closed.Load() {
 		return nil, api.NotFoundf("session closed: circuit %s released", s.info.ID)
 	}
-	release, err := s.acquireSlot()
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	release, err := s.acquireSlot(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -134,9 +143,6 @@ func (s *localSession) runOne(ctx context.Context, req *Request) (*Report, error
 	st, err := req.Prepare(ir)
 	if err != nil {
 		return nil, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	cancel := func() {}
 	if req.TimeoutMs > 0 {
@@ -175,14 +181,14 @@ func (s *localSession) RunBatch(ctx context.Context, reqs []Request) ([]*Report,
 	if s.closed.Load() {
 		return nil, api.NotFoundf("session closed: circuit %s released", s.info.ID)
 	}
-	release, err := s.acquireSlot()
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	release, err := s.acquireSlot(ctx)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	if ctx == nil {
-		ctx = context.Background()
-	}
 
 	reports := make([]*Report, len(reqs))
 	errs := fanout.Each(ctx, len(reqs), runtime.GOMAXPROCS(0), true, func(ctx context.Context, i int) (err error) {

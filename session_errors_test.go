@@ -99,8 +99,10 @@ func TestSessionErrorTaxonomy(t *testing.T) {
 				}
 				// Occupy the backend's single admission slot, as a
 				// long-running concurrent Run would.
-				be.sem <- struct{}{}
-				defer func() { <-be.sem }()
+				if err := be.gate.Enter(ctx); err != nil {
+					t.Fatal(err)
+				}
+				defer be.gate.Leave()
 				_, err = s.Run(ctx, validC17Request(ckt))
 				return err
 			},
