@@ -145,7 +145,9 @@ obs-smoke: build
 	grep -q 'requests_per_second' /tmp/obs-smoke-series.json && \
 	echo "obs-smoke: trace + histograms + fleet-health surface verified"
 
-# fuzz-smoke runs each parser/decoder fuzz target briefly (also in CI).
+# fuzz-smoke runs each parser/decoder fuzz target briefly (also in CI),
+# plus FuzzRouterSimulate, which posts each input to a router and to its
+# replica and requires the same report or the same coded error.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/netfmt -run=NONE -fuzz=FuzzParseCircuit -fuzztime=$(FUZZTIME)
@@ -155,6 +157,7 @@ fuzz-smoke:
 	$(GO) test ./internal/service -run=NONE -fuzz=FuzzDecodeUploadRequest -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/service -run=NONE -fuzz=FuzzDecodeBatchRequest -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sim -run=NONE -fuzz=FuzzPartitionedIdentity -fuzztime=$(FUZZTIME)
+	$(GO) test ./cluster -run=NONE -fuzz=FuzzRouterSimulate -fuzztime=$(FUZZTIME)
 
 # service-smoke builds the daemon, starts it, and drives the client round
 # trip the CI smoke job uses: upload c17.bench, simulate, check /healthz.

@@ -11,9 +11,10 @@
 package api
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"halotis/internal/sim"
@@ -450,22 +451,36 @@ const DefaultWireSlew = 0.3
 // ToSim converts the wire stimulus to the engine's form, sorting edges into
 // time order (forgiving, like the text parser) and defaulting omitted slews
 // to DefaultWireSlew.
+//
+//halotis:noalloc
 func (s Stimulus) ToSim() sim.Stimulus {
+	//halotis:alloc the converted stimulus is the result
 	st := make(sim.Stimulus, len(s))
 	for name, w := range s {
 		iw := sim.InputWave{Init: w.Init}
-		for _, e := range w.Edges {
-			slew := e.Slew
-			if slew <= 0 {
-				slew = DefaultWireSlew
+		if len(w.Edges) > 0 {
+			//halotis:alloc each input's edges, at their exact length
+			iw.Edges = make([]sim.InputEdge, len(w.Edges))
+			for i, e := range w.Edges {
+				slew := e.Slew
+				if slew <= 0 {
+					slew = DefaultWireSlew
+				}
+				iw.Edges[i] = sim.InputEdge{Time: e.T, Rising: e.Rising, Slew: slew}
 			}
-			iw.Edges = append(iw.Edges, sim.InputEdge{Time: e.T, Rising: e.Rising, Slew: slew})
+			if !slices.IsSortedFunc(iw.Edges, byTime) {
+				slices.SortStableFunc(iw.Edges, byTime) // equal times keep their wire order
+			}
 		}
-		sort.SliceStable(iw.Edges, func(i, j int) bool { return iw.Edges[i].Time < iw.Edges[j].Time })
 		st[name] = iw
 	}
 	return st
 }
+
+// byTime orders engine edges by time.
+//
+//halotis:noalloc
+func byTime(a, b sim.InputEdge) int { return cmp.Compare(a.Time, b.Time) }
 
 // FromSim converts an engine stimulus to the wire form, preserving every
 // edge exactly. Because the engine form always carries explicit slews,

@@ -35,6 +35,36 @@ func TestStimulusToSimDefaultsAndSorts(t *testing.T) {
 	if got.Edges[1].Slew != DefaultWireSlew {
 		t.Errorf("omitted slew = %g, want %g", got.Edges[1].Slew, DefaultWireSlew)
 	}
+
+	// Edges at equal times keep their wire order (a stable sort).
+	tied := Stimulus{"a": {Edges: []Edge{
+		{T: 5, Rising: true, Slew: 0.1},
+		{T: 1, Rising: true, Slew: 0.4},
+		{T: 5, Rising: false, Slew: 0.2},
+		{T: 5, Rising: true, Slew: 0.3},
+	}}}.ToSim()["a"].Edges
+	want := []sim.InputEdge{
+		{Time: 1, Rising: true, Slew: 0.4},
+		{Time: 5, Rising: true, Slew: 0.1},
+		{Time: 5, Rising: false, Slew: 0.2},
+		{Time: 5, Rising: true, Slew: 0.3},
+	}
+	if !reflect.DeepEqual(tied, want) {
+		t.Errorf("equal-time edges = %+v, want %+v", tied, want)
+	}
+}
+
+// TestStimulusToSimAllocs: converting a stimulus allocates the map and one
+// edge slice per input, and nothing per edge or per sort.
+func TestStimulusToSimAllocs(t *testing.T) {
+	st := make(Stimulus, 5)
+	for i := range 5 {
+		st[fmt.Sprintf("in%d", i)] = InputWave{Edges: []Edge{{T: 3, Rising: true}, {T: 1}, {T: 2, Rising: true, Slew: 0.2}}}
+	}
+	//halotis:pins ToSim byTime
+	if n := testing.AllocsPerRun(100, func() { st.ToSim() }); n > 7 {
+		t.Errorf("ToSim of 5 inputs x 3 edges: %v allocations, want at most 7", n)
+	}
 }
 
 func TestRequestValidate(t *testing.T) {

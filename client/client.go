@@ -194,9 +194,17 @@ func apiError(resp *http.Response) *APIError {
 	return apiErr
 }
 
+// do sends one request under the retry policy. in is the request body,
+// marshaled to JSON unless it is already bytes; out receives a 2xx answer's
+// JSON body, or the body itself when out is a *[]byte. Every attempt sends
+// the same bytes.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	var data []byte
-	if in != nil {
+	switch in := in.(type) {
+	case nil:
+	case []byte:
+		data = in
+	default:
 		var err error
 		if data, err = json.Marshal(in); err != nil {
 			return err
@@ -283,8 +291,12 @@ func (c *Client) doOnce(ctx context.Context, method, path string, data []byte, o
 	if resp.StatusCode >= 400 {
 		return apiError(resp)
 	}
-	if out == nil {
+	switch out := out.(type) {
+	case nil:
 		return nil
+	case *[]byte:
+		*out, err = io.ReadAll(resp.Body)
+		return err
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
@@ -307,6 +319,19 @@ func (c *Client) Simulate(ctx context.Context, req SimRequest) (*Report, error) 
 		return nil, err
 	}
 	return &resp, nil
+}
+
+// SimulateJSON runs one request given as the JSON body of a SimRequest
+// and returns the report's JSON body exactly as the service wrote it. It
+// behaves as Simulate does (retries, budget, tracing, APIError), but
+// neither encodes the request nor decodes the report: a proxy relays both
+// as bytes.
+func (c *Client) SimulateJSON(ctx context.Context, body []byte) ([]byte, error) {
+	var resp []byte
+	if err := c.do(ctx, http.MethodPost, "/v1/simulate", body, &resp); err != nil {
+		return nil, err
+	}
+	return resp, nil
 }
 
 // SimulateBatch runs many requests against one circuit; the server fans

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -77,7 +78,19 @@ func (s *session) Run(ctx context.Context, req api.Request) (*api.Report, error)
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return s.cl.simulate(ctx, s.info.ID, s.t, req)
+	body, err := json.Marshal(api.SimRequest{Circuit: s.info.ID, Request: req})
+	if err != nil {
+		return nil, api.InvalidRequestf("encode request: %v", err) // a non-finite float
+	}
+	data, err := s.cl.simulate(ctx, s.info.ID, s.t, body)
+	if err != nil {
+		return nil, err
+	}
+	var rep api.Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		return nil, fmt.Errorf("decode report: %w", err)
+	}
+	return &rep, nil
 }
 
 // RunBatch scatters the requests across the healthy replicas holding the

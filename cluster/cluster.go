@@ -66,7 +66,7 @@ type Cluster struct {
 	hbudget *hedgeBudget
 
 	texts   *lru.Cache[string, *circuitText] // by circuit ID, for upload-on-miss repair
-	results *lru.Cache[string, *api.Report]  // by service.ResultKey, for degraded serves
+	results *lru.Cache[string, []byte]       // report bodies by service.ResultKey, for degraded serves
 	met     routerMetrics
 	log     *slog.Logger
 	// node is the HTTP shell shared with the replicas: middleware,
@@ -214,7 +214,7 @@ func New(replicas []string, opts ...Option) (*Cluster, error) {
 		hedge:        cfg.hedge,
 		hbudget:      newHedgeBudget(cfg.hedge.MaxRatio),
 		texts:        lru.New[string, *circuitText](textCap, nil),
-		results:      lru.New[string, *api.Report](resultCacheCap, nil),
+		results:      lru.New[string, []byte](resultCacheCap, nil),
 		log:          cfg.logger,
 		rollupEvery:  cfg.slo.RollupInterval,
 		stop:         make(chan struct{}),

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -33,7 +34,7 @@ func (r *testReplica) kill() {
 }
 
 // startReplicas stands up n in-process daemons with identities r1..rn.
-func startReplicas(t *testing.T, n int, cfg service.Config) []*testReplica {
+func startReplicas(t testing.TB, n int, cfg service.Config) []*testReplica {
 	t.Helper()
 	reps := make([]*testReplica, n)
 	for i := range reps {
@@ -52,7 +53,7 @@ func startReplicas(t *testing.T, n int, cfg service.Config) []*testReplica {
 	return reps
 }
 
-func newTestCluster(t *testing.T, reps []*testReplica, opts ...Option) *Cluster {
+func newTestCluster(t testing.TB, reps []*testReplica, opts ...Option) *Cluster {
 	t.Helper()
 	addrs := make([]string, len(reps))
 	ids := make([]string, len(reps))
@@ -399,6 +400,18 @@ func TestClusterErrorTaxonomy(t *testing.T) {
 	_, err = sess.Run(ctx, halotis.Request{TEnd: 30, Waveforms: []string{"no_such_net"}})
 	if !errors.Is(err, api.ErrInvalidRequest) {
 		t.Errorf("unknown waveform net: err = %v, want ErrInvalidRequest", err)
+	}
+
+	// A request JSON cannot carry (a NaN horizon) is invalid before any
+	// replica sees it, and marks none of them down.
+	_, err = sess.Run(ctx, halotis.Request{TEnd: math.NaN()})
+	if !errors.Is(err, api.ErrInvalidRequest) {
+		t.Errorf("NaN t_end: err = %v, want ErrInvalidRequest", err)
+	}
+	for _, r := range c.Topology().Replicas {
+		if !r.Healthy || r.Failures != 0 {
+			t.Errorf("NaN t_end marked replica %s: healthy=%v failures=%d", r.ID, r.Healthy, r.Failures)
+		}
 	}
 
 	// Cancellation surfaces as ErrCanceled, not as replica unavailability.

@@ -8,12 +8,23 @@ package cluster
 //     stimulus or one unlucky chunk does not discard thousands of finished
 //     reports. The router answers with service.BatchResponseOf, the same
 //     response builder the replica uses.
-//   - Stale reads (Cluster.results): the router remembers recent reports
-//     by service.ResultKey, the replicas' result-cache key, so a profiled
-//     request is never stored. When every replica holding a circuit is
-//     unreachable, a stored report is served marked Cached and Degraded
-//     instead of a 502 — simulations are deterministic, so "stale"
-//     differs from "fresh" only in the Replica attribution.
+//   - Stale reads (Cluster.results): the router remembers the bodies of
+//     recent reports, the bytes it relayed, by service.ResultKey, the
+//     replicas' result-cache key, so a profiled request is never stored.
+//     When every replica holding a circuit is unreachable, a stored body is
+//     decoded and served marked Cached and Degraded instead of a 502 —
+//     simulations are deterministic, so "stale" differs from "fresh" only
+//     in the Replica attribution and the trace ID. Only this rare path
+//     decodes a report; a fresh one is relayed unread.
+
+import (
+	"context"
+	"encoding/json"
+
+	"halotis/api"
+	"halotis/internal/obs"
+	"halotis/internal/obs/flight"
+)
 
 // The router's bounds. They are constants, not Options: no caller sets
 // them.
@@ -22,3 +33,25 @@ const (
 	textCap        = 256     // netlist texts kept for upload-on-miss repair
 	maxBody        = 8 << 20 // largest request body the router reads, bytes
 )
+
+// stale returns the report stored under key, marked as a degraded serve of
+// the request in ctx: Cached, Degraded and that request's trace ID. It
+// counts the serve and files it on the request's flight note.
+func (c *Cluster) stale(ctx context.Context, key string) (*api.Report, bool) {
+	data, ok := c.results.Get(key)
+	if !ok {
+		return nil, false
+	}
+	var rep api.Report
+	if json.Unmarshal(data, &rep) != nil { // a replica's 200 body; cannot fail
+		return nil, false
+	}
+	rep.Cached, rep.Degraded = true, true
+	rep.TraceID, _, _ = obs.ContextTrace(ctx)
+	c.met.degradedServes.Add(1)
+	if n := flight.NoteFrom(ctx); n != nil {
+		n.Degraded = true
+		n.Cached = true
+	}
+	return &rep, true
+}

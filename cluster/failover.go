@@ -266,11 +266,14 @@ func tryReplica[T any](c *Cluster, ctx context.Context, r *replica, t *circuitTe
 	return v, err
 }
 
-// simulate routes one simulation run: the call the router's
-// /v1/simulate and the Backend face's session.Run share.
-func (c *Cluster) simulate(ctx context.Context, id string, t *circuitText, req api.Request) (*api.Report, error) {
-	return route(c, ctx, id, t, nil, func(ctx context.Context, r *replica) (*api.Report, error) {
-		return r.c.Simulate(ctx, api.SimRequest{Circuit: id, Request: req})
+// simulate routes one simulation run, given as the JSON body of a
+// SimRequest naming circuit id, and returns the winning replica's report
+// body unparsed. Every attempt (the first, a hedge, each failover and the
+// retry after an upload-on-miss) sends the same body. The router's
+// /v1/simulate relays the result; the Backend face's session.Run decodes it.
+func (c *Cluster) simulate(ctx context.Context, id string, t *circuitText, body []byte) ([]byte, error) {
+	return route(c, ctx, id, t, nil, func(ctx context.Context, r *replica) ([]byte, error) {
+		return r.c.SimulateJSON(ctx, body)
 	})
 }
 

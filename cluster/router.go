@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 
 	"halotis/api"
@@ -11,7 +14,6 @@ import (
 	"halotis/internal/netfmt"
 	"halotis/internal/node"
 	"halotis/internal/obs"
-	"halotis/internal/obs/flight"
 	"halotis/internal/service"
 )
 
@@ -138,8 +140,18 @@ func (c *Cluster) handleUpload(w http.ResponseWriter, r *http.Request) {
 	node.WriteJSON(w, http.StatusOK, resp)
 }
 
+// handleSimulate relays one run. The caller's body goes to the replicas as
+// it arrived, except that an inline netlist is placed first and replaced by
+// its ID, and the winning replica's report comes back byte for byte. The
+// router decodes the request only for its own error answers and the result
+// key, and decodes a report only to serve a stored one (see degrade.go).
 func (c *Cluster) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	req, err := service.DecodeSimRequest(http.MaxBytesReader(w, r.Body, maxBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	if err != nil {
+		c.badRequest(w, r, err.Error())
+		return
+	}
+	req, err := service.DecodeSimRequest(bytes.NewReader(body))
 	if err != nil {
 		c.badRequest(w, r, err.Error())
 		return
@@ -149,24 +161,24 @@ func (c *Cluster) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		c.writeError(w, r, err)
 		return
 	}
+	if req.Circuit == "" {
+		// The replicas get the circuit by ID: resolveTarget placed it, and
+		// upload-on-miss repairs a replica that has lost it.
+		if body, err = json.Marshal(api.SimRequest{Circuit: id, Request: req.Request}); err != nil {
+			c.writeError(w, r, err)
+			return
+		}
+	}
 	key, cacheable := service.ResultKey(id, req.Stimulus.ToSim(), &req.Request, req.Options().PoolKey())
-	rep, err := c.simulate(r.Context(), id, t, req.Request)
+	rep, err := c.simulate(r.Context(), id, t, body)
 	if err != nil {
 		// Graceful degradation: with every holder unreachable, a stored
 		// report for the same result key is still a correct answer —
 		// simulations are deterministic — just not a fresh one. Terminal
 		// failures and genuine misses keep their errors.
 		if cacheable && isAvailability(err) && !errors.Is(err, api.ErrCircuitNotFound) {
-			if stored, ok := c.results.Get(key); ok {
-				stale := *stored // shared with the store; mark a copy
-				stale.Cached, stale.Degraded = true, true
-				stale.TraceID, _, _ = obs.ContextTrace(r.Context())
-				c.met.degradedServes.Add(1)
-				if n := flight.NoteFrom(r.Context()); n != nil {
-					n.Degraded = true
-					n.Cached = true
-				}
-				node.WriteJSON(w, http.StatusOK, &stale)
+			if stale, ok := c.stale(r.Context(), key); ok {
+				node.WriteJSON(w, http.StatusOK, stale)
 				return
 			}
 		}
@@ -176,7 +188,8 @@ func (c *Cluster) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if cacheable {
 		c.results.Put(key, rep)
 	}
-	node.WriteJSON(w, http.StatusOK, rep)
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(rep) // a failed write is the caller's connection; nothing is left to answer
 }
 
 func (c *Cluster) handleBatch(w http.ResponseWriter, r *http.Request) {
