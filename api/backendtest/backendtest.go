@@ -16,6 +16,7 @@ package backendtest
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -206,6 +207,24 @@ func Conform(t *testing.T, be halotis.Backend) {
 				t.Fatal(err)
 			}
 			AssertReportsEqual(t, "batch vs local single", batch[i], want)
+		}
+	})
+
+	t.Run("RunAfterClose", func(t *testing.T) {
+		ckt := Circuits(t)["c17"]
+		bs, err := be.Open(ctx, ckt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := bs.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		req := halotis.Request{TEnd: 30, Stimulus: halotis.WireStimulus(StimulusFor(t, "c17", ckt))}
+		if _, err := bs.Run(ctx, req); !errors.Is(err, halotis.ErrCircuitNotFound) {
+			t.Errorf("run after close: err = %v, want ErrCircuitNotFound", err)
+		}
+		if _, err := bs.RunBatch(ctx, []halotis.Request{req}); !errors.Is(err, halotis.ErrCircuitNotFound) {
+			t.Errorf("batch after close: err = %v, want ErrCircuitNotFound", err)
 		}
 	})
 }

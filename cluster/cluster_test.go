@@ -4,9 +4,11 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -408,11 +410,35 @@ func TestClusterErrorTaxonomy(t *testing.T) {
 	if !errors.Is(err, api.ErrInvalidRequest) {
 		t.Errorf("NaN t_end: err = %v, want ErrInvalidRequest", err)
 	}
-	for _, r := range c.Topology().Replicas {
-		if !r.Healthy || r.Failures != 0 {
-			t.Errorf("NaN t_end marked replica %s: healthy=%v failures=%d", r.ID, r.Healthy, r.Failures)
+	unmarked := func(what string) {
+		for _, r := range c.Topology().Replicas {
+			if !r.Healthy || r.Failures != 0 {
+				t.Errorf("%s marked replica %s: healthy=%v failures=%d", what, r.ID, r.Healthy, r.Failures)
+			}
 		}
 	}
+	unmarked("NaN t_end")
+
+	// A deadline that passed before its context's timer fired: the client
+	// refuses to send, and that shed is terminal, not a dead replica, on
+	// the Backend face and through the router alike.
+	past := pastDeadline{ctx}
+	failovers := c.met.failovers.Load()
+	_, err = sess.Run(past, halotis.Request{TEnd: 30})
+	if !errors.Is(err, api.ErrDeadlineExceeded) {
+		t.Errorf("past deadline: err = %v, want ErrDeadlineExceeded", err)
+	}
+	rec := httptest.NewRecorder()
+	body := strings.NewReader(`{"circuit":"` + sess.Circuit().ID + `","t_end":30}`)
+	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/simulate", body).WithContext(past))
+	var resp api.ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusGatewayTimeout || resp.Code != api.CodeDeadlineExceeded {
+		t.Errorf("past deadline through the router: %d %q (%v), want 504 %q", rec.Code, resp.Code, err, api.CodeDeadlineExceeded)
+	}
+	if n := c.met.failovers.Load() - failovers; n != 0 {
+		t.Errorf("past deadline counted %d failovers", n)
+	}
+	unmarked("past deadline")
 
 	// Cancellation surfaces as ErrCanceled, not as replica unavailability.
 	canceled, cancel := context.WithCancel(ctx)
@@ -451,48 +477,93 @@ func TestClusterErrorTaxonomy(t *testing.T) {
 	}
 }
 
-// TestRouterStatusMatchesReplica sends one unparsable netlist through each
-// route that parses netlist text, to a replica and to the router: the
-// router must answer with the replica's status and taxonomy code.
+// pastDeadline is a context whose deadline has passed but whose timer has
+// not fired yet, so Err is still nil.
+type pastDeadline struct{ context.Context }
+
+func (pastDeadline) Deadline() (time.Time, bool) { return time.Now().Add(-time.Second), true }
+
+// TestRouterStatusMatchesReplica sends one request of each error class
+// both roles answer, to a replica and to the router: each must answer with
+// the status and taxonomy code of the node's error table, the router with
+// the replica's.
 func TestRouterStatusMatchesReplica(t *testing.T) {
-	ctx := context.Background()
 	reps := startReplicas(t, 1, service.Config{})
-	rts := httptest.NewServer(newTestCluster(t, reps).Handler())
+	// One attempt per replica call, so the draining replica's 503 comes
+	// back without a Retry-After sleep.
+	rts := httptest.NewServer(newTestCluster(t, reps, WithRetry(client.RetryPolicy{MaxAttempts: 1})).Handler())
 	t.Cleanup(rts.Close)
+	up, err := client.New(rts.URL).UploadCircuit(context.Background(), api.UploadRequest{Netlist: halotis.C17BenchText(), Format: "bench", Name: "c17"})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	const bad = "OUTPUT(y)\ny = NOSUCHGATE(a, b\n"
 	run := api.Request{TEnd: 30}
-	calls := []struct {
-		name string
-		do   func(*client.Client) error
-	}{
-		{"inline simulate", func(cl *client.Client) error {
-			_, err := cl.Simulate(ctx, api.SimRequest{Netlist: bad, Format: "bench", Request: run})
-			return err
-		}},
-		{"inline batch", func(cl *client.Client) error {
-			_, err := cl.SimulateBatch(ctx, api.BatchRequest{Netlist: bad, Format: "bench", Requests: []api.Request{run}})
-			return err
-		}},
-		{"upload", func(cl *client.Client) error {
-			_, err := cl.UploadCircuit(ctx, api.UploadRequest{Netlist: bad, Format: "bench"})
-			return err
-		}},
+	jsonOf := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
 	}
-	for _, call := range calls {
+	byID := func(fields string) string { return `{"circuit":"` + up.ID + `","t_end":30` + fields + `}` }
+	const twoEdges = `,"stimulus":{"1":{"edges":[{"t":2,"rising":true}]},"2":{"edges":[{"t":3,"rising":true}]}}`
+	cases := []struct {
+		name, path, body string
+		spent            bool // send an already spent deadline budget
+		drain            bool // drain the replica first
+		status           int
+		code             string
+	}{
+		{name: "undecodable body", path: "/v1/simulate", body: `{"t_end":`,
+			status: http.StatusBadRequest, code: api.CodeInvalidRequest},
+		{name: "inline simulate", path: "/v1/simulate", body: jsonOf(api.SimRequest{Netlist: bad, Format: "bench", Request: run}),
+			status: http.StatusUnprocessableEntity, code: api.CodeInvalidRequest},
+		{name: "inline batch", path: "/v1/simulate/batch", body: jsonOf(api.BatchRequest{Netlist: bad, Format: "bench", Requests: []api.Request{run}}),
+			status: http.StatusUnprocessableEntity, code: api.CodeInvalidRequest},
+		{name: "upload", path: "/v1/circuits", body: jsonOf(api.UploadRequest{Netlist: bad, Format: "bench"}),
+			status: http.StatusUnprocessableEntity, code: api.CodeInvalidRequest},
+		{name: "unknown input", path: "/v1/simulate", body: byID(`,"stimulus":{"nosuch":{"edges":[{"t":1,"rising":true}]}}`),
+			status: http.StatusUnprocessableEntity, code: api.CodeInvalidRequest},
+		{name: "unknown circuit", path: "/v1/simulate", body: `{"circuit":"` + strings.Repeat("0", 64) + `","t_end":30}`,
+			status: http.StatusNotFound, code: api.CodeNotFound},
+		{name: "event limit", path: "/v1/simulate", body: byID(`,"max_events":1` + twoEdges),
+			status: http.StatusUnprocessableEntity, code: api.CodeRunFailed},
+		{name: "spent budget", path: "/v1/simulate", body: byID(""), spent: true,
+			status: http.StatusGatewayTimeout, code: api.CodeDeadlineExceeded},
+		{name: "draining replica", path: "/v1/simulate", body: byID(""), drain: true,
+			status: http.StatusServiceUnavailable, code: api.CodeOverloaded},
+	}
+	for _, tc := range cases {
+		if tc.drain {
+			reps[0].svc.Close()
+		}
 		answer := func(url string) (int, string) {
-			var ae *client.APIError
-			if err := call.do(client.New(url)); !errors.As(err, &ae) {
-				t.Fatalf("%s to %s: err = %v, want an API error", call.name, url, err)
+			req, err := http.NewRequest(http.MethodPost, url+tc.path, strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
 			}
-			return ae.StatusCode, ae.Code
+			if tc.spent {
+				req.Header.Set(api.BudgetHeader, "0")
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var body api.ErrorResponse
+			if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+				t.Fatalf("%s to %s: %d answer is not an ErrorResponse: %v", tc.name, url, resp.StatusCode, err)
+			}
+			return resp.StatusCode, body.Code
 		}
 		wantStatus, wantCode := answer(reps[0].ts.URL)
-		if wantCode != api.CodeInvalidRequest {
-			t.Fatalf("%s: replica answered code %q, want %q", call.name, wantCode, api.CodeInvalidRequest)
+		if wantStatus != tc.status || wantCode != tc.code {
+			t.Errorf("%s: replica answered %d %q, want %d %q", tc.name, wantStatus, wantCode, tc.status, tc.code)
 		}
 		if gotStatus, gotCode := answer(rts.URL); gotStatus != wantStatus || gotCode != wantCode {
-			t.Errorf("%s: router answered %d %s, replica %d %s", call.name, gotStatus, gotCode, wantStatus, wantCode)
+			t.Errorf("%s: router answered %d %q, replica %d %q", tc.name, gotStatus, gotCode, wantStatus, wantCode)
 		}
 	}
 }

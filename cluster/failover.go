@@ -34,7 +34,7 @@ import (
 //     additionally count against the replica's circuit breaker so
 //     subsequent requests skip it until it recovers.
 func isAvailability(err error) bool {
-	if errors.Is(err, api.ErrCanceled) {
+	if errors.Is(err, api.ErrCanceled) || errors.Is(err, api.ErrDeadlineExceeded) {
 		return false
 	}
 	if errors.Is(err, errReplicaMismatch) {
@@ -55,7 +55,7 @@ var errReplicaMismatch = errors.New("cluster: replica content-hash mismatch (lib
 
 func isTransport(err error) bool {
 	var ae *client.APIError
-	return !errors.As(err, &ae) && !errors.Is(err, api.ErrCanceled) && !errors.Is(err, errReplicaMismatch)
+	return isAvailability(err) && !errors.As(err, &ae)
 }
 
 // noteFailure applies passive health marking for one failed replica call:

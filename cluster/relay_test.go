@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -218,6 +219,8 @@ func FuzzRouterSimulate(f *testing.F) {
 	f.Add([]byte(`{` + id + `,"t_end":30,"stimulus":{}}{}`))
 	f.Add([]byte(`{` + id + `,"t_end":30,"stimulus":{"nosuch":{"edges":[{"t":1,"rising":true}]}}}`))
 	f.Add([]byte(`{` + id + `,"t_end":30,"stimulus":{"6":{"edges":[{"t":9,"rising":false},{"t":2,"rising":true}]}}}`))
+	f.Add([]byte(`{` + id + `,"t_end":30,"max_events":1,"stimulus":{"1":{"edges":[{"t":2,"rising":true}]},"2":{"edges":[{"t":3,"rising":true}]}}}`))
+	f.Add([]byte(`{"circuit":"` + strings.Repeat("0", 64) + `","t_end":30}`))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, body []byte) {

@@ -49,14 +49,15 @@ func (c *Cluster) routes() {
 
 // writeError maps a routing failure onto the wire error contract. Errors
 // proxied from a replica keep their status, taxonomy code, Retry-After
-// hint and originating replica; the cluster's own failures (every replica
-// unavailable) map through the error taxonomy, defaulting to 502. Traced
-// requests get their trace ID echoed so the caller can look up what the
-// router tried.
+// hint and originating replica. The router's own failures take the node's
+// status for their code (node.ErrorStatus); those outside the taxonomy
+// (every replica unavailable, a content-hash mismatch, a short batch
+// answer) stay code-less, a 502. Traced requests get their trace ID echoed
+// so the caller can look up what the router tried.
 func (c *Cluster) writeError(w http.ResponseWriter, r *http.Request, err error) {
-	status := http.StatusBadGateway
 	resp := api.ErrorResponseOf(err)
-	resp.Code = api.CodeOf(err) // the router's own unclassified failures stay code-less
+	resp.Code = api.CodeOf(err)
+	status := node.ErrorStatus(resp.Code)
 	var ae *client.APIError
 	if errors.As(err, &ae) {
 		status = ae.StatusCode
@@ -64,17 +65,6 @@ func (c *Cluster) writeError(w http.ResponseWriter, r *http.Request, err error) 
 			resp.Code = ae.Code
 		}
 		resp.Replica = ae.Replica
-	} else {
-		switch resp.Code {
-		case api.CodeInvalidRequest:
-			status = http.StatusUnprocessableEntity // a replica's status for the same failure
-		case api.CodeNotFound:
-			status = http.StatusNotFound
-		case api.CodeOverloaded:
-			status = http.StatusServiceUnavailable
-		case api.CodeCanceled:
-			status = http.StatusGatewayTimeout
-		}
 	}
 	c.node.WriteError(w, r, status, resp)
 }
@@ -114,15 +104,10 @@ func (c *Cluster) resolveTarget(ctx context.Context, circuit, netlistText, forma
 	return id, t, nil
 }
 
-// badRequest writes a request body decode failure.
-func (c *Cluster) badRequest(w http.ResponseWriter, r *http.Request, msg string) {
-	c.node.WriteError(w, r, http.StatusBadRequest, &api.ErrorResponse{Error: msg, Code: api.CodeInvalidRequest})
-}
-
 func (c *Cluster) handleUpload(w http.ResponseWriter, r *http.Request) {
 	req, err := service.DecodeUploadRequest(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
-		c.badRequest(w, r, err.Error())
+		c.node.BadRequest(w, r, err)
 		return
 	}
 	ckt, err := netfmt.ParseText(req.Netlist, req.Format, c.lib, req.Name)
@@ -148,12 +133,12 @@ func (c *Cluster) handleUpload(w http.ResponseWriter, r *http.Request) {
 func (c *Cluster) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
-		c.badRequest(w, r, err.Error())
+		c.node.BadRequest(w, r, err)
 		return
 	}
 	req, err := service.DecodeSimRequest(bytes.NewReader(body))
 	if err != nil {
-		c.badRequest(w, r, err.Error())
+		c.node.BadRequest(w, r, err)
 		return
 	}
 	id, t, err := c.resolveTarget(r.Context(), req.Circuit, req.Netlist, req.Format, "")
@@ -195,7 +180,7 @@ func (c *Cluster) handleSimulate(w http.ResponseWriter, r *http.Request) {
 func (c *Cluster) handleBatch(w http.ResponseWriter, r *http.Request) {
 	req, err := service.DecodeBatchRequest(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
-		c.badRequest(w, r, err.Error())
+		c.node.BadRequest(w, r, err)
 		return
 	}
 	id, t, err := c.resolveTarget(r.Context(), req.Circuit, req.Netlist, req.Format, "")

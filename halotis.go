@@ -171,7 +171,7 @@ func buildOptions(opts []Option) sim.Options {
 // the selected digests. New code that may ever need to run remotely
 // should prefer the Session API.
 func Simulate(ckt *Circuit, st Stimulus, tEnd float64, opts ...Option) (*Result, error) {
-	return sim.New(ckt, buildOptions(opts)).Run(st, tEnd)
+	return sim.NewEngine(ckt, buildOptions(opts)).Run(st, tEnd)
 }
 
 // Engine is the reusable simulation kernel: one circuit, any number of runs.

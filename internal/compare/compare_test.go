@@ -77,7 +77,7 @@ func TestCompareInverterChain(t *testing.T) {
 		{Time: 1, Rising: true, Slew: 0.2},
 		{Time: 4, Rising: false, Slew: 0.2},
 	}}}
-	lr, err := sim.New(ckt, sim.Options{Model: sim.DDM}).Run(st, 10)
+	lr, err := sim.NewEngine(ckt, sim.Options{Model: sim.DDM}).Run(st, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

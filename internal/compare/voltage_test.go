@@ -20,7 +20,7 @@ func TestVoltageRMSIdenticalIsSmall(t *testing.T) {
 	st := sim.Stimulus{"in": sim.InputWave{Edges: []sim.InputEdge{
 		{Time: 1, Rising: true, Slew: 0.15},
 	}}}
-	lr, err := sim.New(ckt, sim.Options{}).Run(st, 8)
+	lr, err := sim.NewEngine(ckt, sim.Options{}).Run(st, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func TestParseBenchSimulatesEndToEnd(t *testing.T) {
 		"1": {Edges: []sim.InputEdge{{Time: 1, Rising: true, Slew: 0.2}}},
 		"3": {Init: true},
 	}
-	res, err := sim.New(ckt, sim.Options{}).Run(st, 20)
+	res, err := sim.NewEngine(ckt, sim.Options{}).Run(st, 20)
 	if err != nil {
 		t.Fatal(err)
 	}

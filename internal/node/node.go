@@ -11,7 +11,8 @@
 //     and the anomaly flight recorder with exemplar pinning;
 //   - the series sampler and the /v1/status, /v1/series,
 //     /v1/flightrecorder and /v1/traces[/{id}] endpoints;
-//   - the JSON and wire-error writers, with one Retry-After rule.
+//   - the JSON and wire-error writers, with one table from error code to
+//     HTTP status (ErrorStatus) and one Retry-After rule.
 //
 // A Role names the node and hooks in its role-only series and status
 // fields; a Config carries the SLO objective and store sizes, with the
@@ -228,8 +229,7 @@ func (n *Node) admit(w http.ResponseWriter, r *http.Request, h http.HandlerFunc)
 	}
 	if budget <= 0 {
 		n.DeadlineShed.Add(1)
-		n.fail(w, r, http.StatusGatewayTimeout,
-			api.DeadlineExceededf("budget expired before admission (%s %s)", r.Method, r.URL.Path))
+		n.Error(w, r, api.DeadlineExceededf("budget expired before admission (%s %s)", r.Method, r.URL.Path))
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), budget)
@@ -586,7 +586,7 @@ func flightWire(rec flight.Record) api.FlightRecord {
 //halotis:noctx renders in-memory rings and counters; no downstream work
 func (n *Node) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if n.db == nil {
-		n.fail(w, r, http.StatusNotFound, api.NotFoundf("time-series sampling disabled on this node"))
+		n.Error(w, r, api.NotFoundf("time-series sampling disabled on this node"))
 		return
 	}
 	windows := n.sloWindows()
@@ -616,7 +616,7 @@ func (n *Node) handleStatus(w http.ResponseWriter, r *http.Request) {
 //halotis:noctx renders the in-memory series ring; no downstream work
 func (n *Node) handleSeries(w http.ResponseWriter, r *http.Request) {
 	if n.db == nil {
-		n.fail(w, r, http.StatusNotFound, api.NotFoundf("time-series sampling disabled on this node"))
+		n.Error(w, r, api.NotFoundf("time-series sampling disabled on this node"))
 		return
 	}
 	resp := api.SeriesResponse{Node: n.role.Name, ResolutionMs: n.db.Resolution().Milliseconds()}
@@ -638,7 +638,7 @@ func (n *Node) handleSeries(w http.ResponseWriter, r *http.Request) {
 //halotis:noctx renders the in-memory flight ring; no downstream work
 func (n *Node) handleFlight(w http.ResponseWriter, r *http.Request) {
 	if n.flight == nil {
-		n.fail(w, r, http.StatusNotFound, api.NotFoundf("flight recorder disabled on this node"))
+		n.Error(w, r, api.NotFoundf("flight recorder disabled on this node"))
 		return
 	}
 	limit := 128
@@ -672,7 +672,7 @@ func (n *Node) handleTraces(w http.ResponseWriter, r *http.Request) {
 func (n *Node) handleTrace(w http.ResponseWriter, r *http.Request) {
 	tr, ok := n.traces.Trace(r.PathValue("id"))
 	if !ok {
-		n.fail(w, r, http.StatusNotFound, api.NotFoundf("unknown trace %q", r.PathValue("id")))
+		n.Error(w, r, api.NotFoundf("unknown trace %q", r.PathValue("id")))
 		return
 	}
 	WriteJSON(w, http.StatusOK, tr)
@@ -694,6 +694,8 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 // request's trace ID, files its code on the flight note, and renders a
 // retry hint as the Retry-After header by one rule — whole seconds rounded
 // up, so a caller honoring the header never retries before the hint.
+// Error and BadRequest pick the status; the router calls WriteError itself
+// only to relay a replica's answer and for its own code-less failures.
 func (n *Node) WriteError(w http.ResponseWriter, r *http.Request, status int, resp *api.ErrorResponse) {
 	n.httpErrors.Add(1)
 	if tid, _, ok := obs.ContextTrace(r.Context()); ok {
@@ -708,11 +710,37 @@ func (n *Node) WriteError(w http.ResponseWriter, r *http.Request, status int, re
 	WriteJSON(w, status, resp)
 }
 
-// fail writes an error the shell itself raises, under the role's identity.
-func (n *Node) fail(w http.ResponseWriter, r *http.Request, status int, err error) {
+// ErrorStatus is the one table from a wire error code to the HTTP status
+// both roles answer it with. An answer without a code is a router's own
+// gateway failure, such as no replica answering: 502.
+func ErrorStatus(code string) int {
+	switch code {
+	case api.CodeInvalidRequest, api.CodeRunFailed:
+		return http.StatusUnprocessableEntity
+	case api.CodeNotFound:
+		return http.StatusNotFound
+	case api.CodeOverloaded:
+		return http.StatusServiceUnavailable
+	case api.CodeDeadlineExceeded, api.CodeCanceled:
+		return http.StatusGatewayTimeout
+	}
+	return http.StatusBadGateway
+}
+
+// Error answers err under the role's identity, with the status ErrorStatus
+// gives its code. An error outside the taxonomy is a kernel run failure,
+// coded run_failed (see api.ErrorResponseOf).
+func (n *Node) Error(w http.ResponseWriter, r *http.Request, err error) {
 	resp := api.ErrorResponseOf(err)
 	resp.Replica = n.role.Replica
-	n.WriteError(w, r, status, resp)
+	n.WriteError(w, r, ErrorStatus(resp.Code), resp)
+}
+
+// BadRequest answers a request body that could not be decoded: 400
+// invalid_request, under the role's identity.
+func (n *Node) BadRequest(w http.ResponseWriter, r *http.Request, err error) {
+	resp := &api.ErrorResponse{Error: err.Error(), Code: api.CodeInvalidRequest, Replica: n.role.Replica}
+	n.WriteError(w, r, http.StatusBadRequest, resp)
 }
 
 // --- /metrics ---

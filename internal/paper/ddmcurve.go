@@ -115,5 +115,5 @@ func fmtWidth(w float64) string {
 
 // runLogicShort is runLogic with a tighter horizon for the sweep.
 func runLogicShort(ckt *netlist.Circuit, st sim.Stimulus, m sim.Model) (*sim.Result, error) {
-	return sim.New(ckt, sim.Options{Model: m}).Run(st, 12)
+	return sim.NewEngine(ckt, sim.Options{Model: m}).Run(st, 12)
 }

@@ -62,7 +62,7 @@ func multiplierStimulus(w Workload) (sim.Stimulus, error) {
 
 // runLogic executes one logic-timing run.
 func runLogic(ckt *netlist.Circuit, st sim.Stimulus, model sim.Model) (*sim.Result, error) {
-	return sim.New(ckt, sim.Options{Model: model}).Run(st, SimHorizon)
+	return sim.NewEngine(ckt, sim.Options{Model: model}).Run(st, SimHorizon)
 }
 
 // runAnalog executes the electrical reference.

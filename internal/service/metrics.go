@@ -32,10 +32,9 @@ func (m *metrics) init() {
 	m.kernelRun = obs.NewHistogram(obs.LatencyBuckets()...)
 }
 
-// recordRun accounts one kernel run (successful or not).
-func (m *metrics) recordRun(events uint64, busy time.Duration, err error) {
+// recordRun accounts one kernel run, successful or not; its events stream in from the engine.
+func (m *metrics) recordRun(busy time.Duration, err error) {
 	m.simRuns.Add(1)
-	m.simEvents.Add(events)
 	m.simBusyNs.Add(busy.Nanoseconds())
 	if err != nil {
 		m.simErrors.Add(1)

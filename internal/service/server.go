@@ -96,59 +96,12 @@ func (s *Server) QueueStats() admit.Stats { return s.gate.Stats() }
 
 // --- response plumbing ---
 
-// codeForStatus falls back from the error taxonomy to the HTTP status when
-// an error carries no sentinel (e.g. raw JSON decode failures).
-func codeForStatus(status int, err error) string {
-	if c := api.CodeOf(err); c != "" {
-		return c
-	}
-	switch status {
-	case http.StatusBadRequest:
-		return api.CodeInvalidRequest
-	case http.StatusNotFound:
-		return api.CodeNotFound
-	case http.StatusServiceUnavailable:
-		return api.CodeOverloaded
-	case http.StatusGatewayTimeout:
-		return api.CodeCanceled
-	}
-	return api.CodeRunFailed
-}
-
-// writeError answers err with status under this replica's identity.
-func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
-	resp := api.ErrorResponseOf(err)
-	resp.Code = codeForStatus(status, err)
-	resp.Replica = s.cfg.ReplicaID
-	s.node.WriteError(w, r, status, resp)
-}
-
 // overloaded types an admission refusal as ErrOverloaded, a 503 on the
 // wire. The Retry-After hint is the live queue-drain estimate — how long
 // the backlog needs at the observed service rate — not a fixed constant,
 // so clients back off proportionally to the actual overload.
 func (s *Server) overloaded(err error) error {
 	return &api.OverloadedError{RetryAfter: retryAfterHint(s.drainEstimate()), Cause: err}
-}
-
-// simStatus maps a run error to an HTTP status via the error taxonomy:
-// timeouts and cancellations are gateway timeouts, evicted circuit IDs are
-// not-found, everything else (malformed stimulus, unknown nets, oscillation
-// limits) is an unprocessable request.
-func simStatus(err error) int {
-	switch {
-	case errors.Is(err, api.ErrDeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.DeadlineExceeded),
-		errors.Is(err, context.Canceled),
-		errors.Is(err, api.ErrCanceled):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, api.ErrCircuitNotFound):
-		return http.StatusNotFound
-	case errors.Is(err, api.ErrOverloaded):
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusUnprocessableEntity
 }
 
 // runCtx derives a run's context from its parent: timeout_ms (capped by
@@ -184,17 +137,16 @@ func shedError(cause error, when string) error {
 }
 
 // runJob runs job on the request's goroutine once the admission gate lets
-// it in, and returns its value; job returns the HTTP status that goes with
-// a non-nil error. On any failure runJob writes the response itself and
-// reports false: 503 with Retry-After when the gate refuses the job, the
-// job's own status and error when it fails, and 504 when the request's
+// it in, and returns its value. On any failure runJob answers the error
+// itself and reports false: 503 with Retry-After when the gate refuses the
+// job, the job's own error when it fails, and 504 when the request's
 // deadline budget expires while the job waits (it never runs) or runs. If
 // the client disconnects first, nothing is written: nobody reads it. The
 // job leaves the gate before any response is written.
-func runJob[T any](s *Server, w http.ResponseWriter, r *http.Request, job func() (T, int, error)) (v T, ok bool) {
+func runJob[T any](s *Server, w http.ResponseWriter, r *http.Request, job func() (T, error)) (v T, ok bool) {
 	ctx := r.Context()
 	start := time.Now()
-	status, err := http.StatusGatewayTimeout, s.gate.Enter(ctx)
+	err := s.gate.Enter(ctx)
 	switch {
 	case err == nil:
 		wait := time.Since(start)
@@ -203,10 +155,10 @@ func runJob[T any](s *Server, w http.ResponseWriter, r *http.Request, job func()
 		if n := flight.NoteFrom(ctx); n != nil {
 			n.QueueWaitNs = wait.Nanoseconds()
 		}
-		v, status, err = job()
+		v, err = job()
 		s.gate.Leave()
 	case ctx.Err() == nil:
-		status, err = http.StatusServiceUnavailable, s.overloaded(err)
+		err = s.overloaded(err)
 	default:
 		err = shedError(ctx.Err(), "while queued")
 	}
@@ -218,11 +170,11 @@ func runJob[T any](s *Server, w http.ResponseWriter, r *http.Request, job func()
 		// (mid-run aborts surface as canceled within an event pop).
 		s.node.DeadlineShed.Add(1)
 		if err == nil {
-			status, err = http.StatusGatewayTimeout, shedError(cause, "before the job finished")
+			err = shedError(cause, "before the job finished")
 		}
 	}
 	if err != nil {
-		s.writeError(w, r, status, err)
+		s.node.Error(w, r, err)
 		return v, false
 	}
 	return v, true
@@ -232,7 +184,7 @@ func runJob[T any](s *Server, w http.ResponseWriter, r *http.Request, job func()
 // netlist text exactly as an upload would. The "compile" span covers both
 // paths — its "source" attribute tells a cache lookup from an inline
 // parse+compile.
-func (s *Server) resolve(ctx context.Context, id, netlistText, format string) (*cacheEntry, int, error) {
+func (s *Server) resolve(ctx context.Context, id, netlistText, format string) (*cacheEntry, error) {
 	_, sp := obs.Start(ctx, "compile")
 	defer sp.End()
 	if id != "" {
@@ -241,21 +193,21 @@ func (s *Server) resolve(ctx context.Context, id, netlistText, format string) (*
 		if !ok {
 			err := api.NotFoundf("unknown circuit %q", id)
 			sp.Fail(err)
-			return nil, http.StatusNotFound, err
+			return nil, err
 		}
-		return ent, 0, nil
+		return ent, nil
 	}
 	sp.SetAttr("source", "inline")
 	ent, cached, err := s.cache.Add(netlistText, format, "")
 	if err != nil {
 		err = api.InvalidRequestf("parse netlist: %v", err)
 		sp.Fail(err)
-		return nil, http.StatusUnprocessableEntity, err
+		return nil, err
 	}
 	if cached {
 		sp.SetAttr("source", "inline-cached")
 	}
-	return ent, 0, nil
+	return ent, nil
 }
 
 // --- handlers ---
@@ -263,15 +215,15 @@ func (s *Server) resolve(ctx context.Context, id, netlistText, format string) (*
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	req, err := DecodeUploadRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
+		s.node.BadRequest(w, r, err)
 		return
 	}
-	if resp, ok := runJob(s, w, r, func() (*UploadResponse, int, error) {
+	if resp, ok := runJob(s, w, r, func() (*UploadResponse, error) {
 		ent, cached, err := s.cache.Add(req.Netlist, req.Format, req.Name)
 		if err != nil {
-			return nil, http.StatusUnprocessableEntity, api.InvalidRequestf("parse netlist: %v", err)
+			return nil, api.InvalidRequestf("parse netlist: %v", err)
 		}
-		return &UploadResponse{CircuitInfo: ent.info, Cached: cached}, 0, nil
+		return &UploadResponse{CircuitInfo: ent.info, Cached: cached}, nil
 	}); ok {
 		node.WriteJSON(w, http.StatusOK, resp)
 	}
@@ -285,7 +237,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	ent, ok := s.cache.Get(r.PathValue("id"))
 	if !ok {
-		s.writeError(w, r, http.StatusNotFound, api.NotFoundf("unknown circuit %q", r.PathValue("id")))
+		s.node.Error(w, r, api.NotFoundf("unknown circuit %q", r.PathValue("id")))
 		return
 	}
 	node.WriteJSON(w, http.StatusOK, ent.info)
@@ -293,7 +245,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 	if !s.cache.Evict(r.PathValue("id")) {
-		s.writeError(w, r, http.StatusNotFound, api.NotFoundf("unknown circuit %q", r.PathValue("id")))
+		s.node.Error(w, r, api.NotFoundf("unknown circuit %q", r.PathValue("id")))
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -302,22 +254,18 @@ func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	req, err := DecodeSimRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
+		s.node.BadRequest(w, r, err)
 		return
 	}
 	ctx, cancel := s.runCtx(r.Context(), req.TimeoutMs)
 	defer cancel()
 
-	if rep, ok := runJob(s, w, r, func() (*Report, int, error) {
-		ent, status, err := s.resolve(ctx, req.Circuit, req.Netlist, req.Format)
+	if rep, ok := runJob(s, w, r, func() (*Report, error) {
+		ent, err := s.resolve(ctx, req.Circuit, req.Netlist, req.Format)
 		if err != nil {
-			return nil, status, err
+			return nil, err
 		}
-		rep, err := s.runOne(ctx, ent, &req.Request)
-		if err != nil {
-			return nil, simStatus(err), err
-		}
-		return rep, 0, nil
+		return s.runOne(ctx, ent, &req.Request)
 	}); ok {
 		noteReports(r.Context(), rep)
 		node.WriteJSON(w, http.StatusOK, rep)
@@ -342,11 +290,11 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	req, err := DecodeBatchRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
+		s.node.BadRequest(w, r, err)
 		return
 	}
 	// Resolve (and compile, for inline netlists) as the admission job.
-	ent, ok := runJob(s, w, r, func() (*cacheEntry, int, error) {
+	ent, ok := runJob(s, w, r, func() (*cacheEntry, error) {
 		return s.resolve(r.Context(), req.Circuit, req.Netlist, req.Format)
 	})
 	if !ok {
@@ -376,7 +324,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if !partial {
 		if idx, err := api.FirstFailure(errs); err != nil {
-			s.writeError(w, r, simStatus(err), fmt.Errorf("requests[%d]: %w", idx, err))
+			s.node.Error(w, r, fmt.Errorf("requests[%d]: %w", idx, err))
 			return
 		}
 	}
@@ -462,7 +410,7 @@ func (s *Server) runOne(ctx context.Context, ent *cacheEntry, req *Request) (*Re
 	// Stream kernel progress into the node's event counter so the series
 	// sampler sees events/sec while a long run is still in flight; the
 	// engine publishes every event exactly once (including on error
-	// paths), so recordRun must not add them again.
+	// paths).
 	eng.SetProgress(&s.met.simEvents)
 
 	_, spRun := obs.Start(ctx, "kernel.run")
@@ -473,14 +421,14 @@ func (s *Server) runOne(ctx context.Context, ent *cacheEntry, req *Request) (*Re
 		eng.SetProfiling(false)
 		eng.SetProgress(nil)
 		ent.pools.Release(key, eng)
-		s.met.recordRun(0, 0, err)
+		s.met.recordRun(0, err)
 		return nil, api.MapRunError(err)
 	}
 	if spRun != nil {
 		spRun.SetAttr("events", strconv.FormatUint(res.Stats.EventsProcessed, 10))
 		spRun.End()
 	}
-	s.met.recordRun(0, res.Elapsed, nil)
+	s.met.recordRun(res.Elapsed, nil)
 	s.met.kernelRun.Observe(res.Elapsed.Seconds())
 
 	_, spRep := obs.Start(ctx, "report.build")

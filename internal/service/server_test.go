@@ -79,7 +79,7 @@ func TestServiceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	wire := c17WireStimulus()
-	ref, err := sim.New(ckt, sim.Options{}).Run(wire.ToSim(), 30)
+	ref, err := sim.NewEngine(ckt, sim.Options{}).Run(wire.ToSim(), 30)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,7 +100,7 @@ func TestFamiliesMatchReference(t *testing.T) {
 		for _, m := range []sim.Model{sim.DDM, sim.CDM} {
 			for _, p := range refPartitions {
 				label := fmt.Sprintf("%s/%v/P=%d", wl.name, m, p)
-				got, err := sim.New(wl.ckt, sim.Options{Model: m, Partitions: p}).Run(st, tEnd)
+				got, err := sim.NewEngine(wl.ckt, sim.Options{Model: m, Partitions: p}).Run(st, tEnd)
 				if err != nil {
 					t.Fatalf("%s: engine: %v", label, err)
 				}

@@ -31,14 +31,14 @@ type event struct {
 	slew float64
 }
 
-// Engine is the reusable HALOTIS simulation kernel. Unlike the one-shot
-// Simulator, an Engine may run any number of stimuli over its circuit: each
-// Run reinitializes the mutable state — waveforms, gate records, the lanes'
-// event queues — in place, retaining all storage capacity. After a warm-up
-// run has grown the buffers to a workload's high-water mark, subsequent
-// runs of comparable workloads perform zero heap allocations. Every run
-// goes through one event loop (partition.go): Partitions = 1 is one lane on
-// the caller's goroutine.
+// Engine is the reusable HALOTIS simulation kernel. An Engine may run any
+// number of stimuli over its circuit: each Run reinitializes the mutable
+// state — waveforms, gate records, the lanes' event queues — in place,
+// retaining all storage capacity. After a warm-up run has grown the
+// buffers to a workload's high-water mark, subsequent runs of comparable
+// workloads perform zero heap allocations. Every run goes through one
+// event loop (partition.go): Partitions = 1 is one lane on the caller's
+// goroutine.
 //
 // An Engine is not safe for concurrent use; for parallel workloads run one
 // engine per goroutine over a shared circuit (see RunBatch).

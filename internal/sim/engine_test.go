@@ -49,7 +49,7 @@ func TestEngineReuseMatchesFreshRuns(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v run %d: %v", m, i, err)
 			}
-			fresh, err := New(ckt, Options{Model: m}).Run(st, 100)
+			fresh, err := NewEngine(ckt, Options{Model: m}).Run(st, 100)
 			if err != nil {
 				t.Fatalf("%v fresh %d: %v", m, i, err)
 			}
@@ -169,7 +169,7 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 				t.Fatalf("%v: %d results for %d stimuli", m, len(got), len(stims))
 			}
 			for i, st := range stims {
-				want, err := New(ckt, Options{Model: m}).Run(st, 80)
+				want, err := NewEngine(ckt, Options{Model: m}).Run(st, 80)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -166,7 +166,7 @@ func TestMaxEventsGuard(t *testing.T) {
 			InputEdge{Time: t0 + 1, Rising: false, Slew: 0.15})
 	}
 	st := Stimulus{"in": InputWave{Edges: edges}}
-	if _, err := New(ckt, Options{MaxEvents: 5}).Run(st, 500); err == nil {
+	if _, err := NewEngine(ckt, Options{MaxEvents: 5}).Run(st, 500); err == nil {
 		t.Error("event limit not enforced")
 	}
 	if _, err := RunClassic(ckt, st, 500, ClassicOptions{MaxEvents: 5}); err == nil {
@@ -184,7 +184,7 @@ func TestMinPulseAblation(t *testing.T) {
 	st := mulSequenceStimulus([][2]uint64{{0, 0}, {7, 7}, {5, 0xA}, {0xE, 6}, {0xF, 0xF}}, 5.0, 0.2)
 	var products []int
 	for _, mp := range []float64{1e-7, 1e-6, 1e-4} {
-		res, err := New(ckt, Options{Model: DDM, MinPulse: mp}).Run(st, 28)
+		res, err := NewEngine(ckt, Options{Model: DDM, MinPulse: mp}).Run(st, 28)
 		if err != nil {
 			t.Fatalf("MinPulse %g: %v", mp, err)
 		}

@@ -91,11 +91,11 @@ func TestTimeShiftInvariance(t *testing.T) {
 		tEnd := last + 20
 		for _, m := range []sim.Model{sim.DDM, sim.CDM} {
 			label := fmt.Sprintf("seed %d %v", seed, m)
-			a, err := sim.New(ckt, sim.Options{Model: m}).Run(st, tEnd)
+			a, err := sim.NewEngine(ckt, sim.Options{Model: m}).Run(st, tEnd)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			b, err := sim.New(ckt, sim.Options{Model: m}).Run(shifted(st, dt), tEnd+dt)
+			b, err := sim.NewEngine(ckt, sim.Options{Model: m}).Run(shifted(st, dt), tEnd+dt)
 			if err != nil {
 				t.Fatalf("%s shifted: %v", label, err)
 			}

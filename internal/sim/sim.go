@@ -6,13 +6,12 @@
 // delay model (IDDM/DDM), and performs the Fig. 4 scheduling algorithm with
 // event deletion for inertial pulse filtering.
 //
-// Two front doors exist over the same kernel: the one-shot Simulator
-// (New + Run, one run per value) and the reusable Engine (NewEngine, any
-// number of Run calls with zero steady-state allocations; see engine.go and
-// the parallel batch runner in batch.go). Every run goes through one event
-// loop (partition.go): Partitions = 1 is one lane on the caller's
-// goroutine, more partitions run one goroutine each, and the results are
-// bit-identical for every partition count.
+// The front door is the reusable Engine (NewEngine, any number of Run
+// calls with zero steady-state allocations; see engine.go and the parallel
+// batch runner in batch.go); a one-shot run is NewEngine(ckt, opt).Run.
+// Every run goes through one event loop (partition.go): Partitions = 1 is
+// one lane on the caller's goroutine, more partitions run one goroutine
+// each, and the results are bit-identical for every partition count.
 package sim
 
 import (
@@ -133,36 +132,12 @@ type Stats struct {
 	FullyDegraded uint64
 }
 
-// Simulator runs one simulation of one circuit. Create with New, run once
-// with Run. It is a thin one-shot wrapper over the reusable Engine; batch
-// and repeated-run workloads should use NewEngine directly.
-type Simulator struct {
-	eng *Engine
-	ran bool
-}
-
-// New prepares a simulator for the circuit.
-func New(ckt *netlist.Circuit, opt Options) *Simulator {
-	return &Simulator{eng: NewEngine(ckt, opt)}
-}
-
-// Run simulates the stimulus until no event at or before tEnd remains. It
-// may be called once per Simulator.
-func (s *Simulator) Run(st Stimulus, tEnd float64) (*Result, error) {
-	if s.ran {
-		return nil, fmt.Errorf("sim: Simulator.Run called twice; create a new Simulator per run")
-	}
-	s.ran = true
-	return s.eng.Run(st, tEnd)
-}
-
 // Result carries the outcome of a run.
 //
 // A Result returned by Engine.Run aliases the engine's reusable waveform
 // storage: it is valid until the engine's next Run or Reset. Detach returns
-// an independent deep copy. Results from the one-shot Simulator (and the
-// package-level Simulate helpers built on it) never get invalidated, since
-// their engine is used exactly once.
+// an independent deep copy. The result of an engine used once, such as
+// halotis.Simulate's, is never invalidated.
 type Result struct {
 	// Model that produced the result.
 	Model Model

@@ -52,7 +52,7 @@ func pulse(name string, t0, width, slew float64) Stimulus {
 
 func run(t testing.TB, ckt *netlist.Circuit, st Stimulus, tEnd float64, m Model) *Result {
 	t.Helper()
-	res, err := New(ckt, Options{Model: m}).Run(st, tEnd)
+	res, err := NewEngine(ckt, Options{Model: m}).Run(st, tEnd)
 	if err != nil {
 		t.Fatalf("run (%v): %v", m, err)
 	}
@@ -324,20 +324,9 @@ func TestStimulusValidation(t *testing.T) {
 			{Time: 2, Rising: true, Slew: 0.3}, {Time: 1, Rising: false, Slew: 0.3}}}},
 	}
 	for i, st := range cases {
-		if _, err := New(ckt, Options{}).Run(st, 10); err == nil {
+		if _, err := NewEngine(ckt, Options{}).Run(st, 10); err == nil {
 			t.Errorf("case %d: bad stimulus accepted", i)
 		}
-	}
-}
-
-func TestRunTwiceFails(t *testing.T) {
-	ckt := invChain(t, 1)
-	s := New(ckt, Options{})
-	if _, err := s.Run(Stimulus{}, 10); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(Stimulus{}, 10); err == nil {
-		t.Error("second Run should fail")
 	}
 }
 

@@ -21,7 +21,7 @@ func runChain(t *testing.T, m sim.Model) *sim.Result {
 		{Time: 5, Rising: false, Slew: 0.15},
 		{Time: 5.18, Rising: true, Slew: 0.15}, // glitch
 	}}}
-	res, err := sim.New(ckt, sim.Options{Model: m}).Run(st, 20)
+	res, err := sim.NewEngine(ckt, sim.Options{Model: m}).Run(st, 20)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,10 +173,11 @@ func (s *localSession) runOne(ctx context.Context, req *Request) (*Report, error
 // RunBatch fans the requests across min(GOMAXPROCS, len(reqs)) workers,
 // each acquiring engines from the session's pool, and returns reports in
 // request order — bit-identical to running each request alone. The whole
-// batch occupies one admission slot of the backend's concurrency bound,
-// mirroring the daemon's batch admission. The first failure cancels the
-// remaining runs; the root-cause error (not a sibling run's secondary
-// cancellation) is returned, wrapped with its request index.
+// batch holds one slot of the backend's concurrency bound, however many
+// runs it fans out; a daemon batch takes one slot per run instead. The
+// first failure cancels the remaining runs; the root-cause error (not a
+// sibling run's secondary cancellation) is returned, wrapped with its
+// request index.
 func (s *localSession) RunBatch(ctx context.Context, reqs []Request) ([]*Report, error) {
 	if s.closed.Load() {
 		return nil, api.NotFoundf("session closed: circuit %s released", s.info.ID)

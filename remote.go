@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"halotis/api"
 	"halotis/client"
@@ -53,17 +54,25 @@ func (b *RemoteBackend) Open(ctx context.Context, ckt *Circuit) (Session, error)
 // remoteSession is one uploaded circuit on one daemon. Safe for concurrent
 // use (the client is).
 type remoteSession struct {
-	c    *client.Client
-	info api.CircuitInfo
+	c      *client.Client
+	info   api.CircuitInfo
+	closed atomic.Bool
 }
 
 func (s *remoteSession) Circuit() CircuitInfo { return s.info }
 
-// Close is a no-op: the daemon's circuit cache is content-addressed and
-// shared across callers, so a session holds no per-caller server state.
-func (s *remoteSession) Close() error { return nil }
+// Close marks the session released; subsequent runs fail with
+// ErrCircuitNotFound. The daemon keeps the circuit: its cache is
+// content-addressed and shared across callers.
+func (s *remoteSession) Close() error {
+	s.closed.Store(true)
+	return nil
+}
 
 func (s *remoteSession) Run(ctx context.Context, req Request) (*Report, error) {
+	if s.closed.Load() {
+		return nil, api.NotFoundf("session closed: circuit %s released", s.info.ID)
+	}
 	rep, err := s.c.Simulate(ctx, api.SimRequest{Circuit: s.info.ID, Request: req})
 	if err != nil {
 		return nil, err
@@ -72,6 +81,9 @@ func (s *remoteSession) Run(ctx context.Context, req Request) (*Report, error) {
 }
 
 func (s *remoteSession) RunBatch(ctx context.Context, reqs []Request) ([]*Report, error) {
+	if s.closed.Load() {
+		return nil, api.NotFoundf("session closed: circuit %s released", s.info.ID)
+	}
 	resp, err := s.c.SimulateBatch(ctx, api.BatchRequest{Circuit: s.info.ID, Requests: reqs})
 	if err != nil {
 		return nil, err
