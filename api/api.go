@@ -50,7 +50,8 @@ type Request struct {
 	MaxEvents uint64 `json:"max_events,omitempty"`
 	// MinPulse overrides the minimum emitted pulse separation, ns.
 	MinPulse float64 `json:"min_pulse,omitempty"`
-	// TimeoutMs aborts the run after this many milliseconds of wall time.
+	// TimeoutMs aborts the run after this many milliseconds of wall time,
+	// counted from the start of the run, after any wait for admission.
 	// 0 means no deadline from the request — the remote backend's
 	// MaxTimeout, when configured, still applies as both cap and default.
 	TimeoutMs float64 `json:"timeout_ms,omitempty"`
@@ -444,8 +445,9 @@ func (r *BatchRequest) Validate() error {
 }
 
 // DefaultWireSlew is the slew applied to wire stimulus edges that omit one,
-// matching the text stimulus format's default (0.3 ns) rather than the
-// kernel's internal DefaultInputSlew — the wire and text front ends agree.
+// matching the text stimulus format's default (0.3 ns), so the wire and
+// text front ends agree. The kernel has no default of its own: it rejects
+// an edge whose slew is not positive.
 const DefaultWireSlew = 0.3
 
 // ToSim converts the wire stimulus to the engine's form, sorting edges into

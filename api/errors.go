@@ -192,8 +192,10 @@ func DeadlineExceededf(format string, args ...any) error {
 }
 
 // ErrorResponseOf classifies an error into a wire error body — the
-// inverse of ErrorResponse.Err, used to carry per-request failures inside
-// a partial batch response. Returns nil for a nil error.
+// inverse of ErrorResponse.Err. Replica and router build every error body
+// they send with it, a partial batch's per-request failures included; an
+// error outside the taxonomy is coded run_failed. Returns nil for a nil
+// error.
 func ErrorResponseOf(err error) *ErrorResponse {
 	if err == nil {
 		return nil

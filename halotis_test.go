@@ -2,7 +2,9 @@ package halotis_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
+	"time"
 
 	"halotis"
 )
@@ -165,5 +167,91 @@ func TestBuilderFacade(t *testing.T) {
 	}
 	if ckt.Name != "mine" {
 		t.Errorf("name = %q", ckt.Name)
+	}
+}
+
+// TestNonFiniteInputsRejected: every kernel — the engine at one and at two
+// partitions, the classic baseline and the analog reference — refuses a
+// NaN or infinite horizon, edge time or slew with an error, instead of
+// running forever, panicking or accepting it. Each call runs under a 10 s
+// guard, so a hang fails the test instead of stalling the suite.
+func TestNonFiniteInputsRejected(t *testing.T) {
+	ckt, err := halotis.C17(halotis.DefaultLibrary())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// stim drives every input with one clean edge, except the first, whose
+	// edge has the given time and slew.
+	stim := func(at, slew float64) halotis.Stimulus {
+		st := halotis.Stimulus{}
+		for i, in := range ckt.Inputs {
+			st[in.Name] = halotis.InputWave{Edges: []halotis.InputEdge{{Time: 1 + float64(i), Rising: true, Slew: 0.2}}}
+		}
+		st[ckt.Inputs[0].Name] = halotis.InputWave{Edges: []halotis.InputEdge{{Time: at, Rising: true, Slew: slew}}}
+		return st
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	inputs := []struct {
+		name string
+		st   halotis.Stimulus
+		tEnd float64
+	}{
+		{"NaN horizon", stim(1, 0.2), nan},
+		{"+Inf horizon", stim(1, 0.2), inf},
+		{"NaN edge time", stim(nan, 0.2), 30},
+		{"+Inf edge time", stim(inf, 0.2), 30},
+		{"NaN slew", stim(1, nan), 30},
+		{"+Inf slew", stim(1, inf), 30},
+	}
+	kernels := []struct {
+		name string
+		run  func(st halotis.Stimulus, tEnd float64) error
+	}{
+		{"engine P=1", func(st halotis.Stimulus, tEnd float64) error {
+			_, err := halotis.Simulate(ckt, st, tEnd, halotis.WithPartitions(1))
+			return err
+		}},
+		{"engine P=2", func(st halotis.Stimulus, tEnd float64) error {
+			_, err := halotis.Simulate(ckt, st, tEnd, halotis.WithPartitions(2))
+			return err
+		}},
+		{"classic", func(st halotis.Stimulus, tEnd float64) error {
+			_, err := halotis.SimulateClassic(ckt, st, tEnd)
+			return err
+		}},
+		{"analog", func(st halotis.Stimulus, tEnd float64) error {
+			_, err := halotis.SimulateAnalog(ckt, st, tEnd, halotis.AnalogOptions{})
+			return err
+		}},
+	}
+	for _, k := range kernels {
+		for _, in := range inputs {
+			t.Run(k.name+"/"+in.name, func(t *testing.T) {
+				type outcome struct {
+					err   error
+					panic any
+				}
+				done := make(chan outcome, 1)
+				go func() {
+					defer func() {
+						if p := recover(); p != nil {
+							done <- outcome{panic: p}
+						}
+					}()
+					done <- outcome{err: k.run(in.st, in.tEnd)}
+				}()
+				select {
+				case got := <-done:
+					switch {
+					case got.panic != nil:
+						t.Fatalf("panicked: %v", got.panic)
+					case got.err == nil:
+						t.Fatal("accepted the input, want an error")
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("no answer within 10 s")
+				}
+			})
+		}
 	}
 }

@@ -2,6 +2,7 @@ package analog
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"halotis/internal/netlist"
@@ -115,6 +116,9 @@ func Run(ckt *netlist.Circuit, st sim.Stimulus, tEnd float64, opt Options) (*Res
 	}
 	if err := st.Validate(inputNames); err != nil {
 		return nil, err
+	}
+	if math.IsNaN(tEnd) || math.IsInf(tEnd, 0) {
+		return nil, sim.ErrNonFiniteHorizon
 	}
 
 	vdd := ckt.Lib.VDD

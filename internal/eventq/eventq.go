@@ -7,6 +7,8 @@
 // a gate input, the previously scheduled event Ej-1 is removed from the
 // queue instead of being left to fire.
 //
-// Ties in time are broken by insertion order, which makes simulation runs
-// fully deterministic.
+// Ties in time are broken by insertion order (Push) or by a caller key
+// (PushKeyed). The simulation kernel pushes with PushKeyed, keyed by pin,
+// so its events pop in (time, pin) order whatever order they were pushed
+// in, which keeps runs deterministic across partition counts.
 package eventq

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -122,5 +123,51 @@ func waitQueue(t *testing.T, s *Server, what string, ok func(admit.Stats) bool) 
 		if time.Now().After(deadline) {
 			t.Fatalf("timed out waiting for %s: queue stats %+v", what, s.QueueStats())
 		}
+	}
+}
+
+// TestRunTimeoutStartsAfterAdmission: timeout_ms bounds the run, not the
+// wait for a slot. A simulate that waits longer than its timeout_ms for
+// the held slot still runs once the slot frees, and answers with its
+// report.
+func TestRunTimeoutStartsAfterAdmission(t *testing.T) {
+	s := New(Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	if err := s.gate.Enter(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var leave sync.Once
+	t.Cleanup(func() { leave.Do(s.gate.Leave) }) // runs first: Close waits for the slot holder
+
+	st := api.Stimulus{}
+	for i, in := range []string{"1", "2", "3", "6", "7"} {
+		st[in] = api.InputWave{Edges: []api.Edge{{T: 2 + float64(i), Rising: true, Slew: 0.2}}}
+	}
+	type answer struct {
+		rep *api.Report
+		err error
+	}
+	done := make(chan answer, 1)
+	go func() {
+		rep, err := client.New(ts.URL).Simulate(context.Background(), api.SimRequest{
+			Netlist: netfmt.C17Bench(), Format: "bench",
+			Request: api.Request{TEnd: 30, TimeoutMs: 100, Stimulus: st},
+		})
+		done <- answer{rep, err}
+	}()
+	waitQueue(t, s, "the simulate to wait", func(qs admit.Stats) bool { return qs.Depth == 1 })
+	time.Sleep(200 * time.Millisecond) // twice the request's timeout_ms
+	leave.Do(s.gate.Leave)
+
+	got := <-done
+	if got.err != nil {
+		t.Fatalf("simulate admitted after a %s wait: %v, want its report (timeout_ms counts from the start of the run)", 200*time.Millisecond, got.err)
+	}
+	if got.rep.Stats.EventsProcessed == 0 {
+		t.Fatalf("report = %+v, want a run that processed events", got.rep.Stats)
 	}
 }

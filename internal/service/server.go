@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
-	"strconv"
 	"time"
 
 	"halotis/api"
@@ -15,6 +13,7 @@ import (
 	"halotis/internal/node"
 	"halotis/internal/obs"
 	"halotis/internal/obs/flight"
+	"halotis/internal/run"
 )
 
 // Server is the simulation service: an http.Handler plus the cache, engine
@@ -102,28 +101,6 @@ func (s *Server) QueueStats() admit.Stats { return s.gate.Stats() }
 // so clients back off proportionally to the actual overload.
 func (s *Server) overloaded(err error) error {
 	return &api.OverloadedError{RetryAfter: retryAfterHint(s.drainEstimate()), Cause: err}
-}
-
-// runCtx derives a run's context from its parent: timeout_ms (capped by
-// MaxTimeout) adds a deadline. A timeout_ms too large for time.Duration
-// saturates instead of overflowing, so the operator's MaxTimeout cap
-// always still applies.
-func (s *Server) runCtx(parent context.Context, timeoutMs float64) (context.Context, context.CancelFunc) {
-	var d time.Duration
-	if timeoutMs > 0 {
-		if timeoutMs >= float64(math.MaxInt64)/float64(time.Millisecond) {
-			d = math.MaxInt64
-		} else {
-			d = time.Duration(timeoutMs * float64(time.Millisecond))
-		}
-	}
-	if s.cfg.MaxTimeout > 0 && (d == 0 || d > s.cfg.MaxTimeout) {
-		d = s.cfg.MaxTimeout
-	}
-	if d > 0 {
-		return context.WithTimeout(parent, d)
-	}
-	return context.WithCancel(parent)
 }
 
 // shedError types a dead-context error for the wire: a deadline expiry is
@@ -257,15 +234,12 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.node.BadRequest(w, r, err)
 		return
 	}
-	ctx, cancel := s.runCtx(r.Context(), req.TimeoutMs)
-	defer cancel()
-
 	if rep, ok := runJob(s, w, r, func() (*Report, error) {
-		ent, err := s.resolve(ctx, req.Circuit, req.Netlist, req.Format)
+		ent, err := s.resolve(r.Context(), req.Circuit, req.Netlist, req.Format)
 		if err != nil {
 			return nil, err
 		}
-		return s.runOne(ctx, ent, &req.Request)
+		return s.runOne(r.Context(), ent, &req.Request)
 	}); ok {
 		noteReports(r.Context(), rep)
 		node.WriteJSON(w, http.StatusOK, rep)
@@ -313,10 +287,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return shedError(err, "while queued")
 		}
 		defer s.gate.Leave()
-		sub := &req.Requests[i]
-		jobCtx, cancel := s.runCtx(ctx, sub.TimeoutMs)
-		defer cancel()
-		reports[i], err = s.runOne(jobCtx, ent, sub)
+		reports[i], err = s.runOne(ctx, ent, &req.Requests[i])
 		return err
 	})
 	for i, err := range errs {
@@ -374,11 +345,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // runOne serves one request against a resolved circuit: first from the
 // result cache (simulation is a pure function of circuit + stimulus +
 // options, so a repeated key is answered without a kernel run), otherwise
-// by acquiring a warm engine from the circuit's pool, running, and caching
-// the materialized report. A request ResultKey calls uncacheable always
-// runs and is never stored. Steady-state cache misses still perform no
-// engine setup work: the pool hands back a buffer-grown engine and Run
-// reuses it in place.
+// through the shared run path (internal/run) on a warm engine from the
+// circuit's pool, caching the materialized report. A request ResultKey
+// calls uncacheable always runs and is never stored.
 func (s *Server) runOne(ctx context.Context, ent *cacheEntry, req *Request) (*Report, error) {
 	st, err := req.Prepare(ent.ir)
 	if err != nil {
@@ -399,45 +368,17 @@ func (s *Server) runOne(ctx context.Context, ent *cacheEntry, req *Request) (*Re
 		}
 	}
 
-	_, spAcq := obs.Start(ctx, "engine.acquire")
-	eng := ent.pools.Acquire(key)
-	spAcq.End()
-	// Profiling is per-request run state on a pooled engine: set it for
-	// this run, clear it before release so the pool stays profile-free.
-	if req.Profile {
-		eng.SetProfiling(true)
-	}
-	// Stream kernel progress into the node's event counter so the series
-	// sampler sees events/sec while a long run is still in flight; the
-	// engine publishes every event exactly once (including on error
-	// paths).
-	eng.SetProgress(&s.met.simEvents)
-
-	_, spRun := obs.Start(ctx, "kernel.run")
-	res, err := eng.RunContext(ctx, st, req.TEnd)
+	// Kernel progress streams into the node's event counter, so the series
+	// sampler sees events/sec while a long run is still in flight.
+	rep, err := run.Report(ctx, ent.pools, key, ent.info.ID, st, req, &s.met.simEvents, s.cfg.MaxTimeout)
 	if err != nil {
-		spRun.Fail(err)
-		spRun.End()
-		eng.SetProfiling(false)
-		eng.SetProgress(nil)
-		ent.pools.Release(key, eng)
 		s.met.recordRun(0, err)
-		return nil, api.MapRunError(err)
+		return nil, err
 	}
-	if spRun != nil {
-		spRun.SetAttr("events", strconv.FormatUint(res.Stats.EventsProcessed, 10))
-		spRun.End()
-	}
-	s.met.recordRun(res.Elapsed, nil)
-	s.met.kernelRun.Observe(res.Elapsed.Seconds())
-
-	_, spRep := obs.Start(ctx, "report.build")
-	rep := api.BuildReport(ent.ir, ent.info.ID, res, req)
-	spRep.End()
+	elapsed := time.Duration(rep.ElapsedNs)
+	s.met.recordRun(elapsed, nil)
+	s.met.kernelRun.Observe(elapsed.Seconds())
 	rep.Replica = s.cfg.ReplicaID
-	eng.SetProfiling(false)
-	eng.SetProgress(nil)
-	ent.pools.Release(key, eng)
 	if cacheable {
 		s.results.Put(ck, rep)
 	}

@@ -25,10 +25,11 @@
 //     request is never cached: its profile describes its own run. Both
 //     caches are internal/lru maps.
 //
-//   - Per-(circuit, options) engine pools (sim.EnginePool, shared with the
-//     Local backend): each cached circuit keeps warm sim.Engine instances
-//     per delay-model configuration; repeated requests acquire a warmed
-//     engine, run with zero steady-state heap allocations, and return it.
+//   - Per-(circuit, options) engine pools (sim.EnginePool): each cached
+//     circuit keeps warm sim.Engine instances per delay-model
+//     configuration. A miss runs through internal/run, the run path the
+//     Local backend shares: deadline, warm engine, zero-allocation run,
+//     report, release.
 //
 //   - An admission gate (internal/admit) of Workers slots and a backlog of
 //     QueueDepth waiters: all compile and simulation work enters it and
@@ -95,10 +96,10 @@ type Config struct {
 	EnginePoolSize int
 	// MaxBodyBytes bounds request bodies. Default 8 MiB.
 	MaxBodyBytes int64
-	// MaxTimeout is the ceiling on any single request's run time: it caps
-	// client-supplied timeout_ms and applies as the deadline when a
-	// request omits one, so no request can hold a slot longer than the
-	// operator allows. 0 means uncapped.
+	// MaxTimeout is the ceiling on any single request's run time, counted
+	// from the start of the run: it caps client-supplied timeout_ms and
+	// applies as the deadline when a request omits one, so no run can
+	// hold a slot longer than the operator allows. 0 means uncapped.
 	MaxTimeout time.Duration
 	// MaxEvents caps the per-request max_events clients may ask for (the
 	// kernel's oscillation guard, i.e. the bound on how long one request

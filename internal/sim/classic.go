@@ -80,6 +80,9 @@ func RunClassic(ckt *netlist.Circuit, st Stimulus, tEnd float64, opt ClassicOpti
 	if err := st.Validate(inputNames); err != nil {
 		return nil, err
 	}
+	if !finite(tEnd) {
+		return nil, ErrNonFiniteHorizon
+	}
 
 	//halotis:wallclock Elapsed measures the run for stats; it never feeds simulated time
 	start := time.Now()
@@ -123,11 +126,7 @@ func RunClassic(ckt *netlist.Circuit, st Stimulus, tEnd float64, opt ClassicOpti
 		w := st[name]
 		net := ckt.NetByName(name)
 		for _, e := range w.Edges {
-			slew := e.Slew
-			if slew <= 0 {
-				slew = opt.AssumedSlew
-			}
-			q.Push(e.Time+slew/2, classicEvent{net: net, val: e.Rising})
+			q.Push(e.Time+e.Slew/2, classicEvent{net: net, val: e.Rising})
 		}
 	}
 

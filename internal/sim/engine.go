@@ -186,12 +186,16 @@ func (e *Engine) Run(st Stimulus, tEnd float64) (*Result, error) {
 // RunContext is Run with cancellation: the context's deadline or
 // cancellation aborts the event loop at event-pop granularity (checked every
 // 64 pops), returning an error that wraps ctx.Err(). A nil ctx means no
-// cancellation and adds no per-event cost.
+// cancellation and adds no per-event cost. A NaN or infinite tEnd fails
+// with ErrNonFiniteHorizon.
 //
 //halotis:noalloc
 func (e *Engine) RunContext(ctx context.Context, st Stimulus, tEnd float64) (*Result, error) {
 	if err := st.Validate(e.ir.InputSet); err != nil {
 		return nil, err
+	}
+	if !finite(tEnd) {
+		return nil, ErrNonFiniteHorizon
 	}
 	return e.run(ctx, st, tEnd, resolvePartitions(e.opt.Partitions, e.ir.NumGates()))
 }

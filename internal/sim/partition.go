@@ -377,11 +377,7 @@ func (e *Engine) applyStimulus(st Stimulus, pr *partRun) {
 	ir := e.ir
 	for _, net := range ir.Inputs {
 		for _, edge := range st[ir.NetName[net]].Edges {
-			slew := edge.Slew
-			if slew <= 0 {
-				slew = DefaultInputSlew
-			}
-			tr := e.wfs[net].Add(edge.Time, slew, edge.Rising)
+			tr := e.wfs[net].Add(edge.Time, edge.Slew, edge.Rising)
 			pr.pre.Transitions++
 			for _, pin := range ir.Fanout(net) {
 				wk := pr.workers[pr.pt.GatePart[ir.Pins[pin].Gate]]

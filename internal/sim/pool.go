@@ -109,10 +109,14 @@ func (p *EnginePool) Acquire(k PoolKey) *Engine {
 }
 
 // Release returns an engine to its free list (or drops it when the per-key
-// list, or the key count itself, is at its bound).
+// list, or the key count itself, is at its bound). It first clears the
+// engine's run state: profiling goes off and the progress counter is
+// detached, whatever its last caller set.
 //
 //halotis:noalloc
 func (p *EnginePool) Release(k PoolKey, eng *Engine) {
+	eng.profiling = false
+	eng.progress = nil
 	p.mu.Lock()
 	free, ok := p.free[k]
 	if !ok && len(p.free) >= maxEnginePoolKeys {

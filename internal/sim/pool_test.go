@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"halotis/internal/cellib"
@@ -51,6 +52,39 @@ func TestEnginePoolReuse(t *testing.T) {
 	p.Release(cdm, p.Acquire(cdm))
 	if created := p.Created(); created != 2 {
 		t.Errorf("engines created = %d after CDM acquire, want 2", created)
+	}
+}
+
+// TestEnginePoolReleaseClearsRunState: profiling and the progress counter
+// are one run's state, so an engine released with both set comes back from
+// Acquire running unprofiled and leaves the old counter alone.
+func TestEnginePoolReleaseClearsRunState(t *testing.T) {
+	p := NewEnginePool(poolTestIR(t), 1, nil)
+	key := Options{Model: DDM}.PoolKey()
+	st := poolStimulus(p.IR())
+
+	var c atomic.Uint64
+	eng := p.Acquire(key)
+	eng.SetProfiling(true)
+	eng.SetProgress(&c)
+	p.Release(key, eng)
+
+	again := p.Acquire(key)
+	if again != eng {
+		t.Fatal("the pool built a new engine instead of reusing the released one")
+	}
+	res, err := again.RunContext(nil, st, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.EventsProcessed == 0 {
+		t.Fatal("the run processed no events; the check below would be vacuous")
+	}
+	if res.Profile != nil {
+		t.Error("a released engine kept profiling on")
+	}
+	if n := c.Load(); n != 0 {
+		t.Errorf("a released engine still published %d events to the old counter", n)
 	}
 }
 

@@ -120,3 +120,103 @@ func TestTimeShiftInvariance(t *testing.T) {
 	}
 	t.Logf("worst deviation over %d circuits x 2 models: %.3g ns", seeds, worst)
 }
+
+// scaledLibrary returns a copy of lib whose time-dimensioned delay
+// coefficients — every pin's rise and fall D0, D1, S0, S1, A and B — are
+// multiplied by k. The dimensionless D2, S2 and C, the thresholds, the
+// capacitances, the drives and VDD are kept.
+func scaledLibrary(t *testing.T, lib *cellib.Library, k float64) *cellib.Library {
+	t.Helper()
+	scale := func(p cellib.EdgeParams) cellib.EdgeParams {
+		p.D0, p.D1, p.S0, p.S1, p.A, p.B = k*p.D0, k*p.D1, k*p.S0, k*p.S1, k*p.A, k*p.B
+		return p
+	}
+	out := cellib.NewLibrary(fmt.Sprintf("%s-x%g", lib.Name, k), lib.VDD)
+	for _, kind := range lib.Kinds() {
+		c := *lib.Cell(kind)
+		c.Pins = append([]cellib.PinParams(nil), c.Pins...)
+		for i := range c.Pins {
+			c.Pins[i].Rise, c.Pins[i].Fall = scale(c.Pins[i].Rise), scale(c.Pins[i].Fall)
+		}
+		if err := out.Add(&c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// scaled returns st with every edge time and slew multiplied by k.
+func scaled(st sim.Stimulus, k float64) sim.Stimulus {
+	out := make(sim.Stimulus, len(st))
+	for in, w := range st {
+		edges := make([]sim.InputEdge, len(w.Edges))
+		for i, e := range w.Edges {
+			e.Time, e.Slew = k*e.Time, k*e.Slew
+			edges[i] = e
+		}
+		out[in] = sim.InputWave{Init: w.Init, Edges: edges}
+	}
+	return out
+}
+
+// TestTimeScaleInvariance is the second metamorphic oracle: the delay
+// equations are homogeneous in time, so scaling the library's
+// time-dimensioned coefficients, every stimulus time and slew, MinPulse
+// and the horizon by k must leave the counters identical and scale every
+// transition by k. For a power of two the scaling commutes with every
+// correctly rounded operation, so k = 2 and k = 0.5 are pinned bit for bit:
+// an absolute time constant anywhere in the kernel breaks them.
+func TestTimeScaleInvariance(t *testing.T) {
+	const seeds = 200
+	lib := cellib.Default06()
+	for _, k := range []float64{2, 0.5} {
+		klib := scaledLibrary(t, lib, k)
+		checked := 0
+		for seed := int64(1); seed <= seeds; seed++ {
+			opts := circuits.RandomOptions{Inputs: 6, Gates: 40, Seed: seed}
+			ckt, err := circuits.RandomCombinational(lib, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kckt, err := circuits.RandomCombinational(klib, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			names := make([]string, len(ckt.Inputs))
+			for i, in := range ckt.Inputs {
+				names[i] = in.Name
+			}
+			st, last := pulseTrain(names, rand.New(rand.NewSource(seed)))
+			tEnd := last + 20
+			for _, m := range []sim.Model{sim.DDM, sim.CDM} {
+				label := fmt.Sprintf("k=%g seed %d %v", k, seed, m)
+				a, err := sim.NewEngine(ckt, sim.Options{Model: m, MinPulse: sim.DefaultMinPulse}).Run(st, tEnd)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				b, err := sim.NewEngine(kckt, sim.Options{Model: m, MinPulse: k * sim.DefaultMinPulse}).Run(scaled(st, k), k*tEnd)
+				if err != nil {
+					t.Fatalf("%s scaled: %v", label, err)
+				}
+				if a.Stats != b.Stats {
+					t.Fatalf("%s: stats changed under time scaling:\n original %+v\n scaled   %+v", label, a.Stats, b.Stats)
+				}
+				for _, n := range ckt.Nets {
+					at, bt := a.Waveform(n.Name).Transitions(), b.Waveform(n.Name).Transitions()
+					if len(at) != len(bt) {
+						t.Fatalf("%s: net %s has %d transitions scaled, %d original", label, n.Name, len(bt), len(at))
+					}
+					for i := range at {
+						o, s := at[i], bt[i]
+						if s.Rising != o.Rising || s.V0 != o.V0 || s.Start != k*o.Start || s.Slew != k*o.Slew || s.End != k*o.End {
+							t.Fatalf("%s: net %s transition %d is not the original scaled by %g:\n original %+v\n scaled   %+v",
+								label, n.Name, i, k, o, s)
+						}
+						checked++
+					}
+				}
+			}
+		}
+		t.Logf("k=%g: %d transitions over %d circuits x 2 models, all bit-exact", k, checked, seeds)
+	}
+}

@@ -16,6 +16,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -87,19 +88,16 @@ type Options struct {
 // Kernel defaults. setDefaults applies DefaultMinPulse and
 // DefaultMaxEvents, which are exported so layers above (the service's
 // engine-pool keys) can normalize explicit spellings of the defaults onto
-// one value instead of duplicating the literals. The stimulus path applies
-// DefaultInputSlew (0.5 ns, for edges reaching the kernel with no slew); it
-// is distinct from the text/wire stimulus formats' own omitted-slew default
-// of 0.3 ns, which netfmt and the service apply before the stimulus reaches
-// the engine.
+// one value instead of duplicating the literals.
 const (
 	// DefaultMinPulse is the default minimum output pulse separation, ns.
 	DefaultMinPulse = 1e-6
 	// DefaultMaxEvents is the default oscillation guard.
 	DefaultMaxEvents = 50_000_000
-	// DefaultInputSlew is the engine's default stimulus edge slew, ns.
-	DefaultInputSlew = 0.5
 )
+
+// ErrNonFiniteHorizon refuses a run whose horizon tEnd is NaN or infinite.
+var ErrNonFiniteHorizon = errors.New("sim: horizon tEnd is not finite")
 
 func (o *Options) setDefaults() {
 	if o.MinPulse <= 0 {

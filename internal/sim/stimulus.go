@@ -32,8 +32,9 @@ type InputWave struct {
 // the map are held at logic 0.
 type Stimulus map[string]InputWave
 
-// Validate checks edge ordering and slews; inputNames lists the circuit's
-// primary inputs for membership checking.
+// Validate checks that every edge time and slew is finite, that slews are
+// positive, times non-negative and in order; inputNames lists the
+// circuit's primary inputs for membership checking.
 func (st Stimulus) Validate(inputNames map[string]bool) error {
 	// The reduction below is order-independent — every drive is checked and
 	// the reported error is pinned to the lexicographically smallest
@@ -61,6 +62,9 @@ func validateWave(name string, w InputWave, inputNames map[string]bool) error {
 	}
 	prev := 0.0
 	for i, e := range w.Edges {
+		if !finite(e.Time) || !finite(e.Slew) {
+			return fmt.Errorf("sim: stimulus %q edge %d is not finite (time %g, slew %g)", name, i, e.Time, e.Slew)
+		}
 		if e.Slew <= 0 {
 			return fmt.Errorf("sim: stimulus %q edge %d has non-positive slew %g", name, i, e.Slew)
 		}
@@ -74,6 +78,9 @@ func validateWave(name string, w InputWave, inputNames map[string]bool) error {
 	}
 	return nil
 }
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // sortedNames returns the driven input names in deterministic order.
 func (st Stimulus) sortedNames() []string {

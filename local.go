@@ -4,15 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"halotis/api"
 	"halotis/internal/admit"
 	"halotis/internal/circ"
 	"halotis/internal/fanout"
+	"halotis/internal/run"
 	"halotis/internal/sim"
 )
 
@@ -35,9 +34,10 @@ type LocalOption func(*LocalBackend)
 func WithLocalPoolSize(n int) LocalOption { return func(b *LocalBackend) { b.poolSize = n } }
 
 // WithLocalMaxConcurrent bounds the concurrently executing runs across all
-// of the backend's sessions; admission beyond it fails fast with
-// ErrOverloaded, mirroring the daemon's bounded queue. 0 (the default)
-// means unbounded.
+// of the backend's sessions to n. A Run that finds every slot held is
+// refused at once with ErrOverloaded. A RunBatch is refused at once only
+// when every slot is held on entry; after that, each of its runs waits for
+// a slot of its own. 0 (the default) means unbounded.
 func WithLocalMaxConcurrent(n int) LocalOption { return func(b *LocalBackend) { b.maxConcurrent = n } }
 
 // NewLocal builds the in-process backend.
@@ -126,58 +126,24 @@ func (s *localSession) Run(ctx context.Context, req Request) (*Report, error) {
 	return s.runOne(ctx, &req)
 }
 
-// timeoutDuration converts a request's timeout_ms, saturating instead of
-// overflowing time.Duration (the same rule the daemon applies).
-func timeoutDuration(ms float64) time.Duration {
-	if ms >= float64(math.MaxInt64)/float64(time.Millisecond) {
-		return math.MaxInt64
-	}
-	return time.Duration(ms * float64(time.Millisecond))
-}
-
-// runOne executes one prepared request on a pooled engine. The report is
-// built before the engine returns to the pool (results alias engine
-// storage until then).
+// runOne runs one request through the shared run path (internal/run),
+// which owns the request's deadline and its pooled engine.
 func (s *localSession) runOne(ctx context.Context, req *Request) (*Report, error) {
-	ir := s.pool.IR()
-	st, err := req.Prepare(ir)
+	st, err := req.Prepare(s.pool.IR())
 	if err != nil {
 		return nil, err
 	}
-	cancel := func() {}
-	if req.TimeoutMs > 0 {
-		ctx, cancel = context.WithTimeout(ctx, timeoutDuration(req.TimeoutMs))
-	}
-	defer cancel()
-
-	key := req.Options().PoolKey()
-	eng := s.pool.Acquire(key)
-	// Profiling is per-run state, not pool identity: toggle it on the
-	// pooled engine for this request and clear it before the engine goes
-	// back, so a later profile-less request reuses the engine untouched.
-	if req.Profile {
-		eng.SetProfiling(true)
-	}
-	res, err := eng.RunContext(ctx, st, req.TEnd)
-	if err != nil {
-		eng.SetProfiling(false)
-		s.pool.Release(key, eng)
-		return nil, api.MapRunError(err)
-	}
-	rep := api.BuildReport(ir, s.info.ID, res, req)
-	eng.SetProfiling(false)
-	s.pool.Release(key, eng)
-	return rep, nil
+	return run.Report(ctx, s.pool, req.Options().PoolKey(), s.info.ID, st, req, nil, 0)
 }
 
 // RunBatch fans the requests across min(GOMAXPROCS, len(reqs)) workers,
 // each acquiring engines from the session's pool, and returns reports in
-// request order — bit-identical to running each request alone. The whole
-// batch holds one slot of the backend's concurrency bound, however many
-// runs it fans out; a daemon batch takes one slot per run instead. The
-// first failure cancels the remaining runs; the root-cause error (not a
-// sibling run's secondary cancellation) is returned, wrapped with its
-// request index.
+// request order — bit-identical to running each request alone. Under the
+// concurrency bound a batch is refused at once when every slot is held on
+// entry; then each run waits for a slot of its own, as a daemon batch's
+// runs do. The first failure cancels the remaining runs; the root-cause
+// error (not a sibling run's secondary cancellation) is returned, wrapped
+// with its request index.
 func (s *localSession) RunBatch(ctx context.Context, reqs []Request) ([]*Report, error) {
 	if s.closed.Load() {
 		return nil, api.NotFoundf("session closed: circuit %s released", s.info.ID)
@@ -189,10 +155,17 @@ func (s *localSession) RunBatch(ctx context.Context, reqs []Request) ([]*Report,
 	if err != nil {
 		return nil, err
 	}
-	defer release()
+	release()
 
+	g := s.b.gate
 	reports := make([]*Report, len(reqs))
 	errs := fanout.Each(ctx, len(reqs), runtime.GOMAXPROCS(0), true, func(ctx context.Context, i int) (err error) {
+		if g != nil {
+			if err := g.EnterWait(ctx); err != nil {
+				return err // only a dead ctx: the Local gate never closes
+			}
+			defer g.Leave()
+		}
 		reports[i], err = s.runOne(ctx, &reqs[i])
 		return err
 	})

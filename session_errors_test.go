@@ -292,23 +292,66 @@ func TestLocalBatchReportsRootCause(t *testing.T) {
 	}
 }
 
-// TestLocalBatchSharesOneAdmissionSlot pins the batch admission rule: a
-// RunBatch occupies one concurrency slot however many requests it carries,
-// mirroring the daemon's batch admission.
-func TestLocalBatchSharesOneAdmissionSlot(t *testing.T) {
+// TestLocalBatchTakesOneSlotPerRun pins the batch admission rule under
+// WithLocalMaxConcurrent: a batch that finds every slot held is refused at
+// once; an admitted batch runs every request, each run holding a slot of
+// its own, so no two runs of a batch are in flight beyond the bound.
+func TestLocalBatchTakesOneSlotPerRun(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	ctx := context.Background()
-	ckt := errTestCircuit(t)
-	be := NewLocal(WithLocalMaxConcurrent(1))
-	s, err := be.Open(ctx, ckt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs := []Request{validC17Request(ckt), validC17Request(ckt), validC17Request(ckt)}
-	reports, err := s.RunBatch(ctx, reqs)
-	if err != nil {
-		t.Fatalf("batch under MaxConcurrent(1): %v", err)
-	}
-	if len(reports) != len(reqs) {
-		t.Fatalf("got %d reports, want %d", len(reports), len(reqs))
-	}
+
+	t.Run("refused when every slot is held", func(t *testing.T) {
+		ckt := errTestCircuit(t)
+		be := NewLocal(WithLocalMaxConcurrent(1))
+		s, err := be.Open(ctx, ckt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := be.gate.Enter(ctx); err != nil {
+			t.Fatal(err)
+		}
+		defer be.gate.Leave()
+		if _, err := s.RunBatch(ctx, []Request{validC17Request(ckt)}); !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("batch with every slot held: err = %v, want ErrOverloaded", err)
+		}
+	})
+
+	t.Run("one run at a time", func(t *testing.T) {
+		ckt, err := Multiplier(DefaultLibrary(), 8, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		be := NewLocal(WithLocalMaxConcurrent(1))
+		s, err := be.Open(ctx, ckt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs := make([]Request, 16)
+		for i := range reqs {
+			pairs := make([]MultiplierPair, 30)
+			for v := range pairs {
+				pairs[v] = MultiplierPair{A: uint64((v*37 + i*11) % 256), B: uint64((v*91 + i*5) % 256)}
+			}
+			st, err := MultiplierSequence(pairs, 8, 8, 5.0, 0.2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs[i] = Request{TEnd: 160, Stimulus: WireStimulus(st)}
+		}
+		reports, err := s.RunBatch(ctx, reqs)
+		if err != nil {
+			t.Fatalf("batch under MaxConcurrent(1): %v", err)
+		}
+		if len(reports) != len(reqs) {
+			t.Fatalf("got %d reports, want %d", len(reports), len(reqs))
+		}
+		// Engines come from the session's pool: a second engine means two
+		// runs of the batch were in flight at once.
+		if n := s.(*localSession).pool.Created(); n != 1 {
+			t.Errorf("a batch under MaxConcurrent(1) built %d engines, want 1", n)
+		}
+		if qs := be.gate.Stats(); qs.PeakInFlight != 1 || qs.InFlight != 0 {
+			t.Errorf("gate stats after the batch = %+v, want peak 1 and nothing held", qs)
+		}
+	})
 }
