@@ -65,7 +65,7 @@ bench:
 # kernel run, where the machinery around the kernel shows.
 bench-smoke:
 	$(GO) test -run=NONE -bench='Table2Seq1DDM|EngineReuseSeq1DDM|EngineReuseC17DDM|Batch64Seq1WorkersMax' -benchmem -benchtime=100x .
-	$(GO) test -run=NONE -bench='ServiceSimulateC17' -benchmem -benchtime=100x ./internal/service
+	$(GO) test -run=NONE -bench='ServiceSimulateC17|Codec' -benchmem -benchtime=100x ./internal/service
 	$(GO) run ./cmd/halobench -exp scale -scaleruns 1 -scalesizes 500
 
 # fleet-smoke and kernel-smoke are 3 s runs of the repository benchmark,
@@ -147,7 +147,12 @@ obs-smoke: build
 
 # fuzz-smoke runs each parser/decoder fuzz target briefly (also in CI),
 # plus FuzzRouterSimulate, which posts each input to a router and to its
-# replica and requires the same report or the same coded error.
+# replica and requires the same report or the same coded error. The
+# simulate codec (internal/wire) is held to encoding/json three ways:
+# FuzzDecodeSimRequest and FuzzDecodeBatchRequest compare its strict
+# decode with decodeJSON plus Validate, FuzzDecodeReport its lenient
+# decode with json.Unmarshal, and FuzzEncode its encoders with
+# json.Marshal.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/netfmt -run=NONE -fuzz=FuzzParseCircuit -fuzztime=$(FUZZTIME)
@@ -156,6 +161,8 @@ fuzz-smoke:
 	$(GO) test ./internal/service -run=NONE -fuzz=FuzzDecodeSimRequest -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/service -run=NONE -fuzz=FuzzDecodeUploadRequest -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/service -run=NONE -fuzz=FuzzDecodeBatchRequest -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/wire -run=NONE -fuzz=FuzzDecodeReport -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/wire -run=NONE -fuzz=FuzzEncode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sim -run=NONE -fuzz=FuzzPartitionedIdentity -fuzztime=$(FUZZTIME)
 	$(GO) test ./cluster -run=NONE -fuzz=FuzzRouterSimulate -fuzztime=$(FUZZTIME)
 

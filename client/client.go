@@ -32,6 +32,7 @@ import (
 
 	"halotis/api"
 	"halotis/internal/obs"
+	"halotis/internal/wire"
 )
 
 // Re-exported wire types: the client speaks exactly the shared API.
@@ -295,11 +296,29 @@ func (c *Client) doOnce(ctx context.Context, method, path string, data []byte, o
 	case nil:
 		return nil
 	case *[]byte:
-		*out, err = io.ReadAll(resp.Body)
+		*out, err = readBody(resp)
 		return err
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
+
+// readBody reads a response body whole: into one buffer of the declared
+// length when there is one (and it is not absurd), else by growing one.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n > 0 && n <= maxPresized {
+		b := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, b)
+		return b, err
+	}
+	return io.ReadAll(resp.Body)
+}
+
+// maxPresized bounds the buffer readBody allocates on a server's word.
+const maxPresized = 8 << 20
+
+// bodyCap is the capacity a request body is encoded into: a simulate
+// request of a few dozen driven inputs fits, a larger one grows.
+const bodyCap = 1 << 10
 
 // UploadCircuit registers a netlist with the service and returns its
 // content-hash ID (idempotent: re-uploads of equivalent content return the
@@ -314,11 +333,19 @@ func (c *Client) UploadCircuit(ctx context.Context, req UploadRequest) (*UploadR
 
 // Simulate runs one request.
 func (c *Client) Simulate(ctx context.Context, req SimRequest) (*Report, error) {
-	var resp Report
-	if err := c.do(ctx, http.MethodPost, "/v1/simulate", req, &resp); err != nil {
+	body, err := wire.AppendSimRequest(make([]byte, 0, bodyCap), &req)
+	if err != nil {
 		return nil, err
 	}
-	return &resp, nil
+	data, err := c.SimulateJSON(ctx, body)
+	if err != nil {
+		return nil, err
+	}
+	var rep Report
+	if err := wire.DecodeReport(data, &rep); err != nil {
+		return nil, err
+	}
+	return &rep, nil
 }
 
 // SimulateJSON runs one request given as the JSON body of a SimRequest
@@ -337,8 +364,16 @@ func (c *Client) SimulateJSON(ctx context.Context, body []byte) ([]byte, error) 
 // SimulateBatch runs many requests against one circuit; the server fans
 // them out across its worker pool.
 func (c *Client) SimulateBatch(ctx context.Context, req BatchRequest) (*BatchResponse, error) {
+	body, err := wire.AppendBatchRequest(make([]byte, 0, bodyCap), &req)
+	if err != nil {
+		return nil, err
+	}
+	var data []byte
+	if err := c.do(ctx, http.MethodPost, "/v1/simulate/batch", body, &data); err != nil {
+		return nil, err
+	}
 	var resp BatchResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/simulate/batch", req, &resp); err != nil {
+	if err := wire.DecodeBatchResponse(data, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -11,6 +10,7 @@ import (
 	"halotis/api"
 	"halotis/internal/circ"
 	"halotis/internal/netfmt"
+	"halotis/internal/wire"
 )
 
 // Compile-time check: a *Cluster is a halotis.Backend, interchangeable
@@ -78,7 +78,7 @@ func (s *session) Run(ctx context.Context, req api.Request) (*api.Report, error)
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	body, err := json.Marshal(api.SimRequest{Circuit: s.info.ID, Request: req})
+	body, err := wire.AppendSimRequest(nil, &api.SimRequest{Circuit: s.info.ID, Request: req})
 	if err != nil {
 		return nil, api.InvalidRequestf("encode request: %v", err) // a non-finite float
 	}
@@ -87,7 +87,7 @@ func (s *session) Run(ctx context.Context, req api.Request) (*api.Report, error)
 		return nil, err
 	}
 	var rep api.Report
-	if err := json.Unmarshal(data, &rep); err != nil {
+	if err := wire.DecodeReport(data, &rep); err != nil {
 		return nil, fmt.Errorf("decode report: %w", err)
 	}
 	return &rep, nil

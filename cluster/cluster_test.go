@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -564,6 +565,51 @@ func TestRouterStatusMatchesReplica(t *testing.T) {
 		}
 		if gotStatus, gotCode := answer(rts.URL); gotStatus != wantStatus || gotCode != wantCode {
 			t.Errorf("%s: router answered %d %q, replica %d %q", tc.name, gotStatus, gotCode, wantStatus, wantCode)
+		}
+	}
+}
+
+// TestTrailingDataRejected posts upload, simulate and batch bodies with
+// something after the JSON document to a replica and to the router: a
+// stray closing bracket is trailing data like any other, a 400
+// invalid_request on both roles, and whitespace alone is not.
+func TestTrailingDataRejected(t *testing.T) {
+	reps := startReplicas(t, 1, service.Config{})
+	rts := httptest.NewServer(newTestCluster(t, reps).Handler())
+	t.Cleanup(rts.Close)
+	up, err := client.New(rts.URL).UploadCircuit(context.Background(), api.UploadRequest{Netlist: halotis.C17BenchText(), Format: "bench"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := `{"t_end":30,"stimulus":{"1":{"edges":[{"t":2,"rising":true}]}}}`
+	routes := []struct{ path, body string }{
+		{"/v1/circuits", `{"format":"bench","netlist":` + strconv.Quote(halotis.C17BenchText()) + `}`},
+		{"/v1/simulate", `{"circuit":"` + up.ID + `",` + run[1:]},
+		{"/v1/simulate/batch", `{"circuit":"` + up.ID + `","requests":[` + run + `]}`},
+	}
+	nodes := []struct{ name, url string }{{"replica", reps[0].ts.URL}, {"router", rts.URL}}
+	for _, rt := range routes {
+		for _, n := range nodes {
+			for _, tail := range []string{"}", "]", "}}", "]}", " }", "\n]", "x", "{}", "null"} {
+				resp, err := http.Post(n.url+rt.path, "application/json", strings.NewReader(rt.body+tail))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var body api.ErrorResponse
+				derr := json.NewDecoder(resp.Body).Decode(&body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusBadRequest || derr != nil || body.Code != api.CodeInvalidRequest {
+					t.Errorf("%s %s + %q: %d %q (%v), want 400 %q", n.name, rt.path, tail, resp.StatusCode, body.Code, derr, api.CodeInvalidRequest)
+				}
+			}
+			resp, err := http.Post(n.url+rt.path, "application/json", strings.NewReader(rt.body+" \t\r\n"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("%s %s + whitespace: %d, want 200", n.name, rt.path, resp.StatusCode)
+			}
 		}
 	}
 }

@@ -19,11 +19,11 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 
 	"halotis/api"
 	"halotis/internal/obs"
 	"halotis/internal/obs/flight"
+	"halotis/internal/wire"
 )
 
 // The router's bounds. They are constants, not Options: no caller sets
@@ -43,7 +43,7 @@ func (c *Cluster) stale(ctx context.Context, key string) (*api.Report, bool) {
 		return nil, false
 	}
 	var rep api.Report
-	if json.Unmarshal(data, &rep) != nil { // a replica's 200 body; cannot fail
+	if wire.DecodeReport(data, &rep) != nil { // a replica's 200 body; cannot fail
 		return nil, false
 	}
 	rep.Cached, rep.Degraded = true, true

@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -15,6 +13,7 @@ import (
 	"halotis/internal/node"
 	"halotis/internal/obs"
 	"halotis/internal/service"
+	"halotis/internal/wire"
 )
 
 // The router face: the same wire API a single halotisd serves, routed
@@ -136,7 +135,7 @@ func (c *Cluster) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		c.node.BadRequest(w, r, err)
 		return
 	}
-	req, err := service.DecodeSimRequest(bytes.NewReader(body))
+	req, err := service.ParseSimRequest(body)
 	if err != nil {
 		c.node.BadRequest(w, r, err)
 		return
@@ -149,7 +148,7 @@ func (c *Cluster) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if req.Circuit == "" {
 		// The replicas get the circuit by ID: resolveTarget placed it, and
 		// upload-on-miss repairs a replica that has lost it.
-		if body, err = json.Marshal(api.SimRequest{Circuit: id, Request: req.Request}); err != nil {
+		if body, err = wire.AppendSimRequest(nil, &api.SimRequest{Circuit: id, Request: req.Request}); err != nil {
 			c.writeError(w, r, err)
 			return
 		}
@@ -194,7 +193,8 @@ func (c *Cluster) handleBatch(w http.ResponseWriter, r *http.Request) {
 		c.writeError(w, r, err)
 		return
 	}
-	node.WriteJSON(w, http.StatusOK, service.BatchResponseOf(r.Context(), id, reports, errs))
+	resp := service.BatchResponseOf(r.Context(), id, reports, errs)
+	c.node.WriteEncoded(w, r, func(b []byte) ([]byte, error) { return wire.AppendBatchResponse(b, resp) })
 }
 
 // handleList merges the circuit lists of every healthy replica,

@@ -255,3 +255,49 @@ func TestNonFiniteInputsRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestAnalogHorizonBounds: a horizon at or before 0 is an empty run on the
+// analog engine, accepted as the event kernels accept it, and a horizon
+// whose step count does not fit an int is an error there, not a panic.
+func TestAnalogHorizonBounds(t *testing.T) {
+	ckt, err := halotis.C17(halotis.DefaultLibrary())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := halotis.Stimulus{ckt.Inputs[0].Name: {Edges: []halotis.InputEdge{{Time: 1, Rising: true, Slew: 0.2}}}}
+	call := func(f func() error) (panicked any, err error) {
+		defer func() { panicked = recover() }()
+		return nil, f()
+	}
+	for _, tEnd := range []float64{-1, 0, -1e300} {
+		var ar *halotis.AnalogResult
+		p, err := call(func() (err error) {
+			ar, err = halotis.SimulateAnalog(ckt, st, tEnd, halotis.AnalogOptions{})
+			return err
+		})
+		if p != nil || err != nil {
+			t.Fatalf("SimulateAnalog(tEnd=%g) = %v, panic %v; want an empty result", tEnd, err, p)
+		}
+		for _, o := range ckt.Outputs {
+			if n := ar.Trace(o.Name).TransitionCount(); n != 0 {
+				t.Errorf("SimulateAnalog(tEnd=%g): output %s has %d transitions, want 0", tEnd, o.Name, n)
+			}
+		}
+		// The event kernels accept the same horizon.
+		if _, err := halotis.Simulate(ckt, st, tEnd); err != nil {
+			t.Errorf("Simulate(tEnd=%g) = %v, want no error", tEnd, err)
+		}
+		if _, err := halotis.SimulateClassic(ckt, st, tEnd); err != nil {
+			t.Errorf("SimulateClassic(tEnd=%g) = %v, want no error", tEnd, err)
+		}
+	}
+	for _, tEnd := range []float64{1e300, 1e20} {
+		p, err := call(func() error {
+			_, err := halotis.SimulateAnalog(ckt, st, tEnd, halotis.AnalogOptions{})
+			return err
+		})
+		if p != nil || err == nil {
+			t.Errorf("SimulateAnalog(tEnd=%g) = %v, panic %v; want an error", tEnd, err, p)
+		}
+	}
+}

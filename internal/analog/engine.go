@@ -104,6 +104,9 @@ func (p *pwlInput) v(t float64) float64 {
 	return v
 }
 
+// maxPresized caps the samples a trace is allocated for up front.
+const maxPresized = 1 << 20
+
 // Run performs the transient analysis of the circuit under the stimulus
 // from t=0 to tEnd. Every gate kind in the circuit must have a primitive
 // complementary topology (INV/NAND/NOR/AOI/OAI); composite kinds are
@@ -120,6 +123,13 @@ func Run(ckt *netlist.Circuit, st sim.Stimulus, tEnd float64, opt Options) (*Res
 	if math.IsNaN(tEnd) || math.IsInf(tEnd, 0) {
 		return nil, sim.ErrNonFiniteHorizon
 	}
+	// A horizon at or before 0 takes no step: the result holds the initial
+	// state alone, as the event kernels return no transitions for it.
+	fsteps := tEnd/opt.Dt + 0.5
+	if fsteps >= math.MaxInt {
+		return nil, fmt.Errorf("analog: horizon %g ns is more steps of %g ns than an int holds", tEnd, opt.Dt)
+	}
+	steps := max(int(fsteps), 0)
 
 	vdd := ckt.Lib.VDD
 	d := opt.Device
@@ -221,9 +231,10 @@ func Run(ckt *netlist.Circuit, st sim.Stimulus, tEnd float64, opt Options) (*Res
 	k4 := make([]float64, n)
 	tmp := make([]float64, n)
 
-	steps := int(tEnd/opt.Dt + 0.5)
 	traces := make([]*Trace, n)
-	sampleCount := steps/opt.SampleEvery + 2
+	// The sample count only sizes the traces; capped, a long horizon grows
+	// them as it runs instead of asking for more memory than exists.
+	sampleCount := min(steps/opt.SampleEvery+2, maxPresized)
 	for i := range traces {
 		traces[i] = newTrace(vdd, sampleCount)
 	}

@@ -689,6 +689,35 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// bodyPool recycles the buffers WriteEncoded encodes into.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBody bounds the buffers bodyPool keeps, so one huge report does
+// not pin its buffer.
+const maxPooledBody = 1 << 20
+
+// WriteEncoded answers 200 with the body encode appends to its argument,
+// ended by the newline WriteJSON ends every body with. The simulate codec
+// (internal/wire) is the encoder: the body is complete before the header
+// goes out, so an encode that fails (a float JSON cannot carry) is
+// answered as Error answers it instead of as a 200 with a broken body.
+func (n *Node) WriteEncoded(w http.ResponseWriter, r *http.Request, encode func([]byte) ([]byte, error)) {
+	buf := bodyPool.Get().(*[]byte)
+	body, err := encode((*buf)[:0])
+	if err != nil {
+		n.Error(w, r, err)
+	} else {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		body = append(body, '\n')
+		_, _ = w.Write(body) // a failed write is the caller's connection; nothing is left to answer
+	}
+	if cap(body) <= maxPooledBody {
+		*buf = body[:0]
+		bodyPool.Put(buf)
+	}
+}
+
 // WriteError writes resp as the wire error body with status. Every error
 // either role answers goes through here: it is counted, echoes a traced
 // request's trace ID, files its code on the flight note, and renders a

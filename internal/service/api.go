@@ -8,6 +8,7 @@ import (
 
 	"halotis/api"
 	"halotis/internal/obs/flight"
+	"halotis/internal/wire"
 )
 
 // The wire types of the HTTP/JSON API are the shared request/report
@@ -38,14 +39,17 @@ type (
 
 // decodeJSON strictly decodes one JSON document: unknown fields and
 // trailing data are errors, so client typos fail loudly instead of running
-// a default-valued simulation.
+// a default-valued simulation. It decodes uploads, and it is the oracle the
+// simulate codec (internal/wire) is tested against.
 func decodeJSON(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	if dec.More() {
+	// Token, unlike More, reports a stray closing bracket: only the end of
+	// the input is clean.
+	if _, err := dec.Token(); err != io.EOF {
 		return errors.New("trailing data after JSON document")
 	}
 	return nil
@@ -63,10 +67,20 @@ func DecodeUploadRequest(r io.Reader) (*UploadRequest, error) {
 	return &req, nil
 }
 
-// DecodeSimRequest decodes and validates a single-run payload.
+// DecodeSimRequest reads, decodes and validates a single-run payload.
 func DecodeSimRequest(r io.Reader) (*SimRequest, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return ParseSimRequest(data)
+}
+
+// ParseSimRequest decodes and validates a single-run payload held in
+// memory, with the simulate codec (internal/wire).
+func ParseSimRequest(data []byte) (*SimRequest, error) {
 	var req SimRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := wire.DecodeSimRequest(data, &req); err != nil {
 		return nil, err
 	}
 	if err := req.Validate(); err != nil {
@@ -75,10 +89,15 @@ func DecodeSimRequest(r io.Reader) (*SimRequest, error) {
 	return &req, nil
 }
 
-// DecodeBatchRequest decodes and validates a batch payload.
+// DecodeBatchRequest reads, decodes and validates a batch payload, with
+// the simulate codec (internal/wire).
 func DecodeBatchRequest(r io.Reader) (*BatchRequest, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
 	var req BatchRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := wire.DecodeBatchRequest(data, &req); err != nil {
 		return nil, err
 	}
 	if err := req.Validate(); err != nil {

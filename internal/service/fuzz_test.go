@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,9 +11,52 @@ import (
 	"halotis/internal/netfmt"
 )
 
-// FuzzDecodeSimRequest hardens the service's JSON request decoder: whatever
-// bytes arrive, decoding must not panic, and every accepted request must
-// satisfy the documented invariants (checkTarget, checkRequest).
+// codecQuirks seed both request fuzz targets with what encoding/json
+// accepts and a hand-written decoder easily gets wrong: case-folded and
+// escaped keys, repeated members, null, invalid UTF-8, numbers that do
+// not fit their field, floats at the format switches, escapes, and
+// trailing brackets.
+var codecQuirks = []string{
+	`{"CIRCUIT":"x","T_END":5,"ſtimulus":{}}`,
+	`{"circuit":"x","t\u005fend":5,"stimulus":{"a":{"EDGES":[{"T":1,"Rising":true}]}}}`,
+	`{"circuit":"x","t_end":5,"stimulus":{"a":{}},"stimulus":{"b":{"init":true}}}`,
+	`{"circuit":"x","t_end":5,"stimulus":{"a":{"edges":[{"t":1,"rising":true,"slew":0.5},{"t":2}],"edges":[{"t":3}]}}}`,
+	`{"circuit":"x","t_end":5,"stimulus":{"a":null,"b":{"edges":null}},"model":null}`,
+	"{\"circuit\":\"\xff\",\"t_end\":5,\"stimulus\":{\"\xc3\":{}}}",
+	`{"circuit":"x","t_end":-0,"stimulus":{}}`,
+	`{"circuit":"x","t_end":5,"max_events":-1,"stimulus":{}}`,
+	`{"circuit":"x","t_end":5,"partitions":1.0,"stimulus":{}}`,
+	`{"circuit":"x","t_end":9.999999999999999e-7,"min_pulse":1e21,"timeout_ms":1e-6,"stimulus":{}}`,
+	`{"circuit":"<&>\u2028\u0001","t_end":5,"stimulus":{}}`,
+	`{"circuit":"x","t_end":5,"stimulus":{}}}`,
+	`{"circuit":"x","t_end":5,"stimulus":{}}]`,
+	`{"circuit":"x","requests":[{"t_end":1,"stimulus":{"a":{}}}],"requests":[{"t_end":2}],"options":{"allow_partial":true},"options":{}}`,
+	`{"circuit":"x","requests":[null,{"t_end":1}]}]`,
+}
+
+// matchesOracle requires the simulate codec, which decodes into got with
+// error gotErr, to agree with decodeJSON plus Validate: the same accept or
+// reject, and on accept a deeply equal value.
+func matchesOracle[T interface{ Validate() error }](t *testing.T, data []byte, got T, gotErr error) {
+	t.Helper()
+	want := reflect.New(reflect.TypeFor[T]().Elem()).Interface().(T)
+	wantErr := decodeJSON(bytes.NewReader(data), want)
+	if wantErr == nil {
+		wantErr = want.Validate()
+	}
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%q: codec err = %v, encoding/json err = %v", data, gotErr, wantErr)
+	}
+	if gotErr == nil && !reflect.DeepEqual(got, want) {
+		t.Fatalf("%q:\ncodec         %#v\nencoding/json %#v", data, got, want)
+	}
+}
+
+// FuzzDecodeSimRequest hardens the single-run decoder: whatever bytes
+// arrive, decoding must not panic, it must accept and build exactly what
+// encoding/json's strict decode plus Validate does, and every accepted
+// request must satisfy the documented invariants (checkTarget,
+// checkRequest).
 func FuzzDecodeSimRequest(f *testing.F) {
 	f.Add([]byte(`{"circuit":"abc","t_end":30,"stimulus":{"a":{"init":true,"edges":[{"t":5,"rising":true,"slew":0.2}]}}}`))
 	f.Add([]byte(`{"netlist":"input a\noutput a\n","format":"net","t_end":1,"stimulus":{}}`))
@@ -24,9 +68,13 @@ func FuzzDecodeSimRequest(f *testing.F) {
 	f.Add([]byte(`{"circuit":"x","t_end":1e999,"stimulus":{}}`))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(`{}{}`))
+	for _, q := range codecQuirks {
+		f.Add([]byte(q))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := DecodeSimRequest(bytes.NewReader(data))
+		matchesOracle(t, data, req, err)
 		if err != nil {
 			return
 		}
@@ -36,9 +84,10 @@ func FuzzDecodeSimRequest(f *testing.F) {
 	})
 }
 
-// FuzzDecodeBatchRequest covers the batch payload decoder: an accepted
-// batch names exactly one target, carries at least one request, and every
-// request obeys the single-run invariants.
+// FuzzDecodeBatchRequest covers the batch payload decoder: it agrees with
+// encoding/json's strict decode plus Validate, an accepted batch names
+// exactly one target, carries at least one request, and every request
+// obeys the single-run invariants.
 func FuzzDecodeBatchRequest(f *testing.F) {
 	f.Add([]byte(`{"circuit":"abc","requests":[{"t_end":30,"stimulus":{"a":{"init":true,"edges":[{"t":5,"rising":true,"slew":0.2}]}}},{"t_end":10,"model":"cdm","stimulus":{}}]}`))
 	f.Add([]byte(`{"netlist":"input a\noutput a\n","format":"net","requests":[{"t_end":1,"stimulus":{}}],"options":{"allow_partial":true}}`))
@@ -48,9 +97,13 @@ func FuzzDecodeBatchRequest(f *testing.F) {
 	f.Add([]byte(`{"circuit":"x","requests":[{"t_end":5,"stimulus":{"a":{"edges":[{"t":1e999}]}}}]}`))
 	f.Add([]byte(`{"circuit":"x","requests":[{"t_end":5}],"options":{"bogus":1}}`))
 	f.Add([]byte(`{"requests":[{"t_end":5,"stimulus":{}}]}`))
+	for _, q := range codecQuirks {
+		f.Add([]byte(q))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := DecodeBatchRequest(bytes.NewReader(data))
+		matchesOracle(t, data, req, err)
 		if err != nil {
 			return
 		}

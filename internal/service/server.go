@@ -14,6 +14,7 @@ import (
 	"halotis/internal/obs"
 	"halotis/internal/obs/flight"
 	"halotis/internal/run"
+	"halotis/internal/wire"
 )
 
 // Server is the simulation service: an http.Handler plus the cache, engine
@@ -242,7 +243,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return s.runOne(r.Context(), ent, &req.Request)
 	}); ok {
 		noteReports(r.Context(), rep)
-		node.WriteJSON(w, http.StatusOK, rep)
+		s.node.WriteEncoded(w, r, func(b []byte) ([]byte, error) { return wire.AppendReport(b, rep) })
 	}
 }
 
@@ -300,7 +301,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	noteReports(r.Context(), reports...)
-	node.WriteJSON(w, http.StatusOK, BatchResponseOf(r.Context(), ent.info.ID, reports, errs))
+	resp := BatchResponseOf(r.Context(), ent.info.ID, reports, errs)
+	s.node.WriteEncoded(w, r, func(b []byte) ([]byte, error) { return wire.AppendBatchResponse(b, resp) })
 }
 
 // noteReports files served reports on the request's flight note: a

@@ -43,6 +43,17 @@
 //     then fans its runs out with internal/fanout, each run waiting for a
 //     slot of its own, instead of pinning one slot for the whole batch.
 //
+// Bodies are JSON. Simulate and batch requests are decoded, and reports
+// and batch responses encoded, by internal/wire, a one-pass codec without
+// reflection that accepts exactly what encoding/json accepts and writes
+// the bytes json.Marshal writes: keys match field names exactly or under
+// Unicode case folding (T_END, ſtimulus), a repeated member decodes as
+// encoding/json decodes it, numbers must fit their field, and an unknown
+// field is an error. Every other body goes through encoding/json
+// (decodeJSON, node.WriteJSON); decodeJSON is also the codec's test
+// oracle. On every route, anything but whitespace after the JSON document
+// (a stray closing bracket included) is a 400 invalid_request.
+//
 // Endpoints (see server.go): POST /v1/circuits (upload+compile), GET
 // /v1/circuits[/{id}] (list/inspect), DELETE /v1/circuits/{id} (evict),
 // POST /v1/simulate and /v1/simulate/batch (run; waveforms, activity,
