@@ -296,25 +296,11 @@ func (c *Client) doOnce(ctx context.Context, method, path string, data []byte, o
 	case nil:
 		return nil
 	case *[]byte:
-		*out, err = readBody(resp)
+		*out, err = io.ReadAll(resp.Body)
 		return err
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
-
-// readBody reads a response body whole: into one buffer of the declared
-// length when there is one (and it is not absurd), else by growing one.
-func readBody(resp *http.Response) ([]byte, error) {
-	if n := resp.ContentLength; n > 0 && n <= maxPresized {
-		b := make([]byte, n)
-		_, err := io.ReadFull(resp.Body, b)
-		return b, err
-	}
-	return io.ReadAll(resp.Body)
-}
-
-// maxPresized bounds the buffer readBody allocates on a server's word.
-const maxPresized = 8 << 20
 
 // bodyCap is the capacity a request body is encoded into: a simulate
 // request of a few dozen driven inputs fits, a larger one grows.

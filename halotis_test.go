@@ -257,8 +257,10 @@ func TestNonFiniteInputsRejected(t *testing.T) {
 }
 
 // TestAnalogHorizonBounds: a horizon at or before 0 is an empty run on the
-// analog engine, accepted as the event kernels accept it, and a horizon
-// whose step count does not fit an int is an error there, not a panic.
+// analog engine, accepted as the event kernels accept it; a horizon whose
+// step count does not fit an int, or that would record more samples than
+// a run may hold, is an error there, returned at once rather than a panic
+// or a run that cannot finish.
 func TestAnalogHorizonBounds(t *testing.T) {
 	ckt, err := halotis.C17(halotis.DefaultLibrary())
 	if err != nil {
@@ -291,13 +293,26 @@ func TestAnalogHorizonBounds(t *testing.T) {
 			t.Errorf("SimulateClassic(tEnd=%g) = %v, want no error", tEnd, err)
 		}
 	}
-	for _, tEnd := range []float64{1e300, 1e20} {
+	for _, c := range []struct {
+		tEnd float64
+		opt  halotis.AnalogOptions
+	}{
+		{1e300, halotis.AnalogOptions{}},
+		{1e20, halotis.AnalogOptions{}},
+		{1e9, halotis.AnalogOptions{}},
+		{1e5, halotis.AnalogOptions{}},
+		{1e20, halotis.AnalogOptions{SampleEvery: 1 << 62}},
+	} {
+		start := time.Now()
 		p, err := call(func() error {
-			_, err := halotis.SimulateAnalog(ckt, st, tEnd, halotis.AnalogOptions{})
+			_, err := halotis.SimulateAnalog(ckt, st, c.tEnd, c.opt)
 			return err
 		})
 		if p != nil || err == nil {
-			t.Errorf("SimulateAnalog(tEnd=%g) = %v, panic %v; want an error", tEnd, err, p)
+			t.Errorf("SimulateAnalog(tEnd=%g, %+v) = %v, panic %v; want an error", c.tEnd, c.opt, err, p)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("SimulateAnalog(tEnd=%g, %+v) took %v to refuse", c.tEnd, c.opt, d)
 		}
 	}
 }

@@ -104,8 +104,11 @@ func (p *pwlInput) v(t float64) float64 {
 	return v
 }
 
-// maxPresized caps the samples a trace is allocated for up front.
-const maxPresized = 1 << 20
+// maxSamples bounds the samples a run records across all its traces
+// (16 bytes each, so 2 GiB): a horizon that would record more is refused
+// before the run starts rather than left to exhaust memory, or the
+// caller's patience, part way through.
+const maxSamples = 1 << 27
 
 // Run performs the transient analysis of the circuit under the stimulus
 // from t=0 to tEnd. Every gate kind in the circuit must have a primitive
@@ -125,11 +128,14 @@ func Run(ckt *netlist.Circuit, st sim.Stimulus, tEnd float64, opt Options) (*Res
 	}
 	// A horizon at or before 0 takes no step: the result holds the initial
 	// state alone, as the event kernels return no transitions for it.
-	fsteps := tEnd/opt.Dt + 0.5
+	fsteps := max(math.Floor(tEnd/opt.Dt+0.5), 0)
 	if fsteps >= math.MaxInt {
 		return nil, fmt.Errorf("analog: horizon %g ns is more steps of %g ns than an int holds", tEnd, opt.Dt)
 	}
-	steps := max(int(fsteps), 0)
+	if samples := (fsteps/float64(opt.SampleEvery) + 2) * float64(len(ckt.Nets)); samples > maxSamples {
+		return nil, fmt.Errorf("analog: horizon %g ns would record %.3g samples, more than the %d a run may hold", tEnd, samples, maxSamples)
+	}
+	steps := int(fsteps)
 
 	vdd := ckt.Lib.VDD
 	d := opt.Device
@@ -232,9 +238,7 @@ func Run(ckt *netlist.Circuit, st sim.Stimulus, tEnd float64, opt Options) (*Res
 	tmp := make([]float64, n)
 
 	traces := make([]*Trace, n)
-	// The sample count only sizes the traces; capped, a long horizon grows
-	// them as it runs instead of asking for more memory than exists.
-	sampleCount := min(steps/opt.SampleEvery+2, maxPresized)
+	sampleCount := steps/opt.SampleEvery + 2
 	for i := range traces {
 		traces[i] = newTrace(vdd, sampleCount)
 	}

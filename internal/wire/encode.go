@@ -170,15 +170,8 @@ func compareKeys(a, b sortedKey) int {
 	return strings.Compare(a.name, b.name)
 }
 
-// radixMin is the key count from which sortedKeys radix-sorts: below it a
-// comparison sort is cheaper than the radix passes' 256 counters.
-const radixMin = 64
-
 // sortedKeys returns m's keys in the byte order encoding/json writes map
-// members in. A large map (a report's outputs, sorted on every encode) is
-// radix-sorted on the prefixes, skipping the byte positions every key
-// shares, and only keys that share all eight bytes are then compared as
-// strings.
+// members in.
 func sortedKeys[M ~map[string]V, V any](m M) []sortedKey {
 	keys := make([]sortedKey, 0, len(m))
 	for k := range m {
@@ -186,42 +179,8 @@ func sortedKeys[M ~map[string]V, V any](m M) []sortedKey {
 		copy(p[:], k)
 		keys = append(keys, sortedKey{binary.BigEndian.Uint64(p[:]), k})
 	}
-	if len(keys) < radixMin {
-		slices.SortFunc(keys, compareKeys)
-		return keys
-	}
-	src, dst := keys, make([]sortedKey, len(keys))
-	for shift := 0; shift < 64; shift += 8 {
-		var count [256]int
-		for _, k := range src {
-			count[byte(k.prefix>>shift)]++
-		}
-		if count[byte(src[0].prefix>>shift)] == len(src) {
-			continue // every key has this byte
-		}
-		at := 0
-		for b, n := range count {
-			count[b] = at
-			at += n
-		}
-		for _, k := range src {
-			b := byte(k.prefix >> shift)
-			dst[count[b]] = k
-			count[b]++
-		}
-		src, dst = dst, src
-	}
-	for i := 0; i < len(src); {
-		j := i + 1
-		for j < len(src) && src[j].prefix == src[i].prefix {
-			j++
-		}
-		if j-i > 1 {
-			slices.SortFunc(src[i:j], compareKeys)
-		}
-		i = j
-	}
-	return src
+	slices.SortFunc(keys, compareKeys)
+	return keys
 }
 
 // --- the request types ---
