@@ -162,7 +162,7 @@ func (c *Cluster) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		// failures and genuine misses keep their errors.
 		if cacheable && isAvailability(err) && !errors.Is(err, api.ErrCircuitNotFound) {
 			if stale, ok := c.stale(r.Context(), key); ok {
-				node.WriteJSON(w, http.StatusOK, stale)
+				c.node.WriteEncoded(w, r, func(b []byte) ([]byte, error) { return wire.AppendReport(b, stale) })
 				return
 			}
 		}
