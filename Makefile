@@ -60,11 +60,13 @@ bench:
 # bench-smoke is the quick check of the root kernel benchmarks, the
 # replica handler benchmarks and the halobench scale sweep: few iterations
 # each. EngineReuseC17DDM is a run of a few microseconds, where the kernel's
-# fixed per-run cost shows; ServiceSimulateC17Miss and Hit are one c17
+# fixed per-run cost shows; EngineReuseDAG1kDDM and EngineReuseMult8x8DDM
+# run serve-fleet's two larger circuits, a few hundred pending events per
+# run; ServiceSimulateC17Miss and Hit are one c17
 # simulate through the replica's handler in process, with and without a
 # kernel run, where the machinery around the kernel shows.
 bench-smoke:
-	$(GO) test -run=NONE -bench='Table2Seq1DDM|EngineReuseSeq1DDM|EngineReuseC17DDM|Batch64Seq1WorkersMax' -benchmem -benchtime=100x .
+	$(GO) test -run=NONE -bench='Table2Seq1DDM|EngineReuseSeq1DDM|EngineReuseC17DDM|EngineReuseDAG1kDDM|EngineReuseMult8x8DDM|Batch64Seq1WorkersMax' -benchmem -benchtime=100x .
 	$(GO) test -run=NONE -bench='ServiceSimulateC17|Codec' -benchmem -benchtime=100x ./internal/service
 	$(GO) run ./cmd/halobench -exp scale -scaleruns 1 -scalesizes 500
 
@@ -152,7 +154,8 @@ obs-smoke: build
 # FuzzDecodeSimRequest and FuzzDecodeBatchRequest compare its strict
 # decode with decodeJSON plus Validate, FuzzDecodeReport its lenient
 # decode with json.Unmarshal, and FuzzEncode its encoders with
-# json.Marshal.
+# json.Marshal. FuzzArenaQueue runs decoded op streams on the event queue
+# and on its O(n) oracle and requires the same answer to every call.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/netfmt -run=NONE -fuzz=FuzzParseCircuit -fuzztime=$(FUZZTIME)
@@ -164,6 +167,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wire -run=NONE -fuzz=FuzzDecodeReport -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire -run=NONE -fuzz=FuzzEncode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sim -run=NONE -fuzz=FuzzPartitionedIdentity -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/eventq -run=NONE -fuzz=FuzzArenaQueue -fuzztime=$(FUZZTIME)
 	$(GO) test ./cluster -run=NONE -fuzz=FuzzRouterSimulate -fuzztime=$(FUZZTIME)
 
 # service-smoke builds the daemon, starts it, and drives the client round

@@ -160,6 +160,42 @@ func BenchmarkEngineReuseC17DDM(b *testing.B) {
 	benchEngineReuse(b, ckt, st, 3*halotis.PaperPeriod, halotis.DDM)
 }
 
+// BenchmarkEngineReuseDAG1kDDM and BenchmarkEngineReuseMult8x8DDM run three
+// random vectors through the two larger circuits of the serve-fleet
+// benchmark workload: the 1k-gate random DAG of the scalable families and
+// the 8x8 array multiplier.
+func BenchmarkEngineReuseDAG1kDDM(b *testing.B) {
+	for _, fam := range halotis.ScalableFamilies() {
+		if fam.Name == "random-dag" {
+			ckt, err := fam.Build(benchLib, 1000)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchEngineReuse3(b, ckt)
+			return
+		}
+	}
+	b.Fatal("no random-dag family")
+}
+
+func BenchmarkEngineReuseMult8x8DDM(b *testing.B) {
+	ckt, err := halotis.Multiplier(benchLib, 8, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchEngineReuse3(b, ckt)
+}
+
+// benchEngineReuse3 runs benchEngineReuse under DDM on three random
+// vectors, one paper period apart.
+func benchEngineReuse3(b *testing.B, ckt *halotis.Circuit) {
+	st, err := halotis.RandomStimulus(ckt, 3, halotis.PaperPeriod, 0.2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchEngineReuse(b, ckt, st, 4*halotis.PaperPeriod, halotis.DDM)
+}
+
 // --- Batch runner: 64-stimulus sweeps, sequential vs parallel ---
 
 func BenchmarkBatch64Seq1Workers1(b *testing.B) {

@@ -1,43 +1,99 @@
 package eventq
 
-// ArenaQueue is the allocation-free event queue: events live in a flat slot
-// arena addressed by index rather than in per-event heap allocations, and
-// popped or removed slots are recycled through a freelist. In steady state
-// — once the arena and heap have grown to the high-water mark of a run —
-// Push, Pop and Remove perform zero heap allocations, which removes the
-// dominant GC pressure of the simulation kernel's hot loop.
+import (
+	"math"
+	"math/bits"
+)
+
+// ArenaQueue is the allocation-free event queue: a monotone radix queue
+// over a flat slot arena. Events live in slots addressed by index rather
+// than in per-event heap allocations, and released slots are recycled
+// through a freelist. In steady state — once the arena and the buckets have
+// grown to the high-water mark of a run — Push, Pop and Remove perform zero
+// heap allocations, which removes the dominant GC pressure of the
+// simulation kernel's hot loop.
 //
-// Push orders events by (time, insertion order), so runs driven by an
-// ArenaQueue are deterministic; SliceQueue, the O(n) reference, orders
-// identically.
+// Pending entries are filed by their radix key (the order-preserving bits
+// of their time, see radixKey) relative to last, the key of the last
+// extracted minimum: bucket b >= 1 holds, unordered, the entries whose key
+// first differs from last at bit b-1, and bucket 0 the entries at exactly
+// last's time, as a binary min-heap on their tie-break key. Push appends
+// to a bucket in O(1). Pop takes bucket 0's top; when bucket 0 is empty it
+// first moves last up to the smallest key of the lowest non-empty bucket
+// and refiles that bucket's entries below it, so an entry moves down at
+// most 64 times over its life. Buckets hold 4-byte slot indices and keep
+// their capacity across Reset.
+//
+// That is the monotone fast path, taken while every push lies at or after
+// the last pop, as every crossing the simulation kernel schedules does (it
+// lies after the lane's clock). A push below the last pop stays correct: it
+// lowers last to the new key, which re-buckets the entries filed below the
+// highest bit where the two keys differ.
+//
+// Remove is O(1): it marks the slot removed and leaves its index where it
+// sits. The slot returns to the freelist only when the queue reaches it —
+// at the top of bucket 0, when its bucket is refiled, or once no live
+// entry remains — so no bucket ever names a recycled slot. The arena
+// therefore holds at most the pending entries plus the removed ones the
+// minimum has not yet reached.
+//
+// Entries are ordered by (time, tie-break key) with times compared as
+// float64 < (-0 ties with +0; NaN times are not supported). Push breaks
+// ties by insertion order, so runs driven by an ArenaQueue are
+// deterministic; SliceQueue, the O(n) reference, orders identically.
 //
 // Events are identified by Handle, an index plus a generation stamp. A slot's
 // generation is bumped every time the slot is released, so a stale Handle
 // (kept after its event fired or was removed, even if the slot has since been
 // recycled for a different event) can never alias a live one.
 type ArenaQueue[T any] struct {
-	slots []arenaSlot[T]
-	heap  []heapEntry // ordering keys + slot index, contiguous for locality
-	free  []int32     // recycled slot indices
-	seq   uint64
+	slots   []arenaSlot[T]
+	buckets [numBuckets][]int32 // slot indices; see the type doc
+	full    uint64              // bit b-1 set when bucket b >= 1 is non-empty
+	free    []int32             // released slot indices
+	last    uint64              // radix key of the last extracted minimum
+	live    int                 // pending entries
+	stale   int                 // removed entries still named by a bucket
+	seq     uint64
 
 	pushed  uint64
 	popped  uint64
 	removed uint64
 }
 
-// heapEntry carries the full ordering key inline so sift comparisons touch
-// only the contiguous heap array, never the slot arena.
-type heapEntry struct {
-	time float64
-	seq  uint64
-	idx  int32 // slot index
-}
+// numBuckets is one bucket per bit of a radix key, plus bucket 0.
+const numBuckets = 65
 
 type arenaSlot[T any] struct {
 	payload T
+	time    float64
+	tie     uint64 // insertion sequence (Push) or caller key (PushKeyed)
 	gen     uint32
-	pos     int32 // position in heap; -1 while the slot is free
+	state   slotState
+}
+
+type slotState uint8
+
+const (
+	slotFree    slotState = iota // on the freelist
+	slotLive                     // pending
+	slotRemoved                  // removed, its index still in a bucket
+)
+
+// radixKey maps a time to a key whose unsigned order is float64 < order:
+// positive times get the sign bit set, negative ones every bit flipped, and
+// -0 maps to +0's key so the two tie as they do under <.
+//
+//halotis:noalloc
+func radixKey(t float64) uint64 {
+	b := math.Float64bits(t)
+	if b == 1<<63 {
+		b = 0
+	}
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
 }
 
 // Handle identifies one scheduled event in an ArenaQueue. The zero Handle is
@@ -56,10 +112,10 @@ func NewArena[T any]() *ArenaQueue[T] {
 }
 
 // Len returns the number of pending events.
-func (q *ArenaQueue[T]) Len() int { return len(q.heap) }
+func (q *ArenaQueue[T]) Len() int { return q.live }
 
-// Cap returns the arena's slot capacity (its high-water mark of pending
-// events).
+// Cap returns the arena's slot capacity: its high-water mark of pending
+// events plus removed ones not yet recycled.
 func (q *ArenaQueue[T]) Cap() int { return len(q.slots) }
 
 // Stats returns lifetime counters: events pushed, popped and removed.
@@ -68,22 +124,26 @@ func (q *ArenaQueue[T]) Stats() (pushed, popped, removed uint64) {
 }
 
 // Reset empties the queue and zeroes its counters while retaining all slot
-// and heap capacity. Every outstanding Handle is invalidated.
+// and bucket capacity. Every outstanding Handle is invalidated.
 //
 //halotis:noalloc
 func (q *ArenaQueue[T]) Reset() {
 	q.free = q.free[:0]
 	for i := range q.slots {
 		s := &q.slots[i]
-		if s.pos >= 0 {
-			s.pos = -1
+		if s.state != slotFree {
+			s.state = slotFree
 			s.gen++
 		}
 		var zero T
 		s.payload = zero
 		q.free = append(q.free, int32(i))
 	}
-	q.heap = q.heap[:0]
+	for b := range q.buckets {
+		q.buckets[b] = q.buckets[b][:0]
+	}
+	q.full, q.last = 0, 0
+	q.live, q.stale = 0, 0
 	q.seq = 0
 	q.pushed, q.popped, q.removed = 0, 0, 0
 }
@@ -93,21 +153,7 @@ func (q *ArenaQueue[T]) Reset() {
 //halotis:noalloc
 func (q *ArenaQueue[T]) Push(t float64, payload T) Handle {
 	q.seq++
-	q.pushed++
-	var idx int32
-	if n := len(q.free); n > 0 {
-		idx = q.free[n-1]
-		q.free = q.free[:n-1]
-	} else {
-		idx = int32(len(q.slots))
-		q.slots = append(q.slots, arenaSlot[T]{gen: 1})
-	}
-	s := &q.slots[idx]
-	s.payload = payload
-	s.pos = int32(len(q.heap))
-	q.heap = append(q.heap, heapEntry{time: t, seq: q.seq, idx: idx})
-	q.up(int(s.pos))
-	return Handle{idx: idx, gen: s.gen}
+	return q.push(t, q.seq, payload)
 }
 
 // PushKeyed schedules an event at time t with an explicit tie-break key in
@@ -121,7 +167,16 @@ func (q *ArenaQueue[T]) Push(t float64, payload T) Handle {
 //
 //halotis:noalloc
 func (q *ArenaQueue[T]) PushKeyed(t float64, key uint64, payload T) Handle {
+	return q.push(t, key, payload)
+}
+
+// push fills a slot and files it under its key, lowering last first when
+// the key lies below it.
+//
+//halotis:noalloc
+func (q *ArenaQueue[T]) push(t float64, tie uint64, payload T) Handle {
 	q.pushed++
+	q.live++
 	var idx int32
 	if n := len(q.free); n > 0 {
 		idx = q.free[n-1]
@@ -131,11 +186,189 @@ func (q *ArenaQueue[T]) PushKeyed(t float64, key uint64, payload T) Handle {
 		q.slots = append(q.slots, arenaSlot[T]{gen: 1})
 	}
 	s := &q.slots[idx]
-	s.payload = payload
-	s.pos = int32(len(q.heap))
-	q.heap = append(q.heap, heapEntry{time: t, seq: key, idx: idx})
-	q.up(int(s.pos))
+	s.payload, s.time, s.tie, s.state = payload, t, tie, slotLive
+	k := radixKey(t)
+	if k < q.last {
+		q.rebucket(k)
+	}
+	q.place(idx, k)
 	return Handle{idx: idx, gen: s.gen}
+}
+
+// place files slot idx, whose key k is at or above last, into its bucket.
+//
+//halotis:noalloc
+func (q *ArenaQueue[T]) place(idx int32, k uint64) {
+	b := bits.Len64(k ^ q.last)
+	if b == 0 {
+		q.tiePush(idx)
+		return
+	}
+	q.buckets[b] = append(q.buckets[b], idx)
+	q.full |= 1 << (b - 1)
+}
+
+// rebucket lowers last to k, which lies below it. With h the bucket k
+// would have had, every filed key agrees with last above bit h-1, where
+// last has a 1 and k a 0: the entries of buckets 0 to h-1 now first differ
+// from k at bit h-1 and all move to bucket h, which was empty (its keys
+// would lie below last); the entries of higher buckets keep theirs.
+//
+//halotis:noalloc
+func (q *ArenaQueue[T]) rebucket(k uint64) {
+	h := bits.Len64(k ^ q.last)
+	dst := q.buckets[h]
+	for b := 0; b < h; b++ {
+		dst = append(dst, q.buckets[b]...)
+		q.buckets[b] = q.buckets[b][:0]
+	}
+	q.buckets[h] = dst
+	q.full &^= 1<<(h-1) - 1
+	if len(dst) > 0 {
+		q.full |= 1 << (h - 1)
+	}
+	q.last = k
+}
+
+// settle brings the earliest live entry to the top of bucket 0 and reports
+// whether there is one. It recycles the removed entries it meets on the
+// way, and once no live entry remains, every removed one still filed.
+//
+//halotis:noalloc
+func (q *ArenaQueue[T]) settle() bool {
+	if q.live == 0 {
+		if q.stale > 0 {
+			q.drain()
+		}
+		return false
+	}
+	for {
+		if h := q.buckets[0]; len(h) > 0 {
+			if q.slots[h[0]].state == slotLive {
+				return true
+			}
+			q.stale--
+			q.release(q.tiePop())
+			continue
+		}
+		q.advance()
+	}
+}
+
+// advance refiles the lowest non-empty bucket above 0: last moves up to the
+// smallest live key there, and the bucket's live entries are filed again
+// relative to it — those at the new last into bucket 0 — while its removed
+// ones are recycled. Bucket b's keys agree with last above bit b-1, so
+// relative to any of them the entries land strictly below b. Only called
+// with bucket 0 empty and a live entry filed.
+//
+//halotis:noalloc
+func (q *ArenaQueue[T]) advance() {
+	b := bits.TrailingZeros64(q.full) + 1
+	src := q.buckets[b]
+	q.buckets[b] = src[:0]
+	q.full &^= 1 << (b - 1)
+	found := false
+	var m uint64
+	for _, idx := range src {
+		if s := &q.slots[idx]; s.state == slotLive {
+			if k := radixKey(s.time); !found || k < m {
+				m, found = k, true
+			}
+		}
+	}
+	if found {
+		q.last = m
+	}
+	for _, idx := range src {
+		if s := &q.slots[idx]; s.state == slotLive {
+			q.place(idx, radixKey(s.time))
+		} else {
+			q.stale--
+			q.release(idx)
+		}
+	}
+}
+
+// drain recycles every filed entry; only called when all of them are
+// removed ones.
+//
+//halotis:noalloc
+func (q *ArenaQueue[T]) drain() {
+	for b := range q.buckets {
+		for _, idx := range q.buckets[b] {
+			q.release(idx)
+		}
+		q.buckets[b] = q.buckets[b][:0]
+	}
+	q.full, q.stale = 0, 0
+}
+
+// release returns a slot to the freelist, bumping its generation so every
+// handle to it goes stale.
+//
+//halotis:noalloc
+func (q *ArenaQueue[T]) release(idx int32) {
+	s := &q.slots[idx]
+	s.state = slotFree
+	s.gen++
+	var zero T
+	s.payload = zero
+	q.free = append(q.free, idx)
+}
+
+// tiePush adds slot idx to bucket 0's heap, which orders entries at
+// last's time by their tie-break key.
+//
+//halotis:noalloc
+func (q *ArenaQueue[T]) tiePush(idx int32) {
+	h := append(q.buckets[0], idx)
+	tie := q.slots[idx].tie
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if q.slots[h[p]].tie <= tie {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = idx
+	q.buckets[0] = h
+}
+
+// tiePop removes and returns the top of bucket 0's heap, which must not be
+// empty.
+//
+//halotis:noalloc
+func (q *ArenaQueue[T]) tiePop() int32 {
+	h := q.buckets[0]
+	top := h[0]
+	n := len(h) - 1
+	x := h[n]
+	h = h[:n]
+	q.buckets[0] = h
+	if n == 0 {
+		return top
+	}
+	tie := q.slots[x].tie
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q.slots[h[r]].tie < q.slots[h[c]].tie {
+			c = r
+		}
+		if tie <= q.slots[h[c]].tie {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = x
+	return top
 }
 
 // lookup resolves a handle to its live slot, or nil.
@@ -144,7 +377,7 @@ func (q *ArenaQueue[T]) lookup(h Handle) *arenaSlot[T] {
 		return nil
 	}
 	s := &q.slots[h.idx]
-	if s.gen != h.gen || s.pos < 0 {
+	if s.gen != h.gen || s.state != slotLive {
 		return nil
 	}
 	return s
@@ -160,25 +393,28 @@ func (q *ArenaQueue[T]) TimeOf(h Handle) (t float64, ok bool) {
 	if s == nil {
 		return 0, false
 	}
-	return q.heap[s.pos].time, true
+	return s.time, true
 }
 
 // PeekTime returns the earliest pending event time without removing it.
+//
+//halotis:noalloc
 func (q *ArenaQueue[T]) PeekTime() (t float64, ok bool) {
-	if len(q.heap) == 0 {
-		return 0, false
-	}
-	return q.heap[0].time, true
+	t, _, ok = q.PeekKey()
+	return t, ok
 }
 
 // PeekKey returns the earliest pending event's full ordering key — its time
 // and its tie-break key (the insertion sequence for Push entries, the caller
 // key for PushKeyed entries) — without removing it.
+//
+//halotis:noalloc
 func (q *ArenaQueue[T]) PeekKey() (t float64, key uint64, ok bool) {
-	if len(q.heap) == 0 {
+	if !q.settle() {
 		return 0, 0, false
 	}
-	return q.heap[0].time, q.heap[0].seq, true
+	s := &q.slots[q.buckets[0][0]]
+	return s.time, s.tie, true
 }
 
 // Pop removes the earliest pending event and returns its handle, time and
@@ -189,21 +425,23 @@ func (q *ArenaQueue[T]) PeekKey() (t float64, key uint64, ok bool) {
 //
 //halotis:noalloc
 func (q *ArenaQueue[T]) Pop() (h Handle, t float64, payload T, ok bool) {
-	if len(q.heap) == 0 {
+	if !q.settle() {
 		var zero T
 		return Handle{}, 0, zero, false
 	}
-	top := q.heap[0]
-	s := &q.slots[top.idx]
-	h = Handle{idx: top.idx, gen: s.gen}
-	t, payload = top.time, s.payload
-	q.deleteAt(0)
+	idx := q.tiePop()
+	s := &q.slots[idx]
+	h = Handle{idx: idx, gen: s.gen}
+	t, payload = s.time, s.payload
+	q.live--
 	q.popped++
+	q.release(idx)
 	return h, t, payload, true
 }
 
-// Remove deletes a pending event. It returns false (and does nothing) if the
-// event already fired or was removed.
+// Remove deletes a pending event in O(1): its slot is marked removed and
+// recycled once the queue reaches it. It returns false (and does nothing)
+// if the event already fired or was removed.
 //
 //halotis:noalloc
 func (q *ArenaQueue[T]) Remove(h Handle) bool {
@@ -211,75 +449,9 @@ func (q *ArenaQueue[T]) Remove(h Handle) bool {
 	if s == nil {
 		return false
 	}
-	q.deleteAt(int(s.pos))
+	s.state = slotRemoved
+	q.live--
+	q.stale++
 	q.removed++
 	return true
-}
-
-// deleteAt removes the heap entry at position i, releasing its slot to the
-// freelist and restoring the heap invariant.
-func (q *ArenaQueue[T]) deleteAt(i int) {
-	idx := q.heap[i].idx
-	last := len(q.heap) - 1
-	q.swap(i, last)
-	q.heap = q.heap[:last]
-	if i < last {
-		if !q.down(i) {
-			q.up(i)
-		}
-	}
-	s := &q.slots[idx]
-	s.pos = -1
-	s.gen++
-	var zero T
-	s.payload = zero
-	q.free = append(q.free, idx)
-}
-
-// less orders heap entries by time, then insertion order.
-func (q *ArenaQueue[T]) less(i, j int) bool {
-	a, b := &q.heap[i], &q.heap[j]
-	if a.time != b.time {
-		return a.time < b.time
-	}
-	return a.seq < b.seq
-}
-
-func (q *ArenaQueue[T]) swap(i, j int) {
-	q.heap[i], q.heap[j] = q.heap[j], q.heap[i]
-	q.slots[q.heap[i].idx].pos = int32(i)
-	q.slots[q.heap[j].idx].pos = int32(j)
-}
-
-func (q *ArenaQueue[T]) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q.swap(i, parent)
-		i = parent
-	}
-}
-
-// down sifts the entry at i toward the leaves; it reports whether it moved.
-func (q *ArenaQueue[T]) down(i int) bool {
-	start := i
-	n := len(q.heap)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		child := l
-		if r := l + 1; r < n && q.less(r, l) {
-			child = r
-		}
-		if !q.less(child, i) {
-			break
-		}
-		q.swap(i, child)
-		i = child
-	}
-	return i != start
 }

@@ -2,6 +2,7 @@ package eventq
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -273,18 +274,52 @@ func TestArenaPushKeyedHandles(t *testing.T) {
 	}
 }
 
-// validate checks the arena heap's invariants: every entry's slot points
-// back at its heap position, and no child orders before its parent.
+// validate checks the radix queue's invariants: every filed entry names a
+// live or removed slot exactly once and sits in the bucket its key names
+// relative to last (at or above it), bucket 0 is a heap on the tie-break
+// key, the non-empty mask matches the buckets, every unfiled slot is on the
+// freelist, and the live and removed counts match the slots.
 func (q *ArenaQueue[T]) validate() error {
-	for i, e := range q.heap {
-		if pos := q.slots[e.idx].pos; pos != int32(i) {
-			return fmt.Errorf("eventq: entry at %d has slot pos %d", i, pos)
+	filed := make([]bool, len(q.slots))
+	live, stale := 0, 0
+	for b, bucket := range q.buckets {
+		if b > 0 && (len(bucket) > 0) != (q.full&(1<<(b-1)) != 0) {
+			return fmt.Errorf("eventq: bucket %d holds %d entries, mask %#x", b, len(bucket), q.full)
 		}
-		for _, c := range []int{2*i + 1, 2*i + 2} {
-			if c < len(q.heap) && q.less(c, i) {
-				return fmt.Errorf("eventq: heap violation at %d/%d", i, c)
+		for i, idx := range bucket {
+			if filed[idx] {
+				return fmt.Errorf("eventq: slot %d filed twice", idx)
+			}
+			filed[idx] = true
+			s := &q.slots[idx]
+			switch s.state {
+			case slotLive:
+				live++
+			case slotRemoved:
+				stale++
+			default:
+				return fmt.Errorf("eventq: free slot %d filed in bucket %d", idx, b)
+			}
+			k := radixKey(s.time)
+			if k < q.last || bits.Len64(k^q.last) != b {
+				return fmt.Errorf("eventq: slot %d (t=%g) in bucket %d, its key names bucket %d of last %#x",
+					idx, s.time, b, bits.Len64(k^q.last), q.last)
+			}
+			if b == 0 && i > 0 && q.slots[bucket[(i-1)/2]].tie > s.tie {
+				return fmt.Errorf("eventq: bucket 0 heap violation at %d", i)
 			}
 		}
+	}
+	if live != q.live || stale != q.stale {
+		return fmt.Errorf("eventq: filed live/removed %d/%d, counted %d/%d", live, stale, q.live, q.stale)
+	}
+	for i := range q.slots {
+		if !filed[i] && q.slots[i].state != slotFree {
+			return fmt.Errorf("eventq: slot %d is neither filed nor free", i)
+		}
+	}
+	if n := len(q.free) + live + stale; n != len(q.slots) {
+		return fmt.Errorf("eventq: %d free + %d filed slots of %d", len(q.free), live+stale, len(q.slots))
 	}
 	return nil
 }

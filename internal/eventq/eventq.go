@@ -1,11 +1,20 @@
 // Package eventq provides the time-ordered event queue of the HALOTIS
-// simulation kernel: a binary min-heap with handles that support O(log n)
-// deletion of arbitrary pending events (ArenaQueue).
+// simulation kernel: a monotone radix queue over a slot arena, with handles
+// that support O(1) deletion of arbitrary pending events (ArenaQueue).
 //
 // Arbitrary deletion is the primitive behind the paper's inertial treatment
 // (Fig. 4): when a new transition pre-empts a pending threshold crossing at
 // a gate input, the previously scheduled event Ej-1 is removed from the
 // queue instead of being left to fire.
+//
+// The queue is fastest on the kernel's traffic, where every push lies at or
+// after the last pop: a push is an O(1) append to the bucket its time names
+// relative to the last extracted minimum, and a pop takes the top of the
+// small heap of entries at exactly that minimum, refiling the lowest
+// non-empty bucket when it runs dry. A push below the last pop is still
+// ordered correctly; it re-buckets the entries below it. Remove marks the
+// slot and leaves it in its bucket until the queue reaches it, so the arena
+// holds the pending events plus the removed ones still ahead of the minimum.
 //
 // Ties in time are broken by insertion order (Push) or by a caller key
 // (PushKeyed). The simulation kernel pushes with PushKeyed, keyed by pin,

@@ -2,13 +2,15 @@ package eventq
 
 // SliceQueue is a reference implementation of the event queue with O(n)
 // operations: a flat slice scanned for the minimum. It exists as the oracle
-// of the arena heap's differential tests and as the baseline of the
-// queue-structure ablation benchmarks (BenchmarkAblation* in
-// slicequeue_test.go): the paper's algorithm needs both pop-min and
-// arbitrary deletion, and the indexed heap provides both in O(log n).
+// of the arena queue's differential tests and fuzz target and as the
+// baseline of the queue-structure ablation benchmarks (BenchmarkAblation*
+// in slicequeue_test.go): the paper's algorithm needs both pop-min and
+// arbitrary deletion, and the radix queue provides pushes and deletions in
+// O(1) and pops in amortized O(1) per bit of the time key.
 //
 // SliceQueue intentionally mirrors ArenaQueue's semantics, including
-// tie-breaking by insertion order.
+// tie-breaking by insertion order (Push) or by the caller's key
+// (PushKeyed).
 type SliceQueue[T any] struct {
 	items []*SliceItem[T]
 	seq   uint64
@@ -26,7 +28,7 @@ type SliceItem[T any] struct {
 	// Payload carries the simulator-specific event data.
 	Payload T
 
-	seq     uint64 // insertion order, tie-breaker
+	seq     uint64 // tie-break key: insertion order (Push) or caller key (PushKeyed)
 	pending bool   // still in the queue
 }
 
@@ -50,6 +52,26 @@ func (q *SliceQueue[T]) Push(t float64, payload T) *SliceItem[T] {
 	it := &SliceItem[T]{Time: t, Payload: payload, seq: q.seq, pending: true}
 	q.items = append(q.items, it)
 	return it
+}
+
+// PushKeyed mirrors ArenaQueue.PushKeyed: key takes the insertion
+// sequence's place as the tie-break.
+func (q *SliceQueue[T]) PushKeyed(t float64, key uint64, payload T) *SliceItem[T] {
+	q.pushed++
+	it := &SliceItem[T]{Time: t, Payload: payload, seq: key, pending: true}
+	q.items = append(q.items, it)
+	return it
+}
+
+// Reset mirrors ArenaQueue.Reset: every pending item leaves the queue, and
+// the insertion sequence and the counters restart.
+func (q *SliceQueue[T]) Reset() {
+	for _, it := range q.items {
+		it.pending = false
+	}
+	q.items = q.items[:0]
+	q.seq = 0
+	q.pushed, q.popped, q.removed = 0, 0, 0
 }
 
 // minIndex returns the position of the earliest item, or -1.

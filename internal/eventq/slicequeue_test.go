@@ -1,14 +1,15 @@
 package eventq
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-// TestHeapMatchesSliceDifferential drives the arena heap and the reference
+// TestHeapMatchesSliceDifferential drives the arena queue and the reference
 // slice queue with identical operation sequences and requires identical pop
-// streams — the correctness argument for the O(log n) structure.
+// streams — the correctness argument for the radix structure.
 func TestHeapMatchesSliceDifferential(t *testing.T) {
 	f := func(seed int64, nQ uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -88,72 +89,82 @@ func TestSliceQueueBasics(t *testing.T) {
 	}
 }
 
-// Ablation benchmark: the arena heap against the O(n) baseline on a mixed
-// push/pop/remove workload of simulator-like size.
+// Ablation benchmarks: the arena queue against the O(n) baseline on the
+// traffic the simulation kernel sends a queue. Every op pushes one event
+// at the last popped time plus a random delay; for one push in six it then
+// removes one of the last recentWindow events pushed (a pre-empted
+// crossing), otherwise it pops the earliest event, so the queue holds its
+// starting size: 150 pending events (the mean for the 1k-gate random DAG)
+// or 9,000 (a lane of the 100k-gate random DAG at two partitions). An op
+// whose victim already fired pops instead.
 func BenchmarkAblationHeapMixed(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	ops := makeOps(rng, 2048)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := NewArena[int]()
-		var live []Handle
-		for _, op := range ops {
-			switch {
-			case op.remove && len(live) > 0:
-				k := op.idx % len(live)
-				q.Remove(live[k])
-				live = append(live[:k], live[k+1:]...)
-			case op.pop:
-				q.Pop()
-			default:
-				live = append(live, q.Push(op.time, op.idx))
+	for _, n := range ablationSizes {
+		b.Run(fmt.Sprintf("pending=%d", n), func(b *testing.B) {
+			ops := kernelOps(n)
+			q := NewArena[int]()
+			var recent [recentWindow]Handle
+			for i := 0; i < n; i++ {
+				recent[i%recentWindow] = q.Push(ops[i].delay, i)
 			}
-		}
-		for q.Len() > 0 {
-			q.Pop()
-		}
+			last := 0.0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op := &ops[i%len(ops)]
+				h := q.Push(last+op.delay, i)
+				if !op.remove || !q.Remove(recent[op.victim]) {
+					_, last, _, _ = q.Pop()
+				}
+				recent[i%recentWindow] = h
+			}
+		})
 	}
 }
 
 func BenchmarkAblationSliceMixed(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	ops := makeOps(rng, 2048)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := NewSlice[int]()
-		var live []*SliceItem[int]
-		for _, op := range ops {
-			switch {
-			case op.remove && len(live) > 0:
-				k := op.idx % len(live)
-				q.Remove(live[k])
-				live = append(live[:k], live[k+1:]...)
-			case op.pop:
-				q.Pop()
-			default:
-				live = append(live, q.Push(op.time, op.idx))
+	for _, n := range ablationSizes {
+		b.Run(fmt.Sprintf("pending=%d", n), func(b *testing.B) {
+			ops := kernelOps(n)
+			q := NewSlice[int]()
+			var recent [recentWindow]*SliceItem[int]
+			for i := 0; i < n; i++ {
+				recent[i%recentWindow] = q.Push(ops[i].delay, i)
 			}
-		}
-		for q.Len() > 0 {
-			q.Pop()
-		}
+			last := 0.0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op := &ops[i%len(ops)]
+				it := q.Push(last+op.delay, i)
+				if !op.remove || !q.Remove(recent[op.victim]) {
+					last = q.Pop().Time
+				}
+				recent[i%recentWindow] = it
+			}
+		})
 	}
 }
 
-type qop struct {
-	time        float64
-	idx         int
-	pop, remove bool
+// ablationSizes are the pending-event counts the ablation benchmarks hold.
+var ablationSizes = []int{150, 9000}
+
+// recentWindow is how many of the latest pushes a removal picks from.
+const recentWindow = 64
+
+type kernelOp struct {
+	delay  float64 // ns after the last popped time
+	remove bool
+	victim int // index into the recent pushes
 }
 
-func makeOps(rng *rand.Rand, n int) []qop {
-	ops := make([]qop, n)
+// kernelOps draws a cyclic op stream of at least n ops (n also seeds the
+// initial fill) with delays uniform in [0, 1) ns and one removal in six.
+func kernelOps(n int) []kernelOp {
+	rng := rand.New(rand.NewSource(1))
+	ops := make([]kernelOp, max(n, 4096))
 	for i := range ops {
-		ops[i] = qop{
-			time:   rng.Float64() * 1000,
-			idx:    rng.Int(),
-			pop:    rng.Intn(5) == 0,
+		ops[i] = kernelOp{
+			delay:  rng.Float64(),
 			remove: rng.Intn(6) == 0,
+			victim: rng.Intn(recentWindow),
 		}
 	}
 	return ops

@@ -54,8 +54,13 @@ func DetectFormat(path string, f Format) Format {
 // one whose first significant line has parenthesized directives
 // (INPUT(n)) or '=' assignments, neither of which the native format's
 // directive words use. Keep this in sync with the two formats' grammars.
+// It reads line by line and stops at the first line that decides.
+//
+//halotis:noalloc
 func SniffFormat(text string) Format {
-	for _, line := range strings.Split(text, "\n") {
+	for text != "" {
+		line, rest, _ := strings.Cut(text, "\n")
+		text = rest
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue

@@ -16,6 +16,15 @@ func TestSniffFormat(t *testing.T) {
 		{"native", "circuit x\ninput a b\noutput y\ngate g1 NAND2 y a b\n", FormatNative},
 		{"comments only", "# nothing here\n\n", FormatNative},
 		{"empty", "", FormatNative},
+		{"leading blank and comment lines", "\n  \n# a\n\t# b\n\ncircuit x\n", FormatNative},
+		{"bench line after comments", "# c17\n# iscas\nINPUT(1)\n", FormatBench},
+		{"native first line decides", "circuit x\nG1 = NAND(a, b)\n", FormatNative},
+		{"crlf bench", "# c\r\n\r\nINPUT(1)\r\nOUTPUT(2)\r\n", FormatBench},
+		{"crlf native", "# c\r\ncircuit x\r\n", FormatNative},
+		{"no trailing newline bench", "# c\nG1 = NAND(a, b)", FormatBench},
+		{"no trailing newline native", "circuit x", FormatNative},
+		{"single newline", "\n", FormatNative},
+		{"whitespace only", " \t\r\n\n", FormatNative},
 	}
 	for _, c := range cases {
 		if got := SniffFormat(c.text); got != c.want {
@@ -52,6 +61,21 @@ func TestParseText(t *testing.T) {
 		}
 		if ckt.Name != c.wantName || len(ckt.Gates) != c.wantGates {
 			t.Errorf("%s: got circuit %q with %d gates, want %q with %d", c.name, ckt.Name, len(ckt.Gates), c.wantName, c.wantGates)
+		}
+	}
+}
+
+// TestSniffFormatAllocs pins that sniffing a large upload allocates
+// nothing, whether the deciding line comes first or after many comments.
+func TestSniffFormatAllocs(t *testing.T) {
+	body := strings.Repeat("G1 = NAND(a, b)\n", 50_000)
+	for _, text := range []string{body, strings.Repeat("# comment\n\n", 50_000) + body} {
+		if got := SniffFormat(text); got != FormatBench {
+			t.Fatalf("SniffFormat = %v, want bench", got)
+		}
+		//halotis:pins SniffFormat
+		if allocs := testing.AllocsPerRun(20, func() { SniffFormat(text) }); allocs != 0 {
+			t.Errorf("SniffFormat allocs = %g, want 0", allocs)
 		}
 	}
 }

@@ -17,12 +17,15 @@ import (
 // the arena queue stores it inline with no per-event allocation.
 //
 // Events are ordered by (time, pin id) — the pin id, not the insertion
-// sequence, breaks time ties. The order is total because two live crossings
-// never share a pin (the engine keeps at most one pending event per pin),
-// and it is structural: a property of the scheduled set alone, independent
-// of scheduling order. That is what keeps a run bit-identical across
-// partition counts, although partitions schedule concurrently into separate
-// queues (see partition.go).
+// sequence, breaks time ties. Two live crossings can share a pin:
+// reconcile keeps a pending crossing that lies before the new ramp's start
+// and schedules the new ramp's crossing after it (e.pending tracks the
+// newer one). Such a pair never shares a time, so the order is still
+// total, which the queue's equal-time heap relies on. It is also
+// structural: a property of the scheduled set alone, independent of
+// scheduling order. That is what keeps a run bit-identical across
+// partition counts, although partitions schedule concurrently into
+// separate queues (see partition.go).
 type event struct {
 	pin    int32
 	rising bool

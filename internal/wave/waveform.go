@@ -169,14 +169,23 @@ func (w *Waveform) Crossings(vt float64) []Crossing {
 // LogicAt returns the boolean value of the waveform at time t for a receiver
 // with threshold vt, resolving the start state from VInit. A waveform
 // sitting exactly at vt reports its previous state (hysteresis-free
-// waveforms never rest at vt in practice).
+// waveforms never rest at vt in practice). It walks the transitions in
+// place, reading the crossings Crossings would list up to the first one
+// after t.
+//
+//halotis:noalloc
 func (w *Waveform) LogicAt(t float64, vt float64) bool {
 	state := w.VInit > vt
-	for _, c := range w.Crossings(vt) {
-		if c.Time > t {
+	for i := range w.ts {
+		tr := &w.ts[i]
+		ct, ok := tr.CrossingTruncated(vt)
+		if !ok {
+			continue
+		}
+		if ct > t {
 			break
 		}
-		state = c.Rising
+		state = tr.Rising
 	}
 	return state
 }

@@ -388,3 +388,33 @@ func TestSlabChunksAreIsolated(t *testing.T) {
 		}
 	}
 }
+
+// TestLogicAtAllocs pins LogicAt's in-place walk on a waveform with several
+// transitions, two of them truncated before they cross, and checks it
+// answers as the crossing list does.
+func TestLogicAtAllocs(t *testing.T) {
+	w := NewWaveform(vdd, 0)
+	w.Add(1, 1, true)
+	w.Add(4, 1, false)
+	w.Add(4.2, 1, true) // truncated at 4.3: never falls back below vt
+	w.Add(4.3, 1, false)
+	w.Add(7, 1, true)
+	w.Add(9, 1, false)
+	vt := vdd / 2
+	for _, at := range []float64{0, 1.5, 3, 4.45, 4.9, 7.4, 8, 9.6, 20} {
+		want := w.VInit > vt
+		for _, c := range w.Crossings(vt) {
+			if c.Time > at {
+				break
+			}
+			want = c.Rising
+		}
+		if got := w.LogicAt(at, vt); got != want {
+			t.Errorf("LogicAt(%g) = %v, crossings say %v", at, got, want)
+		}
+	}
+	//halotis:pins LogicAt
+	if allocs := testing.AllocsPerRun(100, func() { w.LogicAt(8, vt) }); allocs != 0 {
+		t.Errorf("LogicAt allocs = %g, want 0", allocs)
+	}
+}
