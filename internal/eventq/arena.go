@@ -20,8 +20,8 @@ import (
 // last's time, as a binary min-heap on their tie-break key. Push appends
 // to a bucket in O(1). Pop takes bucket 0's top; when bucket 0 is empty it
 // first moves last up to the smallest key of the lowest non-empty bucket
-// and refiles that bucket's entries below it, so an entry moves down at
-// most 64 times over its life. Buckets hold 4-byte slot indices and keep
+// and refiles that bucket's entries below it; while pushes stay at or
+// after the last pop, an entry moves down at most 64 times over its life. Buckets hold 4-byte slot indices and keep
 // their capacity across Reset.
 //
 // That is the monotone fast path, taken while every push lies at or after
