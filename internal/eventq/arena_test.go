@@ -277,11 +277,12 @@ func TestArenaPushKeyedHandles(t *testing.T) {
 // validate checks the radix queue's invariants: every filed entry names a
 // live or removed slot exactly once and sits in the bucket its key names
 // relative to last (at or above it), bucket 0 is a heap on the tie-break
-// key, the non-empty mask matches the buckets, every unfiled slot is on the
-// freelist, and the live and removed counts match the slots.
+// key, the non-empty mask matches the buckets, the live count matches the
+// live entries filed, and every unfiled slot is free, the freelist and the
+// filed entries together accounting for every slot.
 func (q *ArenaQueue[T]) validate() error {
 	filed := make([]bool, len(q.slots))
-	live, stale := 0, 0
+	live, removed := 0, 0
 	for b, bucket := range q.buckets {
 		if b > 0 && (len(bucket) > 0) != (q.full&(1<<(b-1)) != 0) {
 			return fmt.Errorf("eventq: bucket %d holds %d entries, mask %#x", b, len(bucket), q.full)
@@ -296,7 +297,7 @@ func (q *ArenaQueue[T]) validate() error {
 			case slotLive:
 				live++
 			case slotRemoved:
-				stale++
+				removed++
 			default:
 				return fmt.Errorf("eventq: free slot %d filed in bucket %d", idx, b)
 			}
@@ -310,16 +311,16 @@ func (q *ArenaQueue[T]) validate() error {
 			}
 		}
 	}
-	if live != q.live || stale != q.stale {
-		return fmt.Errorf("eventq: filed live/removed %d/%d, counted %d/%d", live, stale, q.live, q.stale)
+	if live != q.live {
+		return fmt.Errorf("eventq: %d live entries filed, %d counted", live, q.live)
 	}
 	for i := range q.slots {
 		if !filed[i] && q.slots[i].state != slotFree {
 			return fmt.Errorf("eventq: slot %d is neither filed nor free", i)
 		}
 	}
-	if n := len(q.free) + live + stale; n != len(q.slots) {
-		return fmt.Errorf("eventq: %d free + %d filed slots of %d", len(q.free), live+stale, len(q.slots))
+	if n := len(q.free) + live + removed; n != len(q.slots) {
+		return fmt.Errorf("eventq: %d free + %d filed slots of %d", len(q.free), live+removed, len(q.slots))
 	}
 	return nil
 }

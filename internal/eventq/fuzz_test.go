@@ -79,6 +79,11 @@ func FuzzArenaQueue(f *testing.F) {
 	// Pushes below the last pop re-bucket.
 	f.Add(cat(push(fzTable, 14), push(fzTable, 15), push(fzTable, 3), pop, push(fzDown, 5),
 		push(fzDown, 7), push(fzAdjac, 0), pop, push(fzTable, 16), push(fzTable, 6), pop, pop, pop, pop, pop))
+	// A push after the last pop but below a peeked head re-buckets too, as
+	// a partitioned lane's inbox crossing can: 1 and 7 pushed, 1 popped, 7
+	// peeked, then 2 and 1.25 pushed.
+	f.Add(cat(keyed(fzTable, 2, 1), keyed(fzUp, 6, 2), pop, []byte{fzPeek}, keyed(fzUp, 5, 3),
+		keyed(fzUp, 4, 4), []byte{fzPeek}, pop, pop, pop))
 	// Reset mid-stream, then handles from before it.
 	f.Add(cat(push(fzCoarse, 40), push(fzCoarse, 41), push(fzCoarse, 40), pop, []byte{fzRemove, 0, 1},
 		[]byte{fzResetOrPop, 0}, []byte{fzHandle, 0, 2}, []byte{fzRemove, 0, 2}, push(fzCoarse, 40),
